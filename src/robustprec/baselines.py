@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.linalg import eigh
 
-from .mm_precoder import mu_bisection, total_power
+from .mm_precoder import mu_bisection, normalize_power
 from .operators import hermitize, mean_quadratic_tx
 
 
@@ -43,16 +43,16 @@ def rzf(channels, p_total, sigma2_z):
     """Regularized zero-forcing from stacked channel rows.
 
     Hermitian regularizer K sigma2_z / p_total; the result is split into
-    per-user column blocks and rescaled once so the total power is p_total.
+    per-user column blocks and rescaled once so the total power is p_total
+    (NumericalError when every channel is zero).
     """
     k_users = len(channels)
     h = np.vstack(channels)
     reg = k_users * sigma2_z / p_total
     gram = h @ h.conj().T + reg * np.eye(h.shape[0])
     g = np.linalg.solve(gram, h).conj().T
-    parts = _split_columns(g, [c.shape[0] for c in channels])
-    scale = np.sqrt(p_total / total_power(parts))
-    return [scale * p for p in parts]
+    return normalize_power(_split_columns(g, [c.shape[0] for c in channels]),
+                           p_total)
 
 
 def slnr(channels, p_total, sigma2_z):
@@ -136,7 +136,8 @@ def robust_rzf(posterior, n, p_total, sigma2_z, load_scale=1.0):
 
     The channel-uncertainty Gram sum_k E[err_k^H err_k] joins the noise
     regularizer, which is what the transmit-MSE objective prescribes; with
-    no uncertainty it collapses to plain rzf on the means.
+    no uncertainty it collapses to plain rzf on the means.  Zero means (a
+    zero-mean posterior) leave nothing to invert: NumericalError.
     """
     k_users = posterior.n_users
     means = [posterior.mean(k, n) for k in range(k_users)]
@@ -149,6 +150,5 @@ def robust_rzf(posterior, n, p_total, sigma2_z, load_scale=1.0):
         gram = gram + load_scale * mean_quadratic_tx(
             posterior.kernel(k, n), np.eye(m_k, dtype=complex))
     g = np.linalg.solve(hermitize(gram, tol=None), h.conj().T)
-    parts = _split_columns(g, [m.shape[0] for m in means])
-    scale = np.sqrt(p_total / total_power(parts))
-    return [scale * p for p in parts]
+    return normalize_power(_split_columns(g, [m.shape[0] for m in means]),
+                           p_total)

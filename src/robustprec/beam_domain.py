@@ -13,8 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .det_equiv import _rel_change
 from .errors import FixedPointError
-from .mm_precoder import MMReport, mu_bisection
+from .mm_precoder import _mm_loop, mu_bisection
 
 __all__ = [
     "beam_order",
@@ -48,11 +49,6 @@ class BeamState:
     rx_mse: np.ndarray      # per receive dimension
     iterations: int
     residual: float
-
-
-def _rel_change(new, old):
-    scale = max(np.linalg.norm(new), 1e-300)
-    return np.linalg.norm(new - old) / scale
 
 
 def beam_fixed_point(omega, q_own, r, tol=1e-9, max_iter=500, init=None):
@@ -154,33 +150,26 @@ def canonical_allocation(stats_list, cfg):
 
 
 def beam_power_allocation(stats_list, cfg, iters=50, de_tol=1e-9, obj_tol=1e-8,
-                          init=None, tol_power=1e-6):
+                          init=None, tol_power=1e-6, de_trace=None):
     """Statistics-only precoder design: power allocation over ordered beams.
 
     Uses each user's coupling profile directly (posterior mean treated as
     zero), so one run serves every data block.  Returns the allocation and
     an MMReport whose precoders are the exported beam-aligned matrices.
+    init: starting per-user beam gains (default: canonical_allocation).
+    de_trace, when a list, collects (update, user, sweeps, residual) for
+    every fixed-point solve.
     """
-    from .channel import dft_matrix
-
     k_users = len(stats_list)
     omegas = [np.asarray(s.omega, dtype=float) for s in stats_list]
-    m_t = omegas[0].shape[1]
-    v = dft_matrix(m_t)
     weights = cfg.weights
-    orders = [beam_order(om) for om in omegas]
-    if init is None:
-        scale = math.sqrt(cfg.p_total / sum(cfg.d_k))
-        gains = [scale * np.ones(d) for d in cfg.d_k]
-    else:
-        gains = [np.asarray(g, dtype=float).copy() for g in init]
-    alloc = BeamAllocation(v, orders, gains)
+    start = canonical_allocation(stats_list, cfg)
+    gains = (start.gains if init is None
+             else [np.asarray(g, dtype=float).copy() for g in init])
 
-    objective, mu_trace, power_trace = [], [], []
-    states = [None] * k_users
-    converged = False
-    updates = 0
-    while True:
+    def evaluate(gains, states):
+        states = states or [None] * k_users
+        alloc = BeamAllocation(start.v, start.orders, gains)
         q_full = [alloc.beam_powers(k) for k in range(k_users)]
         q_sum = np.sum(q_full, axis=0)
         rates = []
@@ -189,28 +178,24 @@ def beam_power_allocation(stats_list, cfg, iters=50, de_tol=1e-9, obj_tol=1e-8,
             states[k] = beam_fixed_point(omegas[k], q_full[k], r,
                                          tol=de_tol, init=states[k])
             rates.append(beam_rate(states[k], q_full[k], r))
-        objective.append(float(sum(w * rk for w, rk in zip(weights, rates))))
-        if len(objective) > 1 and abs(objective[-1] - objective[-2]) <= obj_tol * (1 + abs(objective[-1])):
-            converged = True
-            break
-        if updates >= iters:
-            break
+        return float(sum(w * rk for w, rk in zip(weights, rates))), states, alloc
+
+    def update(gains, states, alloc):
         signal, leakage, gap, shared = beam_surrogate_diagonals(
             omegas, weights, alloc, states, cfg.sigma2_z)
         rhs, shapings = [], []
         for k in range(k_users):
             active = alloc.active_beams(k)
-            num = (weights[k] * signal[k] + gap[k])[active] * alloc.gains[k]
+            num = (weights[k] * signal[k] + gap[k])[active] * gains[k]
             rhs.append(num[:, None])
             shapings.append(np.diag(shared[active]))
         mu, cols = mu_bisection(rhs, shapings, cfg.p_total,
                                 tol_power=tol_power)
-        alloc = BeamAllocation(v, orders, [np.abs(c[:, 0]) for c in cols])
-        updates += 1
-        mu_trace.append(mu)
-        power_trace.append(sum(float(np.sum(g ** 2)) for g in alloc.gains))
-    report = MMReport(alloc.precoders, objective, mu_trace, power_trace,
-                      updates, converged)
+        return mu, [np.abs(c[:, 0]) for c in cols]
+
+    report = _mm_loop(evaluate, update, gains, iters, obj_tol, de_trace)
+    alloc = BeamAllocation(start.v, start.orders, report.precoders)
+    report.precoders = alloc.precoders
     return alloc, report
 
 

@@ -22,16 +22,16 @@ import json
 import sys
 from pathlib import Path
 
-from numpy.random import SeedSequence, default_rng
-
 from . import __version__
 from .beam_domain import beam_power_allocation, canonical_allocation
 from .channel import BeamProfile
 from .config import SystemConfig
 from .errors import ConfigError, NumericalError
 from .evaluation import (
+    ALGORITHM_TABLE,
     ALGORITHMS,
     alpha_mismatch_study,
+    check_algorithms,
     experiment_statistics,
     prepare_slot,
     run_slot_experiment,
@@ -39,7 +39,6 @@ from .evaluation import (
 )
 from .matio import write_complex_csv
 from .mm_precoder import mm_full, mm_shared
-from .posterior import build_posterior
 
 _PLAN_DEFAULTS = {
     "algorithms": ("alg1",),
@@ -126,10 +125,6 @@ def parse_config(path):
         raise ConfigError("experiment.load_scale must be a number >= 0")
     plan["load_scale"] = float(plan["load_scale"])
     plan["algorithms"] = tuple(plan["algorithms"])
-    for a in plan["algorithms"]:
-        if a not in ALGORITHMS:
-            raise ConfigError(f"unknown algorithm {a!r}; choose from "
-                              f"{', '.join(ALGORITHMS)}")
     return cfg, profile, plan
 
 
@@ -181,70 +176,46 @@ def _write_manifest(out_dir, subcommand, cfg, profile, plan, outputs):
     return path
 
 
-def _result_rows(result, first_col_value, seed):
-    for rec in result.records:
-        yield (rec.algorithm, [first_col_value, rec.algorithm, rec.slot,
-                               rec.block, _fmt(rec.rate), _fmt(rec.stderr),
-                               seed])
-
-
-def _run_sweep(cfg, profile, plan, out_dir, args):
-    points = plan["snr_db"] if plan["snr_db"] is not None else cfg.snr_db
-    results = sweep_snr(cfg, profile, plan["algorithms"], snr_db=points,
-                        n_slots=plan["n_slots"], n_mc=plan["n_mc"],
-                        mm_iters=plan["mm_iters"], mc_batch=plan["mc_batch"],
-                        load_scale=plan["load_scale"])
+def _run_study(cfg, profile, plan, out_dir, args):
+    """sweep (rate vs SNR) or mismatch (rate vs assumed aging): one CSV per
+    algorithm, one row per (point, slot, block)."""
+    kw = {key: plan[key]
+          for key in ("n_slots", "n_mc", "mm_iters", "mc_batch", "load_scale")}
+    if args.subcommand == "sweep":
+        column = "snr_db"
+        results = sweep_snr(cfg, profile, plan["algorithms"],
+                            snr_db=plan["snr_db"], **kw)
+    else:
+        if not plan["assumed_alphas"]:
+            raise ConfigError("mismatch needs experiment.assumed_alphas")
+        column = "assumed_alpha"
+        results = alpha_mismatch_study(cfg, profile, plan["algorithms"],
+                                       assumed_alphas=plan["assumed_alphas"],
+                                       **kw)
     per_alg = {a: [] for a in plan["algorithms"]}
-    produced = False
-    for snr, result in results:
-        produced = produced or bool(result.records)
-        for alg, row in _result_rows(result, _fmt(snr), cfg.seed):
-            per_alg[alg].append(row)
-    if not produced:
+    for point, result in results:
+        for rec in result.records:
+            per_alg[rec.algorithm].append(
+                [_fmt(point), rec.algorithm, rec.slot, rec.block,
+                 _fmt(rec.rate), _fmt(rec.stderr), cfg.seed])
+    if not any(per_alg.values()):
         raise NumericalError("every slot failed; no rates were produced")
-    header = ["snr_db", "algorithm", "slot", "block", "sum_rate", "stderr",
+    header = [column, "algorithm", "slot", "block", "sum_rate", "stderr",
               "seed"]
     outputs = []
     for alg in plan["algorithms"]:
-        name = f"sweep_{alg.replace('-', '_')}.csv"
-        _write_csv(out_dir / name, header, per_alg[alg])
-        outputs.append(name)
-    return outputs
-
-
-def _run_mismatch(cfg, profile, plan, out_dir, args):
-    values = plan["assumed_alphas"]
-    if not values:
-        raise ConfigError("mismatch needs experiment.assumed_alphas")
-    results = alpha_mismatch_study(cfg, profile, plan["algorithms"],
-                                   assumed_alphas=values,
-                                   n_slots=plan["n_slots"], n_mc=plan["n_mc"],
-                                   mm_iters=plan["mm_iters"],
-                                   mc_batch=plan["mc_batch"],
-                                   load_scale=plan["load_scale"])
-    per_alg = {a: [] for a in plan["algorithms"]}
-    produced = False
-    for alpha, result in results:
-        produced = produced or bool(result.records)
-        for alg, row in _result_rows(result, _fmt(alpha), cfg.seed):
-            per_alg[alg].append(row)
-    if not produced:
-        raise NumericalError("every slot failed; no rates were produced")
-    header = ["assumed_alpha", "algorithm", "slot", "block", "sum_rate",
-              "stderr", "seed"]
-    outputs = []
-    for alg in plan["algorithms"]:
-        name = f"mismatch_{alg.replace('-', '_')}.csv"
+        name = f"{args.subcommand}_{alg.replace('-', '_')}.csv"
         _write_csv(out_dir / name, header, per_alg[alg])
         outputs.append(name)
     return outputs
 
 
 def _run_converge(cfg, profile, plan, out_dir, args):
-    iterative = {"alg1", "alg2", "alg3"}
-    bad = [a for a in plan["algorithms"] if a not in iterative]
+    bad = [a for a in plan["algorithms"] if not ALGORITHM_TABLE[a].converge]
     if bad:
-        raise ConfigError(f"converge supports alg1, alg2, alg3; got {bad[0]!r}")
+        supported = [a for a in ALGORITHMS if ALGORITHM_TABLE[a].converge]
+        raise ConfigError(f"converge supports {', '.join(supported)}; "
+                          f"got {bad[0]!r}")
     stats = experiment_statistics(cfg, profile)
     _, _, posterior = prepare_slot(cfg, stats, 0)
     outputs = []
@@ -253,7 +224,8 @@ def _run_converge(cfg, profile, plan, out_dir, args):
         alloc = None
         if alg == "alg3":
             alloc, report = beam_power_allocation(stats, cfg,
-                                                  iters=plan["mm_iters"])
+                                                  iters=plan["mm_iters"],
+                                                  de_trace=de_trace)
         else:
             runner = mm_full if alg == "alg1" else mm_shared
             init = canonical_allocation(stats, cfg).precoders
@@ -324,8 +296,8 @@ def _build_parser():
     return parser
 
 
-_RUNNERS = {"sweep": _run_sweep, "converge": _run_converge,
-            "mismatch": _run_mismatch}
+_RUNNERS = {"sweep": _run_study, "converge": _run_converge,
+            "mismatch": _run_study}
 
 
 def main(argv=None):
@@ -334,6 +306,13 @@ def main(argv=None):
     out_dir = None
     try:
         cfg, profile, plan = parse_config(args.config)
+        if getattr(args, "algorithms", None) is not None:
+            plan["algorithms"] = tuple(
+                a.strip() for a in args.algorithms.split(",") if a.strip())
+            if not plan["algorithms"]:
+                raise ConfigError("--algorithms must name at least one "
+                                  "algorithm")
+        check_algorithms(plan["algorithms"], cfg)
         if args.subcommand == "validate-config":
             json.dump(_resolved_config(cfg, profile, plan), sys.stdout,
                       indent=2, sort_keys=True)
@@ -341,16 +320,6 @@ def main(argv=None):
             return 0
         if args.seed is not None:
             cfg = dataclasses.replace(cfg, seed=args.seed)
-        if args.algorithms is not None:
-            plan["algorithms"] = tuple(
-                a.strip() for a in args.algorithms.split(",") if a.strip())
-            if not plan["algorithms"]:
-                raise ConfigError("--algorithms must name at least one "
-                                  "algorithm")
-            for a in plan["algorithms"]:
-                if a not in ALGORITHMS:
-                    raise ConfigError(f"unknown algorithm {a!r}; choose from "
-                                      f"{', '.join(ALGORITHMS)}")
         if getattr(args, "trace", False):
             plan["trace"] = True
         out_dir = Path(args.out_dir)

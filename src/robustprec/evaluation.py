@@ -32,10 +32,54 @@ from .mm_precoder import mm_full, mm_shared
 from .operators import interference_covariance
 from .posterior import build_posterior
 
-ALGORITHMS = ("alg1", "alg2", "alg3", "rzf", "slnr", "wmmse", "robust-rzf")
 
-# algorithms that place one stream per receive antenna
-_FULL_RANK_ONLY = ("rzf", "slnr", "wmmse", "robust-rzf")
+class Algorithm(NamedTuple):
+    """What the harness and the CLI need to know about one design."""
+
+    full_rank: bool   # one stream per receive antenna, so d_k must equal m_k
+    converge: bool    # an MM ascent whose iterations `converge` can trace
+    slot_wide: bool   # one design serves every data block of a slot
+    design: object    # design(slot, n, warm) -> precoders for data block n
+
+
+class _Slot(NamedTuple):
+    """Design inputs of one slot: first = true block-1 channels, post and
+    stats = the design-side posterior and statistics."""
+
+    cfg: object
+    first: list
+    post: object
+    stats: list
+    mm_iters: int
+    load_scale: float
+
+
+def _mm_design(runner, s, n, warm):
+    if warm is None:
+        warm = canonical_allocation(s.stats, s.cfg).precoders
+    return runner(s.post, s.cfg, n, warm, iters=s.mm_iters).precoders
+
+
+# Each design call names its function as a module global at call time, so
+# a wrapper installed over that global (a profiler, a test) sees the call.
+# warm is the same algorithm's design for the previous block, or None.
+ALGORITHM_TABLE = {
+    "alg1": Algorithm(False, True, False,
+                      lambda s, n, warm: _mm_design(mm_full, s, n, warm)),
+    "alg2": Algorithm(False, True, False,
+                      lambda s, n, warm: _mm_design(mm_shared, s, n, warm)),
+    "alg3": Algorithm(False, True, True, lambda s, n, warm: beam_power_allocation(
+        s.stats, s.cfg, iters=s.mm_iters)[1].precoders),
+    "rzf": Algorithm(True, False, True, lambda s, n, warm: rzf(
+        s.first, s.cfg.p_total, s.cfg.sigma2_z)),
+    "slnr": Algorithm(True, False, True, lambda s, n, warm: slnr(
+        s.first, s.cfg.p_total, s.cfg.sigma2_z)),
+    "wmmse": Algorithm(True, False, True, lambda s, n, warm: wmmse(
+        s.first, s.cfg.p_total, s.cfg.sigma2_z, s.cfg.weights)[0]),
+    "robust-rzf": Algorithm(True, False, False, lambda s, n, warm: robust_rzf(
+        s.post, n, s.cfg.p_total, s.cfg.sigma2_z, load_scale=s.load_scale)),
+}
+ALGORITHMS = tuple(ALGORITHM_TABLE)
 
 
 class MCRate(NamedTuple):
@@ -119,48 +163,26 @@ def monte_carlo_rate(posterior, precoders, weights, sigma2_z, n, rng,
     return MCRate(total, tuple(per_user), stderr)
 
 
-def _check_algorithms(algorithms, cfg):
+def check_algorithms(algorithms, cfg):
+    """Raise ConfigError for an unknown name or a full-rank design with
+    d_k != m_k."""
     for a in algorithms:
-        if a not in ALGORITHMS:
+        if a not in ALGORITHM_TABLE:
             raise ConfigError(
                 f"unknown algorithm {a!r}; choose from {', '.join(ALGORITHMS)}")
-        if a in _FULL_RANK_ONLY and tuple(cfg.d_k) != tuple(cfg.m_k):
+        if ALGORITHM_TABLE[a].full_rank and tuple(cfg.d_k) != tuple(cfg.m_k):
             raise ConfigError(f"{a} requires d_k == m_k")
 
 
-def _slot_designs(algorithms, cfg, blocks, design_post, design_stats,
-                  mm_iters, load_scale=1.0):
+def _slot_designs(algorithms, slot):
     """Precoders per algorithm per data block for one slot."""
-    first = [b[0] for b in blocks]
     designs = {}
-    slot_wide = {}
-    if "rzf" in algorithms:
-        slot_wide["rzf"] = rzf(first, cfg.p_total, cfg.sigma2_z)
-    if "slnr" in algorithms:
-        slot_wide["slnr"] = slnr(first, cfg.p_total, cfg.sigma2_z)
-    if "wmmse" in algorithms:
-        slot_wide["wmmse"] = wmmse(first, cfg.p_total, cfg.sigma2_z,
-                                   cfg.weights)[0]
-    if "alg3" in algorithms:
-        _, rep = beam_power_allocation(design_stats, cfg, iters=mm_iters)
-        slot_wide["alg3"] = rep.precoders
-    warm = {}
-    for n in range(2, cfg.n_b + 1):
-        for alg in algorithms:
-            if alg in slot_wide:
-                designs[(alg, n)] = slot_wide[alg]
-            elif alg == "robust-rzf":
-                designs[(alg, n)] = robust_rzf(design_post, n, cfg.p_total,
-                                               cfg.sigma2_z,
-                                               load_scale=load_scale)
-            elif alg in ("alg1", "alg2"):
-                runner = mm_full if alg == "alg1" else mm_shared
-                init = warm.get(alg)
-                if init is None:
-                    init = canonical_allocation(design_stats, cfg).precoders
-                rep = runner(design_post, cfg, n, init, iters=mm_iters)
-                designs[(alg, n)] = rep.precoders
-                warm[alg] = rep.precoders
+    for alg in algorithms:
+        entry, prev = ALGORITHM_TABLE[alg], None
+        for n in range(2, slot.cfg.n_b + 1):
+            if prev is None or not entry.slot_wide:
+                prev = entry.design(slot, n, prev)
+            designs[(alg, n)] = prev
     return designs
 
 
@@ -203,7 +225,7 @@ def run_slot_experiment(cfg, profile=None, algorithms=("alg1",), n_slots=10,
     failed_slots.
     """
     algorithms = tuple(algorithms)
-    _check_algorithms(algorithms, cfg)
+    check_algorithms(algorithms, cfg)
     if cfg.n_b < 2:
         raise ConfigError("experiments need n_b >= 2 (block 1 is pilots)")
     stats_list = experiment_statistics(cfg, profile, stats_list)
@@ -231,9 +253,9 @@ def run_slot_experiment(cfg, profile=None, algorithms=("alg1",), n_slots=10,
                 # same received pilots, interpreted under the assumed aging
                 design_post = build_posterior(y, pilots, design_stats, v,
                                               cfg.uplink_noise, cfg.n_b)
-            designs = _slot_designs(algorithms, cfg, blocks, design_post,
-                                    design_stats, mm_iters,
-                                    load_scale=load_scale)
+            designs = _slot_designs(algorithms, _Slot(
+                cfg, [b[0] for b in blocks], design_post, design_stats,
+                mm_iters, load_scale))
             for n in range(2, cfg.n_b + 1):
                 for alg in algorithms:
                     rng_mc = default_rng(SeedSequence([cfg.seed, 2, slot, n]))

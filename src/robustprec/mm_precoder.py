@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .det_equiv import de_weighted_sum_rate
-from .errors import BisectionError
+from .errors import BisectionError, NumericalError
 from .operators import expected_gram, hermitize
 
 __all__ = [
@@ -53,7 +53,7 @@ def normalize_power(precoders, p_total):
     """Jointly rescale a precoder set to the exact power budget."""
     cur = total_power(precoders)
     if cur <= 0:
-        raise ValueError("cannot normalize an all-zero precoder set")
+        raise NumericalError("cannot normalize an all-zero precoder set")
     scale = math.sqrt(p_total / cur)
     return [scale * p for p in precoders]
 
@@ -198,18 +198,23 @@ class MMReport:
     de_trace: list = None
 
 
-def _mm_loop(posterior, cfg, n, init, iters, step_fn, de_tol, obj_tol, de_trace):
-    precoders = [np.array(p, dtype=complex) for p in init]
-    weights = cfg.weights
+def _mm_loop(evaluate, update, x, iters, obj_tol, de_trace):
+    """The MM ascent under mm_full, mm_shared and beam_power_allocation.
+
+    evaluate(x, states) scores the iterate x, warm-starting from the
+    previous evaluation's per-user solver states (None at first), and
+    returns (objective, states, aux); update(x, states, aux) takes one
+    surrogate step and returns (mu, x).  Stops after iters updates or when
+    the relative objective change falls below obj_tol.  The report's
+    precoders field holds the final iterate.
+    """
     objective, mu_trace, power_trace = [], [], []
     states = None
     converged = False
     updates = 0
     while True:
-        res = de_weighted_sum_rate(posterior, precoders, weights, cfg.sigma2_z, n,
-                                   tol=de_tol, init_states=states)
-        states = res.states
-        objective.append(res.total)
+        total, states, aux = evaluate(x, states)
+        objective.append(total)
         if de_trace is not None:
             de_trace.extend((updates, k, s.iterations, s.residual)
                             for k, s in enumerate(states))
@@ -218,12 +223,22 @@ def _mm_loop(posterior, cfg, n, init, iters, step_fn, de_tol, obj_tol, de_trace)
             break
         if updates >= iters:
             break
-        mu, precoders = step_fn(precoders, states, res.covariances)
+        mu, x = update(x, states, aux)
         updates += 1
         mu_trace.append(mu)
-        power_trace.append(total_power(precoders))
-    return MMReport(precoders, objective, mu_trace, power_trace, updates,
-                    converged, de_trace)
+        power_trace.append(total_power(x))
+    return MMReport(x, objective, mu_trace, power_trace, updates, converged,
+                    de_trace)
+
+
+def _de_ascent(posterior, cfg, n, init, iters, step_fn, de_tol, obj_tol, de_trace):
+    def evaluate(precoders, states):
+        res = de_weighted_sum_rate(posterior, precoders, cfg.weights, cfg.sigma2_z, n,
+                                   tol=de_tol, init_states=states)
+        return res.total, res.states, res.covariances
+
+    return _mm_loop(evaluate, step_fn, [np.array(p, dtype=complex) for p in init],
+                    iters, obj_tol, de_trace)
 
 
 def mm_full(posterior, cfg, n, init, iters=30, de_tol=1e-9, obj_tol=1e-8,
@@ -248,7 +263,7 @@ def mm_full(posterior, cfg, n, init, iters=30, de_tol=1e-9, obj_tol=1e-8,
         rhs = [weights[k] * gains[k] @ precoders[k] for k in range(k_users)]
         return mu_bisection(rhs, shapings, cfg.p_total, tol_power=tol_power)
 
-    return _mm_loop(posterior, cfg, n, init, iters, step, de_tol, obj_tol, de_trace)
+    return _de_ascent(posterior, cfg, n, init, iters, step, de_tol, obj_tol, de_trace)
 
 
 def mm_shared(posterior, cfg, n, init, iters=30, de_tol=1e-9, obj_tol=1e-8,
@@ -277,4 +292,4 @@ def mm_shared(posterior, cfg, n, init, iters=30, de_tol=1e-9, obj_tol=1e-8,
         return mu_bisection(rhs, [shared] * k_users, cfg.p_total,
                             tol_power=tol_power)
 
-    return _mm_loop(posterior, cfg, n, init, iters, step, de_tol, obj_tol, de_trace)
+    return _de_ascent(posterior, cfg, n, init, iters, step, de_tol, obj_tol, de_trace)

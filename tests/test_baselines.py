@@ -20,7 +20,9 @@ from robustprec.baselines import (
 )
 from robustprec.channel import crandn
 from robustprec.config import SystemConfig
+from robustprec.errors import NumericalError
 from robustprec.mm_precoder import mm_full, random_precoders, total_power
+from robustprec.posterior import zero_mean_posterior
 
 
 def _channels(seed, k=3, m_k=2, m_t=8):
@@ -118,6 +120,15 @@ def test_robust_rzf_loading_reacts_to_uncertainty():
     assert abs(total_power(aware) - cfg.p_total) <= 1e-12
     gap = max(np.abs(a - b).max() for a, b in zip(aware, naive))
     assert gap > 1e-3  # the loading path is live
+
+
+def test_robust_rzf_on_zero_mean_posterior_raises_numerical_error():
+    cfg = small_cfg(m_t=8, m_k=(2, 2), n_b=2, sigma2_z=0.1)
+    stats, v, slot, pilots, post = make_instance(cfg, default_rng(13),
+                                                 alphas=0.9)
+    with pytest.raises(NumericalError, match="all-zero"):
+        robust_rzf(zero_mean_posterior(stats, v), 2, cfg.p_total,
+                   cfg.sigma2_z)
 
 
 def test_perfect_csi_rate_single_user_oracle():

@@ -37,6 +37,13 @@ def test_validate_config_echoes_resolution(tmp_path, capsys):
     assert echoed["experiment"]["algorithms"] == ["alg3", "rzf"]
 
 
+def test_validate_config_applies_the_full_rank_rule(tmp_path, capsys):
+    bad = dict(BASE, system=dict(BASE["system"], d_k=[1, 1]),
+               experiment=dict(BASE["experiment"], algorithms=["rzf"]))
+    assert cli.main(["validate-config", "-c", _write_config(tmp_path, bad)]) == 2
+    assert "rzf requires d_k == m_k" in capsys.readouterr().err
+
+
 def test_duplicate_key_is_rejected_by_name(tmp_path, capsys):
     path = tmp_path / "dup.json"
     path.write_text('{"system": {"m_t": 8, "m_t": 16, "m_k": [2]}}')
@@ -109,10 +116,15 @@ def test_converge_traces_are_nondecreasing_and_complete(tmp_path):
         assert rows[0][2] == ""  # no update happened yet at iteration 0
         pre = read_complex_csv(out / f"precoders_{alg}.csv")
         assert pre["user0"].shape == (8, 2)
-    # DE diagnostics exist for the posterior-based run
+    # DE diagnostics: one row per user for every evaluation of each run
     header, rows = _read_rows(out / "de_trace_alg1.csv")
     assert header == ["update", "user", "sweeps", "residual"]
     assert rows and all(float(r[3]) <= 1e-9 for r in rows)
+    _, conv = _read_rows(out / "converge_alg3.csv")
+    header, rows = _read_rows(out / "de_trace_alg3.csv")
+    assert header == ["update", "user", "sweeps", "residual"]
+    assert len(rows) == len(conv) * 2  # (updates + 1) x K
+    assert all(float(r[3]) <= 1e-9 for r in rows)
     header, arows = _read_rows(out / "allocation_alg3.csv")
     assert header == ["user", "beam", "power"]
     total = sum(float(r[2]) for r in arows)
@@ -143,6 +155,16 @@ def test_mismatch_needs_and_uses_assumed_alphas(tmp_path, capsys):
     header, rows = _read_rows(out / "mismatch_robust_rzf.csv")
     assert header[0] == "assumed_alpha"
     assert {r[0] for r in rows} == {"1.0", "0.9"}
+
+
+def test_zero_mean_inversion_baseline_exits_3_with_error_record(tmp_path):
+    data = dict(BASE, profile=dict(BASE["profile"], alphas=0.0),
+                experiment=dict(BASE["experiment"], algorithms=["robust-rzf"]))
+    out = tmp_path / "zero"
+    assert cli.main(["sweep", "-c", _write_config(tmp_path, data),
+                     "--out-dir", str(out)]) == 3
+    record = json.loads((out / "error.json").read_text())
+    assert record["error"] == "NumericalError"
 
 
 def test_cli_overrides_for_seed_and_algorithms(tmp_path):

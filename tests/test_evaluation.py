@@ -12,6 +12,7 @@ from robustprec.errors import ConfigError, NumericalError
 from robustprec.det_equiv import de_weighted_sum_rate
 from robustprec import evaluation
 from robustprec.evaluation import (
+    ALGORITHMS,
     alpha_mismatch_study,
     monte_carlo_rate,
     run_slot_experiment,
@@ -49,7 +50,7 @@ def test_monte_carlo_tracks_deterministic_equivalent():
 
 def test_experiment_records_shape_and_reproducibility():
     cfg = SystemConfig(m_t=8, m_k=(2, 2), n_b=3, sigma2_z=0.1, seed=5)
-    algs = ("alg1", "alg3", "rzf", "robust-rzf")
+    algs = ALGORITHMS
     kw = dict(profile=_profile(), algorithms=algs, n_slots=2, n_mc=200,
               mm_iters=10)
     res = run_slot_experiment(cfg, **kw)
