@@ -71,7 +71,7 @@ def slnr(channels, p_total, sigma2_z):
         for l in range(k_users):
             if l != k:
                 den = den + grams[l]
-        _, vecs = eigh(hermitize(grams[k], tol=None), hermitize(den, tol=None))
+        _, vecs = eigh(hermitize(grams[k]), hermitize(den))
         top = vecs[:, ::-1][:, :m_k]  # eigh is ascending
         top = top / np.linalg.norm(top, axis=0, keepdims=True)
         out.append(np.sqrt(p_total / (k_users * m_k)) * top)
@@ -95,15 +95,14 @@ def wmmse_step(channels, precoders, weights, sigma2_z, p_total,
             cov = cov + hp @ hp.conj().T
         hp = h @ precoders[k]
         g = np.linalg.solve(cov, hp)
-        err = hermitize(np.eye(hp.shape[1], dtype=complex) - hp.conj().T @ g,
-                        tol=None)
+        err = hermitize(np.eye(hp.shape[1], dtype=complex) - hp.conj().T @ g)
         filters.append(g)
         mse_w.append(np.linalg.inv(err))
     shared = None
     rhs = []
     for k, h in enumerate(channels):
         hg = h.conj().T @ filters[k]
-        term = weights[k] * hermitize(hg @ mse_w[k] @ hg.conj().T, tol=None)
+        term = weights[k] * hermitize(hg @ mse_w[k] @ hg.conj().T)
         shared = term if shared is None else shared + term
         rhs.append(weights[k] * hg @ mse_w[k])
     mu, new_p = mu_bisection(rhs, [shared] * k_users, p_total,
@@ -149,6 +148,6 @@ def robust_rzf(posterior, n, p_total, sigma2_z, load_scale=1.0):
         m_k = means[k].shape[0]
         gram = gram + load_scale * mean_quadratic_tx(
             posterior.kernel(k, n), np.eye(m_k, dtype=complex))
-    g = np.linalg.solve(hermitize(gram, tol=None), h.conj().T)
+    g = np.linalg.solve(hermitize(gram), h.conj().T)
     return normalize_power(_split_columns(g, [m.shape[0] for m in means]),
                            p_total)

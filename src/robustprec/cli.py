@@ -23,13 +23,13 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .beam_domain import beam_power_allocation, canonical_allocation
 from .channel import BeamProfile
 from .config import SystemConfig
 from .errors import ConfigError, NumericalError
 from .evaluation import (
     ALGORITHM_TABLE,
     ALGORITHMS,
+    Slot,
     alpha_mismatch_study,
     check_algorithms,
     experiment_statistics,
@@ -38,7 +38,6 @@ from .evaluation import (
     sweep_snr,
 )
 from .matio import write_complex_csv
-from .mm_precoder import mm_full, mm_shared
 
 _PLAN_DEFAULTS = {
     "algorithms": ("alg1",),
@@ -129,19 +128,9 @@ def parse_config(path):
 
 
 def _resolved_config(cfg, profile, plan):
-    out = {"system": dataclasses.asdict(cfg)}
+    out = {"system": dataclasses.asdict(cfg), "experiment": plan}
     if profile is not None:
-        prof = dataclasses.asdict(profile)
-        for key in ("band_width", "centers", "alphas"):
-            if isinstance(prof.get(key), tuple):
-                prof[key] = list(prof[key])
-        out["profile"] = prof
-    exp = dict(plan)
-    exp["algorithms"] = list(exp["algorithms"])
-    for key in ("snr_db", "assumed_alphas"):
-        if isinstance(exp.get(key), tuple):
-            exp[key] = list(exp[key])
-    out["experiment"] = exp
+        out["profile"] = dataclasses.asdict(profile)
     return out
 
 
@@ -211,26 +200,20 @@ def _run_study(cfg, profile, plan, out_dir, args):
 
 
 def _run_converge(cfg, profile, plan, out_dir, args):
-    bad = [a for a in plan["algorithms"] if not ALGORITHM_TABLE[a].converge]
+    bad = [a for a in plan["algorithms"] if ALGORITHM_TABLE[a].ascent is None]
     if bad:
-        supported = [a for a in ALGORITHMS if ALGORITHM_TABLE[a].converge]
+        supported = [a for a in ALGORITHMS
+                     if ALGORITHM_TABLE[a].ascent is not None]
         raise ConfigError(f"converge supports {', '.join(supported)}; "
                           f"got {bad[0]!r}")
     stats = experiment_statistics(cfg, profile)
-    _, _, posterior = prepare_slot(cfg, stats, 0)
+    blocks, _, posterior = prepare_slot(cfg, stats, 0)
+    slot = Slot(cfg, [b[0] for b in blocks], posterior, stats,
+                plan["mm_iters"], plan["load_scale"])
     outputs = []
     for alg in plan["algorithms"]:
         de_trace = [] if plan["trace"] else None
-        alloc = None
-        if alg == "alg3":
-            alloc, report = beam_power_allocation(stats, cfg,
-                                                  iters=plan["mm_iters"],
-                                                  de_trace=de_trace)
-        else:
-            runner = mm_full if alg == "alg1" else mm_shared
-            init = canonical_allocation(stats, cfg).precoders
-            report = runner(posterior, cfg, 2, init, iters=plan["mm_iters"],
-                            de_trace=de_trace)
+        alloc, report = ALGORITHM_TABLE[alg].ascent(slot, 2, None, de_trace)
         rows = [[0, _fmt(report.objective[0]), "", ""]]
         for i in range(report.updates):
             rows.append([i + 1, _fmt(report.objective[i + 1]),

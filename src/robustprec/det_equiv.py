@@ -37,12 +37,12 @@ __all__ = [
 
 
 def inverse_sqrt_psd(r, floor_scale=1e-14):
-    """Hermitian inverse square root of a PSD matrix.
+    """Hermitian inverse square root of a Hermitian PSD matrix.
 
-    Eigenvalues are floored at floor_scale * trace / m to keep nearly
-    singular covariances invertible without changing well-scaled ones.
+    r must be Hermitian: only its lower triangle is read.  Eigenvalues are
+    floored at floor_scale * trace / m to keep nearly singular covariances
+    invertible without changing well-scaled ones.
     """
-    r = hermitize(r)
     vals, vecs = np.linalg.eigh(r)
     floor = max(floor_scale * np.trace(r).real / r.shape[0], 1e-300)
     vals = np.maximum(vals, floor)
@@ -112,10 +112,8 @@ def solve_fixed_point(posterior, p, r, k, n, tol=1e-9, max_iter=500, init=None,
     tx_prev = rx_prev = None
     res = res_prev = np.inf
     for sweep in range(1, max_iter + 1):
-        t_rx = hermitize(l @ gt @ l)
-        e_tx = mean_quadratic_tx(kern, t_rx)
-        pgp = hermitize(p @ g @ p.conj().T)
-        e_rx = mean_quadratic_rx(kern, pgp)
+        e_tx = mean_quadratic_tx(kern, l @ gt @ l)
+        e_rx = mean_quadratic_rx(kern, p @ g @ p.conj().T)
 
         stream_factor = eye_d + p.conj().T @ e_tx @ p
         rx_factor = eye_m + l @ e_rx @ l
@@ -148,8 +146,7 @@ def de_rate_form1(state, posterior, p, r, k, n):
     kern = posterior.kernel(k, n)
     l = inverse_sqrt_psd(r)
     d = p.shape[1]
-    pgp = hermitize(p @ state.stream_mse @ p.conj().T)
-    e_rx = mean_quadratic_rx(kern, pgp)
+    e_rx = mean_quadratic_rx(kern, p @ state.stream_mse @ p.conj().T)
     t_rx = hermitize(l @ state.rx_mse @ l)
     term1 = _logdet(np.eye(d) + p.conj().T @ state.tx_gain @ p)
     term2 = _logdet(np.eye(kern.m_k) + l @ e_rx @ l)
@@ -162,8 +159,7 @@ def de_rate_form2(state, posterior, p, r, k, n):
     kern = posterior.kernel(k, n)
     l = inverse_sqrt_psd(r)
     d = p.shape[1]
-    t_rx = hermitize(l @ state.rx_mse @ l)
-    e_tx = mean_quadratic_tx(kern, t_rx)
+    e_tx = mean_quadratic_tx(kern, l @ state.rx_mse @ l)
     pgp = hermitize(p @ state.stream_mse @ p.conj().T)
     term1 = _logdet(np.eye(kern.m_k) + l @ state.rx_gain @ l)
     term2 = _logdet(np.eye(d) + p.conj().T @ e_tx @ p)

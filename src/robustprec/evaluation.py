@@ -37,12 +37,14 @@ class Algorithm(NamedTuple):
     """What the harness and the CLI need to know about one design."""
 
     full_rank: bool   # one stream per receive antenna, so d_k must equal m_k
-    converge: bool    # an MM ascent whose iterations `converge` can trace
     slot_wide: bool   # one design serves every data block of a slot
     design: object    # design(slot, n, warm) -> precoders for data block n
+    # an MM ascent, which `converge` can trace: ascent(slot, n, warm,
+    # de_trace) -> (beam allocation or None, MMReport); None otherwise
+    ascent: object = None
 
 
-class _Slot(NamedTuple):
+class Slot(NamedTuple):
     """Design inputs of one slot: first = true block-1 channels, post and
     stats = the design-side posterior and statistics."""
 
@@ -54,29 +56,37 @@ class _Slot(NamedTuple):
     load_scale: float
 
 
-def _mm_design(runner, s, n, warm):
+def _mm_ascent(runner, s, n, warm, de_trace):
     if warm is None:
         warm = canonical_allocation(s.stats, s.cfg).precoders
-    return runner(s.post, s.cfg, n, warm, iters=s.mm_iters).precoders
+    return None, runner(s.post, s.cfg, n, warm, iters=s.mm_iters,
+                        de_trace=de_trace)
 
 
-# Each design call names its function as a module global at call time, so
-# a wrapper installed over that global (a profiler, a test) sees the call.
-# warm is the same algorithm's design for the previous block, or None.
+def _ascent_entry(slot_wide, ascent):
+    return Algorithm(False, slot_wide,
+                     lambda s, n, warm: ascent(s, n, warm, None)[1].precoders,
+                     ascent)
+
+
+# Each design or ascent call names its function as a module global at call
+# time, so a wrapper installed over that global (a profiler, a test) sees
+# the call.  warm is the same algorithm's design for the previous block,
+# or None.
 ALGORITHM_TABLE = {
-    "alg1": Algorithm(False, True, False,
-                      lambda s, n, warm: _mm_design(mm_full, s, n, warm)),
-    "alg2": Algorithm(False, True, False,
-                      lambda s, n, warm: _mm_design(mm_shared, s, n, warm)),
-    "alg3": Algorithm(False, True, True, lambda s, n, warm: beam_power_allocation(
-        s.stats, s.cfg, iters=s.mm_iters)[1].precoders),
-    "rzf": Algorithm(True, False, True, lambda s, n, warm: rzf(
+    "alg1": _ascent_entry(False, lambda s, n, warm, de_trace: _mm_ascent(
+        mm_full, s, n, warm, de_trace)),
+    "alg2": _ascent_entry(False, lambda s, n, warm, de_trace: _mm_ascent(
+        mm_shared, s, n, warm, de_trace)),
+    "alg3": _ascent_entry(True, lambda s, n, warm, de_trace: beam_power_allocation(
+        s.stats, s.cfg, iters=s.mm_iters, de_trace=de_trace)),
+    "rzf": Algorithm(True, True, lambda s, n, warm: rzf(
         s.first, s.cfg.p_total, s.cfg.sigma2_z)),
-    "slnr": Algorithm(True, False, True, lambda s, n, warm: slnr(
+    "slnr": Algorithm(True, True, lambda s, n, warm: slnr(
         s.first, s.cfg.p_total, s.cfg.sigma2_z)),
-    "wmmse": Algorithm(True, False, True, lambda s, n, warm: wmmse(
+    "wmmse": Algorithm(True, True, lambda s, n, warm: wmmse(
         s.first, s.cfg.p_total, s.cfg.sigma2_z, s.cfg.weights)[0]),
-    "robust-rzf": Algorithm(True, False, False, lambda s, n, warm: robust_rzf(
+    "robust-rzf": Algorithm(True, False, lambda s, n, warm: robust_rzf(
         s.post, n, s.cfg.p_total, s.cfg.sigma2_z, load_scale=s.load_scale)),
 }
 ALGORITHMS = tuple(ALGORITHM_TABLE)
@@ -174,16 +184,19 @@ def check_algorithms(algorithms, cfg):
             raise ConfigError(f"{a} requires d_k == m_k")
 
 
-def _slot_designs(algorithms, slot):
-    """Precoders per algorithm per data block for one slot."""
-    designs = {}
-    for alg in algorithms:
-        entry, prev = ALGORITHM_TABLE[alg], None
-        for n in range(2, slot.cfg.n_b + 1):
-            if prev is None or not entry.slot_wide:
-                prev = entry.design(slot, n, prev)
-            designs[(alg, n)] = prev
-    return designs
+def _algorithm_records(alg, inputs, score_post, slot, n_mc, mc_batch):
+    """One algorithm's designs and scores for every data block of a slot."""
+    entry, prev, out = ALGORITHM_TABLE[alg], None, []
+    cfg = inputs.cfg
+    for n in range(2, cfg.n_b + 1):
+        if prev is None or not entry.slot_wide:
+            prev = entry.design(inputs, n, prev)
+        rng_mc = default_rng(SeedSequence([cfg.seed, 2, slot, n]))
+        mc = monte_carlo_rate(score_post, prev, cfg.weights, cfg.sigma2_z, n,
+                              rng_mc, n_mc, batch=mc_batch)
+        out.append(RateRecord(alg, slot, n, mc.total, mc.per_user,
+                              mc.stderr))
+    return out
 
 
 def experiment_statistics(cfg, profile=None, stats_list=None):
@@ -221,7 +234,8 @@ def run_slot_experiment(cfg, profile=None, algorithms=("alg1",), n_slots=10,
     scalar or per-user list) rebuilds the *design-side* posterior under a
     different aging coefficient while scoring stays under the true one.
     load_scale scales the error-covariance load of the robust-rzf design.
-    Slots where a solver fails numerically are skipped and listed in
+    When a solver fails numerically, only that algorithm's rates for the
+    slot are dropped; each slot with such a failure is listed once in
     failed_slots.
     """
     algorithms = tuple(algorithms)
@@ -245,26 +259,23 @@ def run_slot_experiment(cfg, profile=None, algorithms=("alg1",), n_slots=10,
     result = ExperimentResult(algorithms=algorithms, n_slots=n_slots,
                               n_mc=n_mc)
     for slot in range(n_slots):
-        try:
-            blocks, y, score_post = prepare_slot(cfg, stats_list, slot)
-            if assumed_alphas is None:
-                design_post = score_post
-            else:
-                # same received pilots, interpreted under the assumed aging
-                design_post = build_posterior(y, pilots, design_stats, v,
-                                              cfg.uplink_noise, cfg.n_b)
-            designs = _slot_designs(algorithms, _Slot(
-                cfg, [b[0] for b in blocks], design_post, design_stats,
-                mm_iters, load_scale))
-            for n in range(2, cfg.n_b + 1):
-                for alg in algorithms:
-                    rng_mc = default_rng(SeedSequence([cfg.seed, 2, slot, n]))
-                    mc = monte_carlo_rate(score_post, designs[(alg, n)],
-                                          cfg.weights, cfg.sigma2_z, n,
-                                          rng_mc, n_mc, batch=mc_batch)
-                    result.records.append(RateRecord(alg, slot, n, mc.total,
-                                                     mc.per_user, mc.stderr))
-        except NumericalError:
+        blocks, y, score_post = prepare_slot(cfg, stats_list, slot)
+        if assumed_alphas is None:
+            design_post = score_post
+        else:
+            # same received pilots, interpreted under the assumed aging
+            design_post = build_posterior(y, pilots, design_stats, v,
+                                          cfg.uplink_noise, cfg.n_b)
+        inputs = Slot(cfg, [b[0] for b in blocks], design_post, design_stats,
+                      mm_iters, load_scale)
+        failed = False
+        for alg in algorithms:
+            try:
+                result.records.extend(_algorithm_records(
+                    alg, inputs, score_post, slot, n_mc, mc_batch))
+            except NumericalError:
+                failed = True
+        if failed:
             result.failed_slots.append(slot)
     return result
 

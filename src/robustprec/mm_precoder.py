@@ -68,15 +68,15 @@ def random_precoders(m_t, d_list, p_total, rng):
 
 def signal_gain(posterior, r, k, n):
     """Expected whitened channel gram E[H^H R^-1 H] at block n."""
-    r_inv = hermitize(np.linalg.inv(r), tol=None)
-    return hermitize(expected_gram(posterior, k, n, r_inv), tol=None)
+    r_inv = hermitize(np.linalg.inv(r))
+    return hermitize(expected_gram(posterior, k, n, r_inv))
 
 
 def self_penalty(gain, state, p):
     """Own-rate curvature penalty: gain - (I + tx_gain P P^H)^-1 tx_gain."""
     m_t = gain.shape[0]
     lhs = np.eye(m_t, dtype=complex) + state.tx_gain @ (p @ p.conj().T)
-    return hermitize(gain - np.linalg.solve(lhs, state.tx_gain), tol=None)
+    return hermitize(gain - np.linalg.solve(lhs, state.tx_gain))
 
 
 def self_penalty_lowrank(gain, state, p):
@@ -84,7 +84,7 @@ def self_penalty_lowrank(gain, state, p):
     d = p.shape[1]
     gp = state.tx_gain @ p
     core = np.eye(d, dtype=complex) + p.conj().T @ gp
-    return hermitize(gain - state.tx_gain + gp @ np.linalg.solve(core, gp.conj().T), tol=None)
+    return hermitize(gain - state.tx_gain + gp @ np.linalg.solve(core, gp.conj().T))
 
 
 def leakage_penalty(posterior, state, r, k, n):
@@ -93,8 +93,8 @@ def leakage_penalty(posterior, state, r, k, n):
     E[H^H (R^-1 - (R + rx_gain)^-1) H]; PSD since the bracket is a
     difference of inverses ordered by rx_gain >= 0.
     """
-    diff = hermitize(np.linalg.inv(r) - np.linalg.inv(r + state.rx_gain), tol=None)
-    return hermitize(expected_gram(posterior, k, n, diff), tol=None)
+    diff = hermitize(np.linalg.inv(r) - np.linalg.inv(r + state.rx_gain))
+    return hermitize(expected_gram(posterior, k, n, diff))
 
 
 def update_shaping(weights, self_pens, leak_pens, k):
@@ -113,7 +113,7 @@ def penalty_gap(weight, self_pen, leak_pen):
 
 
 def _spectral(shaping):
-    lam, q = np.linalg.eigh(hermitize(shaping, tol=None))
+    lam, q = np.linalg.eigh(shaping)
     return np.maximum(lam, 0.0), q
 
 
@@ -133,8 +133,9 @@ def mu_bisection(rhs_list, shaping_list, p_total, tol_power=1e-6):
 
     Solves P_k = (D_k + mu I)^-1 rhs_k with mu = 0 if that already fits the
     budget, otherwise the mu making the total power equal p_total to
-    tol_power relative.  Shaping matrices are eigendecomposed once each
-    (repeated objects are cached), so each probe costs O(m_t d) per user.
+    tol_power relative.  Shaping matrices must be Hermitian (only their
+    lower triangles are read); each is eigendecomposed once (repeated
+    objects are cached), so each probe costs O(m_t d) per user.
     The returned power never exceeds the budget: bisection keeps the
     feasible side of the bracket.
     """

@@ -167,6 +167,23 @@ def test_zero_mean_inversion_baseline_exits_3_with_error_record(tmp_path):
     assert record["error"] == "NumericalError"
 
 
+def test_failing_baseline_keeps_the_mm_design_rows(tmp_path):
+    # robust-rzf fails on a zero-mean posterior; alg1 must still be written
+    data = dict(BASE, profile=dict(BASE["profile"], alphas=0.0))
+    cfgfile = _write_config(tmp_path, data)
+    both, solo = tmp_path / "both", tmp_path / "solo"
+    assert cli.main(["sweep", "-c", cfgfile, "--out-dir", str(both),
+                     "--algorithms", "alg1,robust-rzf"]) == 0
+    assert cli.main(["sweep", "-c", cfgfile, "--out-dir", str(solo),
+                     "--algorithms", "alg1"]) == 0
+    _, rows = _read_rows(both / "sweep_alg1.csv")
+    assert len(rows) == 2
+    assert ((both / "sweep_alg1.csv").read_bytes()
+            == (solo / "sweep_alg1.csv").read_bytes())
+    _, rows = _read_rows(both / "sweep_robust_rzf.csv")
+    assert rows == []
+
+
 def test_cli_overrides_for_seed_and_algorithms(tmp_path):
     cfgfile = _write_config(tmp_path, BASE)
     out = tmp_path / "ovr"

@@ -131,6 +131,39 @@ def test_failed_slots_are_skipped_and_reported(monkeypatch):
     assert {r.slot for r in res.records} == {1, 2}
 
 
+def test_one_algorithms_failure_keeps_the_others_rates(monkeypatch):
+    cfg = SystemConfig(m_t=8, m_k=(2, 2), n_b=3, sigma2_z=0.1, seed=9)
+
+    def boom(*args, **kwargs):
+        raise NumericalError("injected failure")
+
+    kw = dict(profile=_profile(), n_slots=2, n_mc=50, mm_iters=3)
+    solo = run_slot_experiment(cfg, algorithms=("rzf",), **kw)
+    monkeypatch.setattr(evaluation, "mm_full", boom)
+    monkeypatch.setattr(evaluation, "mm_shared", boom)
+    res = run_slot_experiment(cfg, algorithms=("alg1", "rzf", "alg2"), **kw)
+    assert res.failed_slots == [0, 1]  # each failing slot listed once
+    assert res.records == solo.records
+
+
+# 80 dB with alpha = 1: round-off asymmetry of ill-conditioned covariances
+# once escaped as an untyped ValueError from a Hermitian check
+@pytest.mark.parametrize("m_k, band_width, sigma2_bs, alg", [
+    (4, 8, 0.0, "rzf"), (4, 8, 0.0, "wmmse"), (4, 8, 0.0, "robust-rzf"),
+    (4, 1, None, "alg1"), (4, 1, None, "alg2"), (1, 1, None, "slnr"),
+    (1, 8, 0.0, "alg1"),
+])
+def test_high_snr_exact_aging_gives_finite_rates(m_k, band_width, sigma2_bs,
+                                                 alg):
+    cfg = SystemConfig(m_t=8, m_k=(m_k, m_k), n_b=2, sigma2_bs=sigma2_bs)
+    (_, res), = sweep_snr(cfg, BeamProfile(band_width=band_width, alphas=1.0),
+                          (alg,), snr_db=(80.0,), n_slots=2, n_mc=32,
+                          mm_iters=4)
+    assert res.failed_slots == []
+    assert len(res.records) == 2
+    assert all(np.isfinite(r.rate) for r in res.records)
+
+
 def test_configuration_errors():
     cfg = SystemConfig(m_t=8, m_k=(2, 2), n_b=3, sigma2_z=0.1)
     with pytest.raises(ConfigError, match="unknown algorithm"):
