@@ -13,13 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .det_equiv import _rel_change
-from .errors import FixedPointError
+from .det_equiv import _damped_sweeps
 from .mm_precoder import _mm_loop, mu_bisection
 
 __all__ = [
     "beam_order",
-    "BeamState",
     "beam_fixed_point",
     "beam_rate",
     "BeamAllocation",
@@ -39,47 +37,26 @@ def beam_order(omega):
     return np.argsort(-totals, kind="stable")
 
 
-@dataclass
-class BeamState:
-    """Diagonal fixed-point state for one user: all vectors, no matrices."""
-
-    tx_gain: np.ndarray     # per transmit beam
-    rx_gain: np.ndarray     # per receive dimension
-    stream_mse: np.ndarray  # per transmit beam (1 off the active support)
-    rx_mse: np.ndarray      # per receive dimension
-    iterations: int
-    residual: float
-
-
-def beam_fixed_point(omega, q_own, r, tol=1e-9, max_iter=500, init=None):
+def beam_fixed_point(omega, q_own, r, tol=1e-9, init=None):
     """Solve the diagonal fixed point for one user.
 
     omega: coupling profile (m_k x m_t), q_own: own power per beam (m_t,),
-    r: interference-plus-noise level per receive dimension (m_k,).
+    r: interference-plus-noise level per receive dimension (m_k,).  Returns
+    a DEState of per-beam and per-receive-dimension vectors; init warm
+    starts from such a state.  A sweep reads only the carried rx_mse.
     """
     m_k, m_t = omega.shape
-    if init is not None and init.rx_mse.shape == (m_k,):
-        rx_mse = init.rx_mse.copy()
-    else:
-        rx_mse = np.ones(m_k)
-    tx_gain = np.zeros(m_t)
-    rx_gain = np.zeros(m_k)
-    residual = math.inf
-    for sweep in range(1, max_iter + 1):
-        new_tx = omega.T @ (rx_mse / r)
-        stream_mse = 1.0 / (1.0 + q_own * new_tx)
-        new_rx = omega @ (q_own * stream_mse)
-        new_rx_mse = 1.0 / (1.0 + new_rx / r)
-        new_residual = max(_rel_change(new_tx, tx_gain), _rel_change(new_rx, rx_gain))
-        if new_residual > residual:
-            new_rx_mse = 0.5 * (new_rx_mse + rx_mse)
-        tx_gain, rx_gain, rx_mse, residual = new_tx, new_rx, new_rx_mse, new_residual
-        if residual <= tol:
-            stream_mse = 1.0 / (1.0 + q_own * tx_gain)
-            return BeamState(tx_gain, rx_gain, stream_mse, rx_mse, sweep, residual)
-    raise FixedPointError(
-        f"beam-domain fixed point stalled at residual {residual:.3e} "
-        f"after {max_iter} sweeps")
+
+    def sweep(stream_mse, rx_mse):
+        tx_gain = omega.T @ (rx_mse / r)
+        stream_mse = 1.0 / (1.0 + q_own * tx_gain)
+        rx_gain = omega @ (q_own * stream_mse)
+        return tx_gain, rx_gain, stream_mse, 1.0 / (1.0 + rx_gain / r)
+
+    carry = ((np.ones(m_t), np.ones(m_k)) if init is None
+             else (init.stream_mse, init.rx_mse))
+    return _damped_sweeps(sweep, carry, tol, 500,
+                          gains=(np.zeros(m_t), np.zeros(m_k)))
 
 
 def beam_rate(state, q_own, r):

@@ -36,15 +36,15 @@ __all__ = [
 ]
 
 
-def inverse_sqrt_psd(r, floor_scale=1e-14):
+def inverse_sqrt_psd(r):
     """Hermitian inverse square root of a Hermitian PSD matrix.
 
     r must be Hermitian: only its lower triangle is read.  Eigenvalues are
-    floored at floor_scale * trace / m to keep nearly singular covariances
+    floored at 1e-14 * trace / m to keep nearly singular covariances
     invertible without changing well-scaled ones.
     """
     vals, vecs = np.linalg.eigh(r)
-    floor = max(floor_scale * np.trace(r).real / r.shape[0], 1e-300)
+    floor = max(1e-14 * np.trace(r).real / r.shape[0], 1e-300)
     vals = np.maximum(vals, floor)
     return (vecs / np.sqrt(vals)) @ vecs.conj().T
 
@@ -61,23 +61,62 @@ def _rel_change(new, old):
 class DEState:
     """Converged fixed-point quantities for one (user, block, precoder set).
 
+    The general solver fills it with matrices; the beam-domain solver, for
+    zero-mean posteriors, with the diagonals of the same quantities as
+    per-beam (transmit side) and per-receive-dimension vectors.
+
     tx_gain: m_t x m_t effective transmit-side gain; the DE rate reads
         logdet(I + tx_gain P P^H) + correction terms.
     rx_gain: m_k x m_k effective receive-side signal covariance.
-    stream_factor / rx_factor: d x d and m_k x m_k correction factors whose
-        logdets enter the two rate forms.
-    stream_mse: (I + P^H tx_gain P)^-1, the DE of the per-stream MSE matrix.
+    stream_mse: (I + P^H tx_gain P)^-1, the DE of the per-stream MSE matrix
+        (per beam, 1 off the active support, in the beam domain).
     rx_mse: whitened receive-side counterpart of stream_mse.
+    iterations, residual: sweeps taken and the final residual.
     """
 
     tx_gain: np.ndarray
     rx_gain: np.ndarray
-    stream_factor: np.ndarray
-    rx_factor: np.ndarray
     stream_mse: np.ndarray
     rx_mse: np.ndarray
     iterations: int
     residual: float
+
+
+def _damped_sweeps(sweep, carry, tol, max_iter, gains=None, trace=None):
+    """The sweep loop and damping rule of both DE solvers.
+
+    sweep(stream_mse, rx_mse) maps the carried resolvents to fresh
+    (tx_gain, rx_gain, stream_mse, rx_mse).  The residual is the relative
+    Frobenius change of the gains between sweeps; sweep 1 is measured
+    against gains when given, else its residual is infinite.  The next
+    carry is the proposed one blended halfway with the current one (damping
+    0.5) when the residual grew, or when the proposed step reverses the last
+    one (negative real inner product) while the residual fell by less than
+    10%, which is how a slowly shrinking two-cycle shows.  trace: list
+    collecting (sweep, residual) rows.  Raises FixedPointError if tol is not
+    reached within max_iter sweeps.
+    """
+    res = res_prev = np.inf
+    step_prev = None
+    for it in range(1, max_iter + 1):
+        tx_gain, rx_gain, *proposed = sweep(*carry)
+        if gains is not None:
+            res = max(_rel_change(tx_gain, gains[0]), _rel_change(rx_gain, gains[1]))
+        gains = tx_gain, rx_gain
+        if trace is not None:
+            trace.append((it, res))
+        if res <= tol:
+            return DEState(tx_gain, rx_gain, *proposed, it, res)
+        step = [new - old for new, old in zip(proposed, carry)]
+        reverses = step_prev is not None and res > 0.9 * res_prev and sum(
+            np.vdot(a, b).real for a, b in zip(step_prev, step)) < 0
+        if res > res_prev or reverses:
+            carry = [0.5 * (old + new) for old, new in zip(carry, proposed)]
+        else:
+            carry = proposed
+        step_prev, res_prev = step, res
+    raise FixedPointError(
+        f"DE fixed point: residual {res:.3e} > tol {tol:.1e} after {max_iter} sweeps")
 
 
 def solve_fixed_point(posterior, p, r, k, n, tol=1e-9, max_iter=500, init=None,
@@ -85,60 +124,33 @@ def solve_fixed_point(posterior, p, r, k, n, tol=1e-9, max_iter=500, init=None,
     """Solve the per-user DE fixed point by damped sweeps.
 
     One sweep maps the carried resolvents (stream_mse, rx_mse) through the
-    correction factors to fresh gain matrices and back.  The residual is the
-    relative Frobenius change of the gains between sweeps; when it grows the
-    next carry is blended halfway with the previous one (damping 0.5).
+    correction factors to fresh gain matrices and back; the loop and its
+    damping are _damped_sweeps'.
 
-    init: warm start from a previous DEState.  trace: list collecting
-    (sweep, residual) rows.  Raises FixedPointError if tol is not reached
-    within max_iter sweeps.
+    init: warm start from a previous DEState of the same shapes.  trace:
+    list collecting (sweep, residual) rows.  Raises FixedPointError if tol
+    is not reached within max_iter sweeps.
     """
     kern = posterior.kernel(k, n)
     mean = posterior.mean(k, n)
-    d = p.shape[1]
-    m_k = kern.m_k
-    eye_d = np.eye(d, dtype=complex)
-    eye_m = np.eye(m_k, dtype=complex)
+    eye_d = np.eye(p.shape[1], dtype=complex)
+    eye_m = np.eye(kern.m_k, dtype=complex)
     l = inverse_sqrt_psd(r)
     lm = l @ mean
+    mp = mean @ p
 
-    if init is not None:
-        g, gt = init.stream_mse, init.rx_mse
-        if g.shape != (d, d):
-            g = eye_d
-    else:
-        g, gt = eye_d, eye_m
-
-    tx_prev = rx_prev = None
-    res = res_prev = np.inf
-    for sweep in range(1, max_iter + 1):
+    def sweep(g, gt):
         e_tx = mean_quadratic_tx(kern, l @ gt @ l)
         e_rx = mean_quadratic_rx(kern, p @ g @ p.conj().T)
-
         stream_factor = eye_d + p.conj().T @ e_tx @ p
         rx_factor = eye_m + l @ e_rx @ l
         tx_gain = hermitize(e_tx + lm.conj().T @ np.linalg.solve(rx_factor, lm))
-        mp = mean @ p
         rx_gain = hermitize(e_rx + mp @ np.linalg.solve(stream_factor, mp.conj().T))
-        g_new = np.linalg.inv(eye_d + p.conj().T @ tx_gain @ p)
-        gt_new = np.linalg.inv(eye_m + l @ rx_gain @ l)
+        return (tx_gain, rx_gain, np.linalg.inv(eye_d + p.conj().T @ tx_gain @ p),
+                np.linalg.inv(eye_m + l @ rx_gain @ l))
 
-        if tx_prev is not None:
-            res = max(_rel_change(tx_gain, tx_prev), _rel_change(rx_gain, rx_prev))
-        tx_prev, rx_prev = tx_gain, rx_gain
-        if trace is not None:
-            trace.append((sweep, res))
-        if res <= tol:
-            return DEState(tx_gain, rx_gain, stream_factor, rx_factor,
-                           g_new, gt_new, sweep, res)
-        if res > res_prev:
-            g = 0.5 * (g + g_new)
-            gt = 0.5 * (gt + gt_new)
-        else:
-            g, gt = g_new, gt_new
-        res_prev = res
-    raise FixedPointError(
-        f"DE fixed point: residual {res:.3e} > tol {tol:.1e} after {max_iter} sweeps")
+    carry = (eye_d, eye_m) if init is None else (init.stream_mse, init.rx_mse)
+    return _damped_sweeps(sweep, carry, tol, max_iter, trace=trace)
 
 
 def de_rate_form1(state, posterior, p, r, k, n):
@@ -175,7 +187,7 @@ class DESumRate(NamedTuple):
 
 
 def de_weighted_sum_rate(posterior, precoders, weights, sigma2_z, n,
-                         tol=1e-9, max_iter=500, init_states=None):
+                         tol=1e-9, init_states=None):
     """Weighted DE sum rate at block n for a full precoder set.
 
     Solves one fixed point per user (optionally warm-started from
@@ -189,7 +201,7 @@ def de_weighted_sum_rate(posterior, precoders, weights, sigma2_z, n,
         r = interference_covariance(posterior, precoders, k, n, sigma2_z)
         init = init_states[k] if init_states is not None else None
         state = solve_fixed_point(posterior, precoders[k], r, k, n,
-                                  tol=tol, max_iter=max_iter, init=init)
+                                  tol=tol, init=init)
         rate = de_rate_form1(state, posterior, precoders[k], r, k, n)
         states.append(state)
         rates.append(rate)

@@ -124,6 +124,21 @@ def test_allocation_ascends_structured_and_feasible():
             assert abs(pw - cfg.p_total) <= 1e-6 * cfg.p_total
 
 
+def test_beam_warm_start_from_converged_state():
+    cfg, stats, _ = _zero_mean_setup()
+    omegas = [np.asarray(s.omega, float) for s in stats]
+    alloc = canonical_allocation(stats, cfg)
+    q_full = [alloc.beam_powers(k) for k in range(3)]
+    q_sum = np.sum(q_full, axis=0)
+    for k in range(3):
+        r = cfg.sigma2_z + omegas[k] @ (q_sum - q_full[k])
+        cold = beam_fixed_point(omegas[k], q_full[k], r, tol=1e-12)
+        warm = beam_fixed_point(omegas[k], q_full[k], r, tol=1e-12, init=cold)
+        assert warm.iterations <= 2
+        assert relerr(warm.tx_gain, cold.tx_gain) <= 1e-12
+        assert relerr(warm.rx_gain, cold.rx_gain) <= 1e-12
+
+
 def test_allocation_stationarity_at_convergence():
     cfg, stats, _ = _zero_mean_setup()
     omegas = [np.asarray(s.omega, float) for s in stats]

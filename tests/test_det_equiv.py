@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from robustprec.beam_domain import canonical_allocation
 from robustprec.channel import BeamProfile, dft_matrix, generate_synthetic_stats
+from robustprec.config import SystemConfig, at_noise, noise_from_snr
 from robustprec.det_equiv import (
     de_rate_form1,
     de_rate_form2,
@@ -10,6 +12,7 @@ from robustprec.det_equiv import (
     solve_fixed_point,
 )
 from robustprec.errors import FixedPointError
+from robustprec.evaluation import experiment_statistics, prepare_slot
 from robustprec.operators import (
     hermitize,
     interference_covariance,
@@ -196,6 +199,21 @@ def test_warm_start_cuts_sweeps():
     assert warm.iterations <= 3
     assert warm.iterations <= cold.iterations
     assert relerr(warm.tx_gain, cold.tx_gain) < 1e-8
+
+
+@pytest.mark.parametrize("snr_db", [40.0, 80.0])
+def test_rank_one_high_snr_two_cycle_is_damped_to_convergence(snr_db):
+    # zero-mean rank-one statistics at high SNR: undamped sweeps alternate
+    # in a two-cycle that shrinks by under 0.5% per sweep
+    cfg = at_noise(SystemConfig(m_t=8, m_k=(1, 1), n_b=2), noise_from_snr(snr_db))
+    stats = experiment_statistics(cfg, BeamProfile(band_width=1, alphas=0.0))
+    post = prepare_slot(cfg, stats, 0)[2]
+    precoders = canonical_allocation(stats, cfg).precoders
+    res = de_weighted_sum_rate(post, precoders, cfg.weights, cfg.sigma2_z, 2)
+    for k, state in enumerate(res.states):
+        assert state.iterations <= 60
+        form2 = de_rate_form2(state, post, precoders[k], res.covariances[k], k, 2)
+        assert abs(res.rates[k] - form2) <= 1e-12 * res.rates[k]
 
 
 def test_solver_raises_on_max_iter():

@@ -164,6 +164,17 @@ def test_high_snr_exact_aging_gives_finite_rates(m_k, band_width, sigma2_bs,
     assert all(np.isfinite(r.rate) for r in res.records)
 
 
+@pytest.mark.parametrize("snr_db", [40.0, 80.0])
+@pytest.mark.parametrize("alg", ["alg1", "alg2"])
+def test_rank_one_zero_mean_high_snr_mm_designs_give_finite_rates(alg, snr_db):
+    cfg = SystemConfig(m_t=8, m_k=(1, 1), n_b=2)
+    (_, res), = sweep_snr(cfg, BeamProfile(band_width=1, alphas=0.0), (alg,),
+                          snr_db=(snr_db,), n_slots=2, n_mc=32, mm_iters=4)
+    assert res.failed_slots == []
+    assert len(res.records) == 2
+    assert all(np.isfinite(r.rate) for r in res.records)
+
+
 def test_configuration_errors():
     cfg = SystemConfig(m_t=8, m_k=(2, 2), n_b=3, sigma2_z=0.1)
     with pytest.raises(ConfigError, match="unknown algorithm"):
