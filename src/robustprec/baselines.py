@@ -110,22 +110,19 @@ def wmmse_step(channels, precoders, weights, sigma2_z, p_total,
     return new_p, mu
 
 
-def wmmse(channels, p_total, sigma2_z, weights=None, iters=100, tol=1e-8,
-          tol_power=1e-6):
+def wmmse(channels, p_total, sigma2_z, weights, iters=100, tol_power=1e-6):
     """Alternating sum-MSE precoding from a regularized-inversion start.
 
     Deterministic given its inputs. Stops when the known-channel weighted
-    sum rate moves by less than tol (relative). Returns (precoders, rates).
+    sum rate moves by less than 1e-8 (relative). Returns (precoders, rates).
     """
-    if weights is None:
-        weights = [1.0] * len(channels)
     precoders = rzf(channels, p_total, sigma2_z)
     rates = [perfect_csi_rate(channels, precoders, weights, sigma2_z)]
     for _ in range(iters):
         precoders, _ = wmmse_step(channels, precoders, weights, sigma2_z,
                                   p_total, tol_power=tol_power)
         rates.append(perfect_csi_rate(channels, precoders, weights, sigma2_z))
-        if abs(rates[-1] - rates[-2]) <= tol * (1 + abs(rates[-1])):
+        if abs(rates[-1] - rates[-2]) <= 1e-8 * (1 + abs(rates[-1])):
             break
     return precoders, rates
 

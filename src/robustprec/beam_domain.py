@@ -114,35 +114,32 @@ def beam_surrogate_diagonals(omegas, weights, alloc, states, sigma2_z):
     return signal, leakage, gap, shared
 
 
-def canonical_allocation(stats_list, cfg):
+def canonical_allocation(stats, cfg):
     """Deterministic beam-aligned starting point: each user's d_k strongest
     beams at a flat gain spending the full budget."""
     from .channel import dft_matrix
 
-    omegas = [np.asarray(s.omega, dtype=float) for s in stats_list]
+    omegas = [np.asarray(s.omega, dtype=float) for s in stats]
     orders = [beam_order(om) for om in omegas]
     scale = math.sqrt(cfg.p_total / sum(cfg.d_k))
     return BeamAllocation(dft_matrix(omegas[0].shape[1]), orders,
                           [scale * np.ones(d) for d in cfg.d_k])
 
 
-def beam_power_allocation(stats_list, cfg, iters=50, de_tol=1e-9, obj_tol=1e-8,
-                          init=None, tol_power=1e-6, de_trace=None):
+def beam_power_allocation(stats, cfg, iters=50, obj_tol=1e-8, de_trace=None):
     """Statistics-only precoder design: power allocation over ordered beams.
 
     Uses each user's coupling profile directly (posterior mean treated as
-    zero), so one run serves every data block.  Returns the allocation and
-    an MMReport whose precoders are the exported beam-aligned matrices.
-    init: starting per-user beam gains (default: canonical_allocation).
-    de_trace, when a list, collects (update, user, sweeps, residual) for
-    every fixed-point solve.
+    zero), so one run serves every data block.  Starts from
+    canonical_allocation.  Returns the allocation and an MMReport whose
+    precoders are the exported beam-aligned matrices.  de_trace, when a
+    list, collects (update, user, sweeps, residual) for every fixed-point
+    solve.
     """
-    k_users = len(stats_list)
-    omegas = [np.asarray(s.omega, dtype=float) for s in stats_list]
+    k_users = len(stats)
+    omegas = [np.asarray(s.omega, dtype=float) for s in stats]
     weights = cfg.weights
-    start = canonical_allocation(stats_list, cfg)
-    gains = (start.gains if init is None
-             else [np.asarray(g, dtype=float).copy() for g in init])
+    start = canonical_allocation(stats, cfg)
 
     def evaluate(gains, states):
         states = states or [None] * k_users
@@ -153,7 +150,7 @@ def beam_power_allocation(stats_list, cfg, iters=50, de_tol=1e-9, obj_tol=1e-8,
         for k in range(k_users):
             r = cfg.sigma2_z + omegas[k] @ (q_sum - q_full[k])
             states[k] = beam_fixed_point(omegas[k], q_full[k], r,
-                                         tol=de_tol, init=states[k])
+                                         init=states[k])
             rates.append(beam_rate(states[k], q_full[k], r))
         return float(sum(w * rk for w, rk in zip(weights, rates))), states, alloc
 
@@ -166,11 +163,10 @@ def beam_power_allocation(stats_list, cfg, iters=50, de_tol=1e-9, obj_tol=1e-8,
             num = (weights[k] * signal[k] + gap[k])[active] * gains[k]
             rhs.append(num[:, None])
             shapings.append(np.diag(shared[active]))
-        mu, cols = mu_bisection(rhs, shapings, cfg.p_total,
-                                tol_power=tol_power)
+        mu, cols = mu_bisection(rhs, shapings, cfg.p_total)
         return mu, [np.abs(c[:, 0]) for c in cols]
 
-    report = _mm_loop(evaluate, update, gains, iters, obj_tol, de_trace)
+    report = _mm_loop(evaluate, update, start.gains, iters, obj_tol, de_trace)
     alloc = BeamAllocation(start.v, start.orders, report.precoders)
     report.precoders = alloc.precoders
     return alloc, report

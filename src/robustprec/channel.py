@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import j0
 
+from .config import _cast, _values
 from .errors import ConfigError
 
 __all__ = [
@@ -137,15 +138,6 @@ class BeamProfile:
     alphas: object = 1.0
 
 
-def _per_user(value, n, name, cast):
-    if hasattr(value, "__len__"):
-        vals = [cast(v) for v in value]
-        if len(vals) != n:
-            raise ConfigError(f"{name} must be scalar or one entry per user ({n})")
-        return vals
-    return [cast(value)] * n
-
-
 def generate_synthetic_stats(cfg, profile, rng):
     """Draw per-user statistics following a beam-band profile.
 
@@ -155,15 +147,17 @@ def generate_synthetic_stats(cfg, profile, rng):
     are normalized so their entries sum to m_k * m_t.
     """
     n = cfg.n_users
-    widths = _per_user(profile.band_width, n, "band_width", int)
-    alphas = _per_user(profile.alphas, n, "alphas", float)
+    widths = _values(profile.band_width, "band_width", int, n)
+    alphas = _values(profile.alphas, "alphas", float, n)
     if profile.centers is None:
         centers = [int(round(k * cfg.m_t / n)) % cfg.m_t for k in range(n)]
     else:
-        centers = _per_user(profile.centers, n, "centers", int)
-    if profile.lognorm_sigma < 0:
+        centers = _values(profile.centers, "centers", int, n)
+    lognorm_sigma = _cast(profile.lognorm_sigma, float, "lognorm_sigma")
+    decay = _cast(profile.decay, float, "decay")
+    if lognorm_sigma < 0:
         raise ConfigError("lognorm_sigma must be >= 0")
-    if profile.decay < 0:
+    if decay < 0:
         raise ConfigError("decay must be >= 0")
     stats = []
     for k in range(n):
@@ -174,11 +168,11 @@ def generate_synthetic_stats(cfg, profile, rng):
         q, _ = np.linalg.qr(crandn(rng, m, m))
         offsets = np.arange(width) - (width - 1) // 2
         cols = (center + offsets) % cfg.m_t
-        base = np.exp(-profile.decay * np.abs(offsets))
+        base = np.exp(-decay * np.abs(offsets))
         omega = np.zeros((m, cfg.m_t))
         block = np.tile(base, (m, 1))
-        if profile.lognorm_sigma > 0:
-            block = block * np.exp(profile.lognorm_sigma * rng.standard_normal((m, width)))
+        if lognorm_sigma > 0:
+            block = block * np.exp(lognorm_sigma * rng.standard_normal((m, width)))
         omega[:, cols] = block
         omega *= (m * cfg.m_t) / omega.sum()
         stats.append(UserStatistics.from_profile(q, omega, alphas[k]))
@@ -226,9 +220,9 @@ def evolve_slot(stats, v, n_blocks, rng):
     return out
 
 
-def draw_slot(stats_list, v, n_blocks, rng):
+def draw_slot(stats, v, n_blocks, rng):
     """evolve_slot for every user; returns blocks[k][n-1]."""
-    return [evolve_slot(s, v, n_blocks, rng) for s in stats_list]
+    return [evolve_slot(s, v, n_blocks, rng) for s in stats]
 
 
 def orthogonal_pilots(m_list, block_len):

@@ -73,6 +73,10 @@ def _load_json(path):
         raise ConfigError(f"config file {path} is not valid JSON: {e}")
 
 
+def _is_number(x):
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 def _check_keys(section, data, allowed, required=()):
     unknown = sorted(set(data) - set(allowed))
     if unknown:
@@ -118,10 +122,16 @@ def parse_config(path):
             raise ConfigError(f"experiment.{key} must be a positive integer")
     if not isinstance(plan["trace"], bool):
         raise ConfigError("experiment.trace must be a boolean")
-    if (isinstance(plan["load_scale"], bool)
-            or not isinstance(plan["load_scale"], (int, float))
-            or plan["load_scale"] < 0):
+    if not _is_number(plan["load_scale"]) or plan["load_scale"] < 0:
         raise ConfigError("experiment.load_scale must be a number >= 0")
+    snr, alphas = plan["snr_db"], plan["assumed_alphas"]
+    if snr is not None and not (isinstance(snr, list)
+                                and all(map(_is_number, snr))):
+        raise ConfigError("experiment.snr_db must be a list of numbers")
+    if alphas is not None and not (isinstance(alphas, list) and all(
+            _is_number(a) and 0 <= a <= 1 for a in alphas)):
+        raise ConfigError("experiment.assumed_alphas must be a list of "
+                          "numbers in [0, 1]")
     plan["load_scale"] = float(plan["load_scale"])
     plan["algorithms"] = tuple(plan["algorithms"])
     return cfg, profile, plan
@@ -288,6 +298,9 @@ def main(argv=None):
     args = parser.parse_args(argv)
     out_dir = None
     try:
+        if getattr(args, "out_dir", None) is not None:
+            out_dir = Path(args.out_dir)
+            out_dir.mkdir(parents=True, exist_ok=True)
         cfg, profile, plan = parse_config(args.config)
         if getattr(args, "algorithms", None) is not None:
             plan["algorithms"] = tuple(
@@ -305,8 +318,6 @@ def main(argv=None):
             cfg = dataclasses.replace(cfg, seed=args.seed)
         if getattr(args, "trace", False):
             plan["trace"] = True
-        out_dir = Path(args.out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
         outputs = _RUNNERS[args.subcommand](cfg, profile, plan, out_dir, args)
         manifest = _write_manifest(out_dir, args.subcommand, cfg, profile,
                                    plan, outputs)

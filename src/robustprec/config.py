@@ -14,15 +14,27 @@ from .errors import ConfigError
 __all__ = ["SystemConfig", "noise_from_snr", "at_noise"]
 
 
-def _as_tuple(x, n, name, cast=float):
-    if x is None:
-        return None
+def _cast(value, cast, name):
+    """cast(value); a value that does not cast is a ConfigError naming the key."""
     try:
-        vals = tuple(cast(v) for v in x)
-    except TypeError:
-        # scalar broadcast over users
-        vals = tuple(cast(x) for _ in range(n))
-    if len(vals) != n:
+        return cast(value)
+    except (TypeError, ValueError):
+        kind = "an integer" if cast is int else "a number"
+        raise ConfigError(f"{name} must be {kind}; got {value!r}") from None
+
+
+def _values(value, name, cast=float, n=None):
+    """A list-valued key as a tuple of cast entries.
+
+    With n given, a scalar is broadcast to n entries (one per user) and a
+    list must have exactly n; without n the value must be a list.
+    """
+    if isinstance(value, str) or not hasattr(value, "__len__"):
+        if n is None:
+            raise ConfigError(f"{name} must be a list; got {value!r}")
+        value = [value] * n
+    vals = tuple(_cast(v, cast, name) for v in value)
+    if n is not None and len(vals) != n:
         raise ConfigError(f"{name} must have one entry per user ({n}), got {len(vals)}")
     return vals
 
@@ -57,48 +69,46 @@ class SystemConfig:
 
     def __post_init__(self):
         ok = lambda name, val: object.__setattr__(self, name, val)
-        if int(self.m_t) < 1:
+        ok("m_t", _cast(self.m_t, int, "m_t"))
+        if self.m_t < 1:
             raise ConfigError("m_t must be a positive integer")
-        ok("m_t", int(self.m_t))
-        m_k = tuple(int(m) for m in self.m_k)
+        m_k = _values(self.m_k, "m_k", int)
         if not m_k or any(m < 1 for m in m_k):
             raise ConfigError("m_k must be a non-empty list of positive integers")
         ok("m_k", m_k)
         n = len(m_k)
-        d_k = self.d_k if self.d_k is not None else m_k
-        d_k = tuple(int(d) for d in (d_k if hasattr(d_k, "__len__") else [d_k] * n))
-        if len(d_k) != n:
-            raise ConfigError(f"d_k must have one entry per user ({n})")
+        d_k = _values(m_k if self.d_k is None else self.d_k, "d_k", int, n)
         for d, m in zip(d_k, m_k):
             if not 1 <= d <= min(m, self.m_t):
                 raise ConfigError(f"d_k entries must satisfy 1 <= d <= min(m_k, m_t); got {d}")
         ok("d_k", d_k)
-        if int(self.n_b) < 1:
+        ok("n_b", _cast(self.n_b, int, "n_b"))
+        if self.n_b < 1:
             raise ConfigError("n_b must be >= 1")
-        ok("n_b", int(self.n_b))
-        block_len = sum(m_k) if self.block_len is None else int(self.block_len)
+        block_len = (sum(m_k) if self.block_len is None
+                     else _cast(self.block_len, int, "block_len"))
         if block_len < sum(m_k):
             raise ConfigError("pilot capacity exceeded: block_len must be "
                               ">= sum(m_k) for orthogonal pilots")
         ok("block_len", block_len)
-        if not float(self.p_total) > 0:
+        ok("p_total", _cast(self.p_total, float, "p_total"))
+        if not self.p_total > 0:
             raise ConfigError("p_total must be > 0")
-        ok("p_total", float(self.p_total))
-        w = _as_tuple(self.weights if self.weights is not None else 1.0, n, "weights")
+        w = _values(1.0 if self.weights is None else self.weights, "weights", float, n)
         if any(v < 0 for v in w):
             raise ConfigError("weights must be nonnegative")
         ok("weights", w)
-        if not float(self.sigma2_z) > 0:
+        ok("sigma2_z", _cast(self.sigma2_z, float, "sigma2_z"))
+        if not self.sigma2_z > 0:
             raise ConfigError("sigma2_z must be > 0")
-        ok("sigma2_z", float(self.sigma2_z))
         if self.sigma2_bs is not None:
-            if float(self.sigma2_bs) < 0:
+            ok("sigma2_bs", _cast(self.sigma2_bs, float, "sigma2_bs"))
+            if self.sigma2_bs < 0:
                 raise ConfigError("sigma2_bs must be >= 0")
-            ok("sigma2_bs", float(self.sigma2_bs))
-        ok("snr_db", tuple(float(s) for s in self.snr_db))
-        if int(self.seed) < 0:
+        ok("snr_db", _values(self.snr_db, "snr_db"))
+        ok("seed", _cast(self.seed, int, "seed"))
+        if self.seed < 0:
             raise ConfigError("seed must be a nonnegative integer")
-        ok("seed", int(self.seed))
 
     @property
     def n_users(self):

@@ -72,6 +72,8 @@ class DEState:
         (per beam, 1 off the active support, in the beam domain).
     rx_mse: whitened receive-side counterpart of stream_mse.
     iterations, residual: sweeps taken and the final residual.
+    whitener: R^-1/2 of the interference covariance the general solver
+        whitened with, read by the rate forms; None in the beam domain.
     """
 
     tx_gain: np.ndarray
@@ -80,6 +82,7 @@ class DEState:
     rx_mse: np.ndarray
     iterations: int
     residual: float
+    whitener: np.ndarray = None
 
 
 def _damped_sweeps(sweep, carry, tol, max_iter, gains=None, trace=None):
@@ -150,13 +153,15 @@ def solve_fixed_point(posterior, p, r, k, n, tol=1e-9, max_iter=500, init=None,
                 np.linalg.inv(eye_m + l @ rx_gain @ l))
 
     carry = (eye_d, eye_m) if init is None else (init.stream_mse, init.rx_mse)
-    return _damped_sweeps(sweep, carry, tol, max_iter, trace=trace)
+    state = _damped_sweeps(sweep, carry, tol, max_iter, trace=trace)
+    state.whitener = l
+    return state
 
 
-def de_rate_form1(state, posterior, p, r, k, n):
+def de_rate_form1(state, posterior, p, k, n):
     """DE rate, transmit-side form (nats); clamped at 0."""
     kern = posterior.kernel(k, n)
-    l = inverse_sqrt_psd(r)
+    l = state.whitener
     d = p.shape[1]
     e_rx = mean_quadratic_rx(kern, p @ state.stream_mse @ p.conj().T)
     t_rx = hermitize(l @ state.rx_mse @ l)
@@ -166,10 +171,10 @@ def de_rate_form1(state, posterior, p, r, k, n):
     return max(term1 + term2 - term3, 0.0)
 
 
-def de_rate_form2(state, posterior, p, r, k, n):
+def de_rate_form2(state, posterior, p, k, n):
     """DE rate, receive-side form (nats); agrees with form 1 at the solution."""
     kern = posterior.kernel(k, n)
-    l = inverse_sqrt_psd(r)
+    l = state.whitener
     d = p.shape[1]
     e_tx = mean_quadratic_tx(kern, l @ state.rx_mse @ l)
     pgp = hermitize(p @ state.stream_mse @ p.conj().T)
@@ -187,7 +192,7 @@ class DESumRate(NamedTuple):
 
 
 def de_weighted_sum_rate(posterior, precoders, weights, sigma2_z, n,
-                         tol=1e-9, init_states=None):
+                         init_states=None):
     """Weighted DE sum rate at block n for a full precoder set.
 
     Solves one fixed point per user (optionally warm-started from
@@ -200,9 +205,8 @@ def de_weighted_sum_rate(posterior, precoders, weights, sigma2_z, n,
     for k in range(k_users):
         r = interference_covariance(posterior, precoders, k, n, sigma2_z)
         init = init_states[k] if init_states is not None else None
-        state = solve_fixed_point(posterior, precoders[k], r, k, n,
-                                  tol=tol, init=init)
-        rate = de_rate_form1(state, posterior, precoders[k], r, k, n)
+        state = solve_fixed_point(posterior, precoders[k], r, k, n, init=init)
+        rate = de_rate_form1(state, posterior, precoders[k], k, n)
         states.append(state)
         rates.append(rate)
         covs.append(r)

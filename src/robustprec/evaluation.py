@@ -199,40 +199,36 @@ def _algorithm_records(alg, inputs, score_post, slot, n_mc, mc_batch):
     return out
 
 
-def experiment_statistics(cfg, profile=None, stats_list=None):
-    """The user statistics an experiment runs on: explicit, or drawn once
-    from the profile under the config seed."""
-    if stats_list is not None:
-        return stats_list
+def experiment_statistics(cfg, profile):
+    """The user statistics an experiment runs on, drawn once from the
+    profile under the config seed."""
     if profile is None:
-        raise ConfigError("either a beam profile or explicit statistics "
-                          "are required")
+        raise ConfigError("a beam profile is required")
     stats_rng = default_rng(SeedSequence([cfg.seed, 0]))
     return generate_synthetic_stats(cfg, profile, stats_rng)
 
 
-def prepare_slot(cfg, stats_list, slot):
+def prepare_slot(cfg, stats, slot):
     """Channel blocks, pilot observation and posterior for one slot index,
     on the same seed stream the experiment harness uses."""
     v = dft_matrix(cfg.m_t)
     pilots = orthogonal_pilots(cfg.m_k, cfg.block_len)
     rng_ch = default_rng(SeedSequence([cfg.seed, 1, slot]))
-    blocks = draw_slot(stats_list, v, cfg.n_b, rng_ch)
+    blocks = draw_slot(stats, v, cfg.n_b, rng_ch)
     y = uplink_observation([b[0] for b in blocks], pilots, cfg.uplink_noise,
                            rng_ch)
-    posterior = build_posterior(y, pilots, stats_list, v, cfg.uplink_noise,
+    posterior = build_posterior(y, pilots, stats, v, cfg.uplink_noise,
                                 cfg.n_b)
     return blocks, y, posterior
 
 
 def run_slot_experiment(cfg, profile=None, algorithms=("alg1",), n_slots=10,
-                        n_mc=2000, mm_iters=30, stats_list=None,
-                        assumed_alphas=None, mc_batch=256, load_scale=1.0):
+                        n_mc=2000, mm_iters=30, assumed_alphas=None,
+                        mc_batch=256, load_scale=1.0):
     """Design and score precoders over independent slots.
 
-    stats_list overrides the synthetic statistics draw; assumed_alphas (a
-    scalar or per-user list) rebuilds the *design-side* posterior under a
-    different aging coefficient while scoring stays under the true one.
+    assumed_alphas (one aging coefficient for every user) rebuilds the
+    *design-side* posterior under it while scoring stays under the true one.
     load_scale scales the error-covariance load of the robust-rzf design.
     When a solver fails numerically, only that algorithm's rates for the
     slot are dropped; each slot with such a failure is listed once in
@@ -242,24 +238,19 @@ def run_slot_experiment(cfg, profile=None, algorithms=("alg1",), n_slots=10,
     check_algorithms(algorithms, cfg)
     if cfg.n_b < 2:
         raise ConfigError("experiments need n_b >= 2 (block 1 is pilots)")
-    stats_list = experiment_statistics(cfg, profile, stats_list)
+    stats = experiment_statistics(cfg, profile)
     if assumed_alphas is None:
-        design_stats = stats_list
+        design_stats = stats
     else:
-        try:
-            alphas = [float(a) for a in assumed_alphas]
-        except TypeError:
-            alphas = [float(assumed_alphas)] * len(stats_list)
-        if len(alphas) != len(stats_list):
-            raise ConfigError("assumed_alphas must be scalar or one per user")
-        design_stats = [UserStatistics.from_profile(s.u, np.asarray(s.omega), a)
-                        for s, a in zip(stats_list, alphas)]
+        design_stats = [UserStatistics.from_profile(s.u, np.asarray(s.omega),
+                                                    float(assumed_alphas))
+                        for s in stats]
     v = dft_matrix(cfg.m_t)
     pilots = orthogonal_pilots(cfg.m_k, cfg.block_len)
     result = ExperimentResult(algorithms=algorithms, n_slots=n_slots,
                               n_mc=n_mc)
     for slot in range(n_slots):
-        blocks, y, score_post = prepare_slot(cfg, stats_list, slot)
+        blocks, y, score_post = prepare_slot(cfg, stats, slot)
         if assumed_alphas is None:
             design_post = score_post
         else:

@@ -232,18 +232,18 @@ def _mm_loop(evaluate, update, x, iters, obj_tol, de_trace):
                     de_trace)
 
 
-def _de_ascent(posterior, cfg, n, init, iters, step_fn, de_tol, obj_tol, de_trace):
+def _de_ascent(posterior, cfg, n, init, iters, step_fn, obj_tol, de_trace):
     def evaluate(precoders, states):
         res = de_weighted_sum_rate(posterior, precoders, cfg.weights, cfg.sigma2_z, n,
-                                   tol=de_tol, init_states=states)
+                                   init_states=states)
         return res.total, res.states, res.covariances
 
     return _mm_loop(evaluate, step_fn, [np.array(p, dtype=complex) for p in init],
                     iters, obj_tol, de_trace)
 
 
-def mm_full(posterior, cfg, n, init, iters=30, de_tol=1e-9, obj_tol=1e-8,
-            de_trace=None, tol_power=1e-6):
+def mm_full(posterior, cfg, n, init, iters=30, obj_tol=1e-8, de_trace=None,
+            tol_power=1e-6):
     """MM ascent with per-user update shaping.
 
     init: starting precoder set (e.g. random_precoders or a previous block's
@@ -264,11 +264,11 @@ def mm_full(posterior, cfg, n, init, iters=30, de_tol=1e-9, obj_tol=1e-8,
         rhs = [weights[k] * gains[k] @ precoders[k] for k in range(k_users)]
         return mu_bisection(rhs, shapings, cfg.p_total, tol_power=tol_power)
 
-    return _de_ascent(posterior, cfg, n, init, iters, step, de_tol, obj_tol, de_trace)
+    return _de_ascent(posterior, cfg, n, init, iters, step, obj_tol, de_trace)
 
 
-def mm_shared(posterior, cfg, n, init, iters=30, de_tol=1e-9, obj_tol=1e-8,
-              de_trace=None, tol_power=1e-6):
+def mm_shared(posterior, cfg, n, init, iters=30, obj_tol=1e-8, de_trace=None,
+              tol_power=1e-6):
     """MM ascent with one shared shaping matrix per iteration.
 
     The per-user shaping is replaced by the weighted sum of all leakage
@@ -293,4 +293,4 @@ def mm_shared(posterior, cfg, n, init, iters=30, de_tol=1e-9, obj_tol=1e-8,
         return mu_bisection(rhs, [shared] * k_users, cfg.p_total,
                             tol_power=tol_power)
 
-    return _de_ascent(posterior, cfg, n, init, iters, step, de_tol, obj_tol, de_trace)
+    return _de_ascent(posterior, cfg, n, init, iters, step, obj_tol, de_trace)

@@ -114,33 +114,29 @@ class PosteriorModel:
             self._kernels[key] = kern
         return kern
 
-    def sample(self, k, n, rng, size=None):
-        """Posterior draws of user k's block-n channel.
-
-        size=None gives one m_k x m_t matrix, size=s a (s, m_k, m_t) batch.
-        """
+    def sample(self, k, n, rng, size):
+        """A (size, m_k, m_t) batch of posterior draws of user k's block-n
+        channel."""
         s = self.stats[k]
         amp = np.sqrt(self.var_profile(k, n))
         mean = self.mean(k, n)
-        if size is None:
-            return mean + s.u @ (amp * crandn(rng, *amp.shape)) @ self.v.conj().T
         w = crandn(rng, size, *amp.shape)
         # batched matmul keeps this off the slow multi-operand einsum path
         return mean + s.u @ ((amp * w) @ self.v.conj().T)
 
 
-def build_posterior(y, pilots, stats_list, v, sigma2_bs, n_blocks):
+def build_posterior(y, pilots, stats, v, sigma2_bs, n_blocks):
     """Assemble the posterior for one slot from the uplink observation."""
-    if len(pilots) != len(stats_list):
+    if len(pilots) != len(stats):
         raise ConfigError("one pilot matrix per user is required")
     mean1 = [
         mmse_estimate(y, x, s, v, sigma2_bs, 1)
-        for x, s in zip(pilots, stats_list)
+        for x, s in zip(pilots, stats)
     ]
-    return PosteriorModel(list(stats_list), v, float(sigma2_bs), int(n_blocks), mean1)
+    return PosteriorModel(list(stats), v, float(sigma2_bs), int(n_blocks), mean1)
 
 
-def zero_mean_posterior(stats_list, v, n_blocks=2):
+def zero_mean_posterior(stats, v):
     """Posterior with no instantaneous CSI: zero means, full prior variance.
 
     Intended for data blocks n >= 2, where the variance profile equals the
@@ -148,6 +144,6 @@ def zero_mean_posterior(stats_list, v, n_blocks=2):
     """
     import dataclasses as _dc
 
-    stats0 = [_dc.replace(s, alpha=0.0) for s in stats_list]
+    stats0 = [_dc.replace(s, alpha=0.0) for s in stats]
     mean1 = [np.zeros((s.m_k, s.m_t), dtype=complex) for s in stats0]
-    return PosteriorModel(stats0, v, 0.0, int(n_blocks), mean1)
+    return PosteriorModel(stats0, v, 0.0, 2, mean1)

@@ -72,6 +72,37 @@ def test_plan_field_validation(tmp_path, capsys):
     assert "trace" in capsys.readouterr().err
 
 
+# values of the wrong type for their key
+@pytest.mark.parametrize("section, key, value, subcommand", [
+    ("system", "m_t", "x", "sweep"),
+    ("system", "m_k", 2, "sweep"),
+    ("system", "snr_db", ["x"], "sweep"),
+    ("system", "p_total", "x", "sweep"),
+    ("system", "sigma2_bs", "a", "sweep"),
+    ("profile", "band_width", "x", "sweep"),
+    ("profile", "alphas", "x", "sweep"),
+    ("profile", "lognorm_sigma", "x", "sweep"),
+    ("experiment", "snr_db", ["x"], "sweep"),
+    ("experiment", "snr_db", [None], "sweep"),
+    ("experiment", "assumed_alphas", 0.9, "mismatch"),
+    ("experiment", "assumed_alphas", [[1.0, 0.8]], "mismatch"),
+    ("experiment", "assumed_alphas", ["x"], "mismatch"),
+])
+def test_malformed_value_is_a_config_error_naming_the_key(
+        tmp_path, capsys, section, key, value, subcommand):
+    data = dict(BASE, **{section: dict(BASE[section], **{key: value})})
+    cfgfile = _write_config(tmp_path, data)
+    out = tmp_path / "out"
+    assert cli.main([subcommand, "-c", cfgfile, "--out-dir", str(out)]) == 2
+    record = json.loads((out / "error.json").read_text())
+    assert record["error"] == "ConfigError"
+    assert key in record["message"]
+    if section != "profile":  # profiles are read when statistics are drawn
+        capsys.readouterr()
+        assert cli.main(["validate-config", "-c", cfgfile]) == 2
+        assert key in capsys.readouterr().err
+
+
 def test_sweep_writes_per_algorithm_csvs_and_manifest(tmp_path):
     cfgfile = _write_config(tmp_path, BASE)
     out = tmp_path / "out"

@@ -101,8 +101,8 @@ def test_rate_forms_agree():
         k, n = seed % 2, 2
         r = interference_covariance(post, precoders, k, n, cfg.sigma2_z)
         state = solve_fixed_point(post, precoders[k], r, k, n, tol=1e-11)
-        r1 = de_rate_form1(state, post, precoders[k], r, k, n)
-        r2 = de_rate_form2(state, post, precoders[k], r, k, n)
+        r1 = de_rate_form1(state, post, precoders[k], k, n)
+        r2 = de_rate_form2(state, post, precoders[k], k, n)
         assert abs(r1 - r2) <= 1e-6 * max(abs(r1), 1e-12)
 
 
@@ -122,7 +122,7 @@ def test_exact_under_perfect_csi():
         h = post.mean(k, 2)
         m = np.eye(2) + np.linalg.solve(r, h @ precoders[k] @ precoders[k].conj().T @ h.conj().T)
         want = float(np.linalg.slogdet(m)[1].real)
-        got = de_rate_form1(state, post, precoders[k], r, k, 2)
+        got = de_rate_form1(state, post, precoders[k], k, 2)
         assert abs(got - want) < 1e-9 * max(abs(want), 1e-12)
 
 
@@ -150,7 +150,7 @@ def test_null_channel_state():
     state = solve_fixed_point(post, p[0], r, 0, 2)
     assert np.all(state.tx_gain == 0)
     assert np.all(state.rx_gain == 0)
-    assert de_rate_form1(state, post, p[0], r, 0, 2) == 0.0
+    assert de_rate_form1(state, post, p[0], 0, 2) == 0.0
 
 
 def test_de_matches_monte_carlo_small():
@@ -161,7 +161,7 @@ def test_de_matches_monte_carlo_small():
     for k in (0, 2):
         r = interference_covariance(post, precoders, k, 2, cfg.sigma2_z)
         state = solve_fixed_point(post, precoders[k], r, k, 2)
-        de = de_rate_form1(state, post, precoders[k], r, k, 2)
+        de = de_rate_form1(state, post, precoders[k], k, 2)
         mc = mc_rate(post, precoders[k], r, k, 2, 10_000, rng)
         assert abs(de - mc) / abs(mc) < 0.03
 
@@ -183,7 +183,7 @@ def test_de_accuracy_improves_with_dimension():
             precoders = random_precoder_set(rng, cfg.m_t, cfg.d_k, cfg.p_total)
             r = interference_covariance(post, precoders, 0, 2, cfg.sigma2_z)
             state = solve_fixed_point(post, precoders[0], r, 0, 2)
-            de = de_rate_form1(state, post, precoders[0], r, 0, 2)
+            de = de_rate_form1(state, post, precoders[0], 0, 2)
             mc = mc_rate(post, precoders[0], r, 0, 2, 20_000, rng)
             tot += abs(de - mc) / abs(mc)
         errs[m_t] = tot / 20
@@ -212,7 +212,7 @@ def test_rank_one_high_snr_two_cycle_is_damped_to_convergence(snr_db):
     res = de_weighted_sum_rate(post, precoders, cfg.weights, cfg.sigma2_z, 2)
     for k, state in enumerate(res.states):
         assert state.iterations <= 60
-        form2 = de_rate_form2(state, post, precoders[k], res.covariances[k], k, 2)
+        form2 = de_rate_form2(state, post, precoders[k], k, 2)
         assert abs(res.rates[k] - form2) <= 1e-12 * res.rates[k]
 
 
