@@ -126,15 +126,13 @@ def canonical_allocation(stats, cfg):
                           [scale * np.ones(d) for d in cfg.d_k])
 
 
-def beam_power_allocation(stats, cfg, iters=50, obj_tol=1e-8, de_trace=None):
+def beam_power_allocation(stats, cfg, iters=50, obj_tol=1e-8):
     """Statistics-only precoder design: power allocation over ordered beams.
 
     Uses each user's coupling profile directly (posterior mean treated as
     zero), so one run serves every data block.  Starts from
     canonical_allocation.  Returns the allocation and an MMReport whose
-    precoders are the exported beam-aligned matrices.  de_trace, when a
-    list, collects (update, user, sweeps, residual) for every fixed-point
-    solve.
+    precoders are the exported beam-aligned matrices.
     """
     k_users = len(stats)
     omegas = [np.asarray(s.omega, dtype=float) for s in stats]
@@ -166,7 +164,7 @@ def beam_power_allocation(stats, cfg, iters=50, obj_tol=1e-8, de_trace=None):
         mu, cols = mu_bisection(rhs, shapings, cfg.p_total)
         return mu, [np.abs(c[:, 0]) for c in cols]
 
-    report = _mm_loop(evaluate, update, start.gains, iters, obj_tol, de_trace)
+    report = _mm_loop(evaluate, update, start.gains, iters, obj_tol)
     alloc = BeamAllocation(start.v, start.orders, report.precoders)
     report.precoders = alloc.precoders
     return alloc, report

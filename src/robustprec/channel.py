@@ -137,6 +137,28 @@ class BeamProfile:
     decay: float = 0.0
     alphas: object = 1.0
 
+    def resolve(self, cfg):
+        """(widths, centers, alphas, lognorm_sigma, decay) for cfg's users; a
+        value of the wrong type, length or range is a ConfigError naming it."""
+        n = cfg.n_users
+        widths = _values(self.band_width, "band_width", int, n)
+        if not all(1 <= w <= cfg.m_t for w in widths):
+            raise ConfigError(f"band_width must lie in [1, m_t = {cfg.m_t}]; got {widths}")
+        alphas = _values(self.alphas, "alphas", float, n)
+        if not all(0 <= a <= 1 for a in alphas):
+            raise ConfigError(f"alphas must lie in [0, 1]; got {alphas}")
+        if self.centers is None:
+            centers = [int(round(k * cfg.m_t / n)) % cfg.m_t for k in range(n)]
+        else:
+            centers = _values(self.centers, "centers", int, n)
+        lognorm_sigma = _cast(self.lognorm_sigma, float, "lognorm_sigma")
+        decay = _cast(self.decay, float, "decay")
+        if lognorm_sigma < 0:
+            raise ConfigError("lognorm_sigma must be >= 0")
+        if decay < 0:
+            raise ConfigError("decay must be >= 0")
+        return widths, centers, alphas, lognorm_sigma, decay
+
 
 def generate_synthetic_stats(cfg, profile, rng):
     """Draw per-user statistics following a beam-band profile.
@@ -146,24 +168,10 @@ def generate_synthetic_stats(cfg, profile, rng):
     away from the band center and log-normal power perturbation.  Profiles
     are normalized so their entries sum to m_k * m_t.
     """
-    n = cfg.n_users
-    widths = _values(profile.band_width, "band_width", int, n)
-    alphas = _values(profile.alphas, "alphas", float, n)
-    if profile.centers is None:
-        centers = [int(round(k * cfg.m_t / n)) % cfg.m_t for k in range(n)]
-    else:
-        centers = _values(profile.centers, "centers", int, n)
-    lognorm_sigma = _cast(profile.lognorm_sigma, float, "lognorm_sigma")
-    decay = _cast(profile.decay, float, "decay")
-    if lognorm_sigma < 0:
-        raise ConfigError("lognorm_sigma must be >= 0")
-    if decay < 0:
-        raise ConfigError("decay must be >= 0")
+    widths, centers, alphas, lognorm_sigma, decay = profile.resolve(cfg)
     stats = []
-    for k in range(n):
+    for k in range(cfg.n_users):
         width, center = widths[k], centers[k] % cfg.m_t
-        if not 1 <= width <= cfg.m_t:
-            raise ConfigError(f"band_width must lie in [1, m_t = {cfg.m_t}]; got {width}")
         m = cfg.m_k[k]
         q, _ = np.linalg.qr(crandn(rng, m, m))
         offsets = np.arange(width) - (width - 1) // 2

@@ -24,7 +24,7 @@ from pathlib import Path
 
 from . import __version__
 from .channel import BeamProfile
-from .config import SystemConfig
+from .config import SystemConfig, _cast, _values
 from .errors import ConfigError, NumericalError
 from .evaluation import (
     ALGORITHM_TABLE,
@@ -73,10 +73,6 @@ def _load_json(path):
         raise ConfigError(f"config file {path} is not valid JSON: {e}")
 
 
-def _is_number(x):
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
-
-
 def _check_keys(section, data, allowed, required=()):
     unknown = sorted(set(data) - set(allowed))
     if unknown:
@@ -110,6 +106,7 @@ def parse_config(path):
             raise ConfigError("section 'profile' must be an object")
         _check_keys("profile", prof, _PROFILE_KEYS, required=("band_width",))
         profile = BeamProfile(**prof)
+        profile.resolve(cfg)  # raises what drawing the statistics would
     plan = dict(_PLAN_DEFAULTS)
     if "experiment" in data:
         exp = data["experiment"]
@@ -118,21 +115,22 @@ def parse_config(path):
         _check_keys("experiment", exp, _PLAN_DEFAULTS)
         plan.update(exp)
     for key in ("n_slots", "n_mc", "mm_iters", "mc_batch"):
-        if not isinstance(plan[key], int) or plan[key] < 1:
+        plan[key] = _cast(plan[key], int, f"experiment.{key}")
+        if plan[key] < 1:
             raise ConfigError(f"experiment.{key} must be a positive integer")
     if not isinstance(plan["trace"], bool):
         raise ConfigError("experiment.trace must be a boolean")
-    if not _is_number(plan["load_scale"]) or plan["load_scale"] < 0:
+    plan["load_scale"] = _cast(plan["load_scale"], float, "experiment.load_scale")
+    if plan["load_scale"] < 0:
         raise ConfigError("experiment.load_scale must be a number >= 0")
-    snr, alphas = plan["snr_db"], plan["assumed_alphas"]
-    if snr is not None and not (isinstance(snr, list)
-                                and all(map(_is_number, snr))):
-        raise ConfigError("experiment.snr_db must be a list of numbers")
-    if alphas is not None and not (isinstance(alphas, list) and all(
-            _is_number(a) and 0 <= a <= 1 for a in alphas)):
+    # checked, not converted, so the manifest echoes them as written
+    if plan["snr_db"] is not None:
+        _values(plan["snr_db"], "experiment.snr_db")
+    if plan["assumed_alphas"] is not None and not all(
+            0 <= a <= 1 for a in _values(plan["assumed_alphas"],
+                                         "experiment.assumed_alphas")):
         raise ConfigError("experiment.assumed_alphas must be a list of "
                           "numbers in [0, 1]")
-    plan["load_scale"] = float(plan["load_scale"])
     plan["algorithms"] = tuple(plan["algorithms"])
     return cfg, profile, plan
 
@@ -218,12 +216,11 @@ def _run_converge(cfg, profile, plan, out_dir, args):
                           f"got {bad[0]!r}")
     stats = experiment_statistics(cfg, profile)
     blocks, _, posterior = prepare_slot(cfg, stats, 0)
-    slot = Slot(cfg, [b[0] for b in blocks], posterior, stats,
-                plan["mm_iters"], plan["load_scale"])
+    slot = Slot(cfg, [b[0] for b in blocks], posterior, plan["mm_iters"],
+                plan["load_scale"])
     outputs = []
     for alg in plan["algorithms"]:
-        de_trace = [] if plan["trace"] else None
-        alloc, report = ALGORITHM_TABLE[alg].ascent(slot, 2, None, de_trace)
+        alloc, report = ALGORITHM_TABLE[alg].ascent(slot, 2, None)
         rows = [[0, _fmt(report.objective[0]), "", ""]]
         for i in range(report.updates):
             rows.append([i + 1, _fmt(report.objective[i + 1]),
@@ -246,11 +243,11 @@ def _run_converge(cfg, profile, plan, out_dir, args):
             _write_csv(out_dir / "allocation_alg3.csv",
                        ["user", "beam", "power"], arows)
             outputs.append("allocation_alg3.csv")
-        if de_trace is not None:
+        if plan["trace"]:
             tname = f"de_trace_{alg}.csv"
             _write_csv(out_dir / tname,
                        ["update", "user", "sweeps", "residual"],
-                       [[u, k, s, _fmt(r)] for u, k, s, r in de_trace])
+                       [[u, k, s, _fmt(r)] for u, k, s, r in report.de_trace])
             outputs.append(tname)
     return outputs
 

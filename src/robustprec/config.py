@@ -7,6 +7,7 @@ every solver and experiment shares.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 from .errors import ConfigError
@@ -15,11 +16,17 @@ __all__ = ["SystemConfig", "noise_from_snr", "at_noise"]
 
 
 def _cast(value, cast, name):
-    """cast(value); a value that does not cast is a ConfigError naming the key."""
+    """value as cast (int or float), never rounded; a bool, a string, a
+    non-finite number or a fraction for int is a ConfigError naming the key."""
     try:
-        return cast(value)
-    except (TypeError, ValueError):
-        kind = "an integer" if cast is int else "a number"
+        if isinstance(value, (bool, str)):
+            raise TypeError
+        out = cast(value)
+        if not (out == value if cast is int else math.isfinite(out)):
+            raise ValueError
+        return out
+    except (TypeError, ValueError, OverflowError):
+        kind = "an integer" if cast is int else "a finite number"
         raise ConfigError(f"{name} must be {kind}; got {value!r}") from None
 
 

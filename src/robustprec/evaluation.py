@@ -39,33 +39,31 @@ class Algorithm(NamedTuple):
     full_rank: bool   # one stream per receive antenna, so d_k must equal m_k
     slot_wide: bool   # one design serves every data block of a slot
     design: object    # design(slot, n, warm) -> precoders for data block n
-    # an MM ascent, which `converge` can trace: ascent(slot, n, warm,
-    # de_trace) -> (beam allocation or None, MMReport); None otherwise
+    # an MM ascent, which `converge` can trace: ascent(slot, n, warm) ->
+    # (beam allocation or None, MMReport); None otherwise
     ascent: object = None
 
 
 class Slot(NamedTuple):
-    """Design inputs of one slot: first = true block-1 channels, post and
-    stats = the design-side posterior and statistics."""
+    """Design inputs of one slot: first = true block-1 channels, post = the
+    design-side posterior (post.stats its statistics)."""
 
     cfg: object
     first: list
     post: object
-    stats: list
     mm_iters: int
     load_scale: float
 
 
-def _mm_ascent(runner, s, n, warm, de_trace):
+def _mm_ascent(runner, s, n, warm):
     if warm is None:
-        warm = canonical_allocation(s.stats, s.cfg).precoders
-    return None, runner(s.post, s.cfg, n, warm, iters=s.mm_iters,
-                        de_trace=de_trace)
+        warm = canonical_allocation(s.post.stats, s.cfg).precoders
+    return None, runner(s.post, s.cfg, n, warm, iters=s.mm_iters)
 
 
 def _ascent_entry(slot_wide, ascent):
     return Algorithm(False, slot_wide,
-                     lambda s, n, warm: ascent(s, n, warm, None)[1].precoders,
+                     lambda s, n, warm: ascent(s, n, warm)[1].precoders,
                      ascent)
 
 
@@ -74,12 +72,12 @@ def _ascent_entry(slot_wide, ascent):
 # the call.  warm is the same algorithm's design for the previous block,
 # or None.
 ALGORITHM_TABLE = {
-    "alg1": _ascent_entry(False, lambda s, n, warm, de_trace: _mm_ascent(
-        mm_full, s, n, warm, de_trace)),
-    "alg2": _ascent_entry(False, lambda s, n, warm, de_trace: _mm_ascent(
-        mm_shared, s, n, warm, de_trace)),
-    "alg3": _ascent_entry(True, lambda s, n, warm, de_trace: beam_power_allocation(
-        s.stats, s.cfg, iters=s.mm_iters, de_trace=de_trace)),
+    "alg1": _ascent_entry(False, lambda s, n, warm: _mm_ascent(
+        mm_full, s, n, warm)),
+    "alg2": _ascent_entry(False, lambda s, n, warm: _mm_ascent(
+        mm_shared, s, n, warm)),
+    "alg3": _ascent_entry(True, lambda s, n, warm: beam_power_allocation(
+        s.post.stats, s.cfg, iters=s.mm_iters)),
     "rzf": Algorithm(True, True, lambda s, n, warm: rzf(
         s.first, s.cfg.p_total, s.cfg.sigma2_z)),
     "slnr": Algorithm(True, True, lambda s, n, warm: slnr(
@@ -94,7 +92,6 @@ ALGORITHMS = tuple(ALGORITHM_TABLE)
 
 class MCRate(NamedTuple):
     total: float
-    per_user: tuple
     stderr: float
 
 
@@ -104,35 +101,19 @@ class RateRecord:
     slot: int
     block: int
     rate: float
-    per_user: tuple
     stderr: float
 
 
 @dataclass
 class ExperimentResult:
-    algorithms: tuple
-    n_slots: int
-    n_mc: int
     records: list = field(default_factory=list)
     failed_slots: list = field(default_factory=list)
 
-    def mean_rate(self, algorithm, block=None):
-        vals = [r.rate for r in self.records
-                if r.algorithm == algorithm and (block is None or r.block == block)]
+    def mean_rate(self, algorithm):
+        vals = [r.rate for r in self.records if r.algorithm == algorithm]
         if not vals:
-            raise KeyError(f"no records for {algorithm!r} block {block!r}")
+            raise KeyError(f"no records for {algorithm!r}")
         return float(np.mean(vals))
-
-    def table(self):
-        """Rows (algorithm, block, mean_rate, n_slots) in a stable order."""
-        keys = sorted({(r.algorithm, r.block) for r in self.records},
-                      key=lambda ab: (self.algorithms.index(ab[0]), ab[1]))
-        out = []
-        for alg, block in keys:
-            vals = [r.rate for r in self.records
-                    if r.algorithm == alg and r.block == block]
-            out.append((alg, block, float(np.mean(vals)), len(vals)))
-        return out
 
 
 def monte_carlo_rate(posterior, precoders, weights, sigma2_z, n, rng,
@@ -170,7 +151,7 @@ def monte_carlo_rate(posterior, precoders, weights, sigma2_z, n, rng,
     total = float(np.dot(weights, per_user))
     # users are sampled independently, so weighted variances add
     stderr = float(np.sqrt(np.dot(np.square(weights), variances) / n_samples))
-    return MCRate(total, tuple(per_user), stderr)
+    return MCRate(total, stderr)
 
 
 def check_algorithms(algorithms, cfg):
@@ -194,8 +175,7 @@ def _algorithm_records(alg, inputs, score_post, slot, n_mc, mc_batch):
         rng_mc = default_rng(SeedSequence([cfg.seed, 2, slot, n]))
         mc = monte_carlo_rate(score_post, prev, cfg.weights, cfg.sigma2_z, n,
                               rng_mc, n_mc, batch=mc_batch)
-        out.append(RateRecord(alg, slot, n, mc.total, mc.per_user,
-                              mc.stderr))
+        out.append(RateRecord(alg, slot, n, mc.total, mc.stderr))
     return out
 
 
@@ -217,8 +197,7 @@ def prepare_slot(cfg, stats, slot):
     blocks = draw_slot(stats, v, cfg.n_b, rng_ch)
     y = uplink_observation([b[0] for b in blocks], pilots, cfg.uplink_noise,
                            rng_ch)
-    posterior = build_posterior(y, pilots, stats, v, cfg.uplink_noise,
-                                cfg.n_b)
+    posterior = build_posterior(y, pilots, stats, v, cfg.uplink_noise)
     return blocks, y, posterior
 
 
@@ -247,8 +226,7 @@ def run_slot_experiment(cfg, profile=None, algorithms=("alg1",), n_slots=10,
                         for s in stats]
     v = dft_matrix(cfg.m_t)
     pilots = orthogonal_pilots(cfg.m_k, cfg.block_len)
-    result = ExperimentResult(algorithms=algorithms, n_slots=n_slots,
-                              n_mc=n_mc)
+    result = ExperimentResult()
     for slot in range(n_slots):
         blocks, y, score_post = prepare_slot(cfg, stats, slot)
         if assumed_alphas is None:
@@ -256,9 +234,9 @@ def run_slot_experiment(cfg, profile=None, algorithms=("alg1",), n_slots=10,
         else:
             # same received pilots, interpreted under the assumed aging
             design_post = build_posterior(y, pilots, design_stats, v,
-                                          cfg.uplink_noise, cfg.n_b)
-        inputs = Slot(cfg, [b[0] for b in blocks], design_post, design_stats,
-                      mm_iters, load_scale)
+                                          cfg.uplink_noise)
+        inputs = Slot(cfg, [b[0] for b in blocks], design_post, mm_iters,
+                      load_scale)
         failed = False
         for alg in algorithms:
             try:

@@ -187,7 +187,8 @@ class MMReport:
 
     objective[i] is the DE weighted sum rate of the precoders after i
     updates (index 0 is the initial set), so it has updates + 1 entries.
-    mu_trace/power_trace align with the updates.
+    mu_trace/power_trace align with the updates.  de_trace has one
+    (update, user, sweeps, residual) row per fixed-point solve.
     """
 
     precoders: list
@@ -196,10 +197,10 @@ class MMReport:
     power_trace: list
     updates: int
     converged: bool
-    de_trace: list = None
+    de_trace: list
 
 
-def _mm_loop(evaluate, update, x, iters, obj_tol, de_trace):
+def _mm_loop(evaluate, update, x, iters, obj_tol):
     """The MM ascent under mm_full, mm_shared and beam_power_allocation.
 
     evaluate(x, states) scores the iterate x, warm-starting from the
@@ -209,16 +210,15 @@ def _mm_loop(evaluate, update, x, iters, obj_tol, de_trace):
     the relative objective change falls below obj_tol.  The report's
     precoders field holds the final iterate.
     """
-    objective, mu_trace, power_trace = [], [], []
+    objective, mu_trace, power_trace, de_trace = [], [], [], []
     states = None
     converged = False
     updates = 0
     while True:
         total, states, aux = evaluate(x, states)
         objective.append(total)
-        if de_trace is not None:
-            de_trace.extend((updates, k, s.iterations, s.residual)
-                            for k, s in enumerate(states))
+        de_trace.extend((updates, k, s.iterations, s.residual)
+                        for k, s in enumerate(states))
         if len(objective) > 1 and abs(objective[-1] - objective[-2]) <= obj_tol * (1 + abs(objective[-1])):
             converged = True
             break
@@ -232,18 +232,17 @@ def _mm_loop(evaluate, update, x, iters, obj_tol, de_trace):
                     de_trace)
 
 
-def _de_ascent(posterior, cfg, n, init, iters, step_fn, obj_tol, de_trace):
+def _de_ascent(posterior, cfg, n, init, iters, step_fn, obj_tol):
     def evaluate(precoders, states):
         res = de_weighted_sum_rate(posterior, precoders, cfg.weights, cfg.sigma2_z, n,
                                    init_states=states)
         return res.total, res.states, res.covariances
 
     return _mm_loop(evaluate, step_fn, [np.array(p, dtype=complex) for p in init],
-                    iters, obj_tol, de_trace)
+                    iters, obj_tol)
 
 
-def mm_full(posterior, cfg, n, init, iters=30, obj_tol=1e-8, de_trace=None,
-            tol_power=1e-6):
+def mm_full(posterior, cfg, n, init, iters=30, obj_tol=1e-8, tol_power=1e-6):
     """MM ascent with per-user update shaping.
 
     init: starting precoder set (e.g. random_precoders or a previous block's
@@ -264,11 +263,10 @@ def mm_full(posterior, cfg, n, init, iters=30, obj_tol=1e-8, de_trace=None,
         rhs = [weights[k] * gains[k] @ precoders[k] for k in range(k_users)]
         return mu_bisection(rhs, shapings, cfg.p_total, tol_power=tol_power)
 
-    return _de_ascent(posterior, cfg, n, init, iters, step, obj_tol, de_trace)
+    return _de_ascent(posterior, cfg, n, init, iters, step, obj_tol)
 
 
-def mm_shared(posterior, cfg, n, init, iters=30, obj_tol=1e-8, de_trace=None,
-              tol_power=1e-6):
+def mm_shared(posterior, cfg, n, init, iters=30, obj_tol=1e-8, tol_power=1e-6):
     """MM ascent with one shared shaping matrix per iteration.
 
     The per-user shaping is replaced by the weighted sum of all leakage
@@ -293,4 +291,4 @@ def mm_shared(posterior, cfg, n, init, iters=30, obj_tol=1e-8, de_trace=None,
         return mu_bisection(rhs, [shared] * k_users, cfg.p_total,
                             tol_power=tol_power)
 
-    return _de_ascent(posterior, cfg, n, init, iters, step, obj_tol, de_trace)
+    return _de_ascent(posterior, cfg, n, init, iters, step, obj_tol)

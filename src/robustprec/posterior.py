@@ -73,28 +73,19 @@ class PosteriorModel:
 
     mean1[k] is user k's block-1 MMSE estimate; the block-n mean is the
     alpha^(n-1)-shrunk copy and the block-n variance profile follows
-    xi2_profile.  Data blocks are 2..n_blocks (block 1 carries the pilots),
-    but means/variances are answerable for any n >= 1.
+    xi2_profile.  Block 1 carries the pilots; means and variances are
+    answerable for any n >= 1.
     """
 
     stats: list
     v: np.ndarray
     sigma2_bs: float
-    n_blocks: int
     mean1: list
     _kernels: dict = field(default_factory=dict, repr=False)
 
     @property
     def n_users(self):
         return len(self.stats)
-
-    @property
-    def m_t(self):
-        return self.v.shape[0]
-
-    @property
-    def data_blocks(self):
-        return range(2, self.n_blocks + 1)
 
     def mean(self, k, n):
         """Posterior mean of user k's block-n channel."""
@@ -125,7 +116,7 @@ class PosteriorModel:
         return mean + s.u @ ((amp * w) @ self.v.conj().T)
 
 
-def build_posterior(y, pilots, stats, v, sigma2_bs, n_blocks):
+def build_posterior(y, pilots, stats, v, sigma2_bs):
     """Assemble the posterior for one slot from the uplink observation."""
     if len(pilots) != len(stats):
         raise ConfigError("one pilot matrix per user is required")
@@ -133,7 +124,7 @@ def build_posterior(y, pilots, stats, v, sigma2_bs, n_blocks):
         mmse_estimate(y, x, s, v, sigma2_bs, 1)
         for x, s in zip(pilots, stats)
     ]
-    return PosteriorModel(list(stats), v, float(sigma2_bs), int(n_blocks), mean1)
+    return PosteriorModel(list(stats), v, float(sigma2_bs), mean1)
 
 
 def zero_mean_posterior(stats, v):
@@ -146,4 +137,4 @@ def zero_mean_posterior(stats, v):
 
     stats0 = [_dc.replace(s, alpha=0.0) for s in stats]
     mean1 = [np.zeros((s.m_k, s.m_t), dtype=complex) for s in stats0]
-    return PosteriorModel(stats0, v, 0.0, 2, mean1)
+    return PosteriorModel(stats0, v, 0.0, mean1)

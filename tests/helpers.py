@@ -56,7 +56,7 @@ def make_instance(cfg, rng, alphas=0.9, band_width=None, lognorm_sigma=0.4, deca
     slot = draw_slot(stats, v, cfg.n_b, rng)
     pilots = orthogonal_pilots(cfg.m_k, cfg.block_len)
     y = uplink_observation([blocks[0] for blocks in slot], pilots, cfg.uplink_noise, rng)
-    post = build_posterior(y, pilots, stats, v, cfg.uplink_noise, cfg.n_b)
+    post = build_posterior(y, pilots, stats, v, cfg.uplink_noise)
     return stats, v, slot, pilots, post
 
 

@@ -163,7 +163,7 @@ def test_02_posterior_conservation_and_estimator_error():
     for _ in range(n_slots):
         blocks = draw_slot(stats, v, cfg.n_b, slot_rng)
         y = uplink_observation([blocks[0][0]], pilots, cfg.uplink_noise, slot_rng)
-        post = build_posterior(y, pilots, stats, v, cfg.uplink_noise, cfg.n_b)
+        post = build_posterior(y, pilots, stats, v, cfg.uplink_noise)
         err = stats[0].u.conj().T @ (post.mean(0, 2) - blocks[0][1]) @ v
         acc += np.abs(err) ** 2
     mse = acc / n_slots

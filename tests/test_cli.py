@@ -97,10 +97,47 @@ def test_malformed_value_is_a_config_error_naming_the_key(
     record = json.loads((out / "error.json").read_text())
     assert record["error"] == "ConfigError"
     assert key in record["message"]
-    if section != "profile":  # profiles are read when statistics are drawn
-        capsys.readouterr()
-        assert cli.main(["validate-config", "-c", cfgfile]) == 2
-        assert key in capsys.readouterr().err
+    capsys.readouterr()
+    assert cli.main(["validate-config", "-c", cfgfile]) == 2
+    assert key in capsys.readouterr().err
+
+
+# booleans, non-finite numbers, fractional counts and profile values that
+# do not fit the system
+@pytest.mark.parametrize("section, key, value", [
+    ("system", "m_t", 8.7),
+    ("system", "m_k", [2, 2.9]),
+    ("system", "seed", True),
+    ("system", "sigma2_bs", float("nan")),
+    ("system", "weights", [float("nan"), 1.0]),
+    ("system", "p_total", float("inf")),
+    ("profile", "band_width", "x"),
+    ("profile", "band_width", [4, 4, 4]),
+    ("profile", "alphas", 1.5),
+    ("profile", "decay", float("nan")),
+    ("experiment", "n_slots", True),
+    ("experiment", "load_scale", float("nan")),
+    ("experiment", "snr_db", [float("-inf")]),
+])
+def test_strict_value_is_a_config_error_naming_the_key(
+        tmp_path, capsys, section, key, value):
+    data = dict(BASE, **{section: dict(BASE[section], **{key: value})})
+    cfgfile = _write_config(tmp_path, data)
+    assert cli.main(["validate-config", "-c", cfgfile]) == 2
+    assert key in capsys.readouterr().err
+    out = tmp_path / "out"
+    assert cli.main(["sweep", "-c", cfgfile, "--out-dir", str(out)]) == 2
+    record = json.loads((out / "error.json").read_text())
+    assert record["error"] == "ConfigError"
+    assert key in record["message"]
+    assert sorted(p.name for p in out.iterdir()) == ["error.json"]
+
+
+def test_seed_above_2_53_keeps_its_value(tmp_path, capsys):
+    seed = 2 ** 53 + 1
+    data = dict(BASE, system=dict(BASE["system"], seed=seed))
+    assert cli.main(["validate-config", "-c", _write_config(tmp_path, data)]) == 0
+    assert json.loads(capsys.readouterr().out)["system"]["seed"] == seed
 
 
 def test_sweep_writes_per_algorithm_csvs_and_manifest(tmp_path):

@@ -113,7 +113,7 @@ def test_exact_under_perfect_csi():
     from robustprec.channel import uplink_observation, orthogonal_pilots, draw_slot
     stats, v, slot, pilots, _ = make_instance(cfg, rng, alphas=1.0)
     y = uplink_observation([b[0] for b in slot], pilots, 0.0, rng)
-    post = build_posterior(y, pilots, stats, v, 0.0, cfg.n_b)
+    post = build_posterior(y, pilots, stats, v, 0.0)
     precoders = random_precoder_set(rng, cfg.m_t, cfg.d_k, cfg.p_total)
     for k in range(2):
         r = interference_covariance(post, precoders, k, 2, cfg.sigma2_z)

@@ -59,9 +59,6 @@ def test_experiment_records_shape_and_reproducibility():
     again = run_slot_experiment(cfg, **kw)
     for a, b in zip(res.records, again.records):
         assert a == b  # bitwise reproducible, dataclass equality on floats
-    tab = res.table()
-    assert [row[0] for row in tab[:2]] == ["alg1", "alg1"]
-    assert all(row[3] == 2 for row in tab)
     assert res.mean_rate("alg1") > 0
 
 

@@ -111,7 +111,7 @@ def test_perfect_csi_collapses_penalty_gap():
     slot = draw_slot(stats, v, cfg.n_b, rng)
     pilots = orthogonal_pilots(cfg.m_k, cfg.block_len)
     y = uplink_observation([b[0] for b in slot], pilots, 0.0, rng)
-    post = build_posterior(y, pilots, stats, v, 0.0, cfg.n_b)
+    post = build_posterior(y, pilots, stats, v, 0.0)
     p = random_precoders(cfg.m_t, cfg.d_k, cfg.p_total, rng)
     _, _, gains, selfs, leaks = _surrogate_pieces(cfg, post, p, 2)
     for k in range(2):
@@ -302,9 +302,9 @@ def test_mm_early_exit_flags_convergence():
 def test_mm_de_trace_records_sweeps():
     cfg, rng, post = _instance(5)
     init = random_precoders(cfg.m_t, cfg.d_k, cfg.p_total, rng)
-    trace = []
-    rep = mm_full(post, cfg, 2, init, iters=3, de_trace=trace)
-    assert rep.de_trace is trace and len(trace) > 0
+    rep = mm_full(post, cfg, 2, init, iters=3)
+    trace = rep.de_trace
+    assert len(trace) == (rep.updates + 1) * post.n_users
     iters_seen = {row[0] for row in trace}
     assert 0 in iters_seen
     for row in trace:
@@ -322,7 +322,7 @@ def test_single_user_perfect_csi_reaches_waterfilling():
     slot = draw_slot(stats, v, cfg.n_b, rng)
     pilots = orthogonal_pilots(cfg.m_k, cfg.block_len)
     y = uplink_observation([b[0] for b in slot], pilots, 0.0, rng)
-    post = build_posterior(y, pilots, stats, v, 0.0, cfg.n_b)
+    post = build_posterior(y, pilots, stats, v, 0.0)
     h = slot[0][1]
 
     s = np.linalg.svd(h, compute_uv=False)

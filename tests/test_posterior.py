@@ -72,7 +72,7 @@ def test_build_posterior_mean_shrinks_with_alpha():
     cfg = small_cfg(m_t=8, m_k=(2,), n_b=5)
     stats, v, slot, pilots, post = make_instance(cfg, rng, alphas=0.8)
     base = post.mean(0, 1)
-    for n in post.data_blocks:
+    for n in range(2, cfg.n_b + 1):
         assert np.allclose(post.mean(0, n), 0.8 ** (n - 1) * base, atol=1e-14)
     # variance grows with n for alpha < 1
     v2 = post.var_profile(0, 2)
@@ -146,4 +146,4 @@ def test_build_posterior_rejects_mismatched_pilots():
     stats, v, slot, pilots, _ = make_instance(cfg, rng)
     y = uplink_observation([b[0] for b in slot], pilots, 0.1, rng)
     with pytest.raises(ConfigError):
-        build_posterior(y, pilots[:1], stats, v, 0.1, cfg.n_b)
+        build_posterior(y, pilots[:1], stats, v, 0.1)
