@@ -8,7 +8,6 @@ statistics, so they carry one stream per receive antenna.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import eigh
 
 from .mm_precoder import mu_bisection, normalize_power
 from .operators import hermitize, mean_quadratic_tx
@@ -62,6 +61,8 @@ def slnr(channels, p_total, sigma2_z):
     Gram matrix against noise plus everyone else's; columns are unit
     vectors scaled so each user spends p_total / K.
     """
+    from scipy.linalg import eigh
+
     k_users = len(channels)
     grams = [h.conj().T @ h for h in channels]
     out = []

@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import j0
 
 from .config import _cast, _values
 from .errors import ConfigError
@@ -51,8 +50,16 @@ def dft_matrix(m):
 
 
 def crandn(rng, *shape):
-    """iid CN(0, 1) array: independent real/imag parts with variance 1/2."""
-    return np.sqrt(0.5) * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    """iid CN(0, 1) array: independent real/imag parts with variance 1/2.
+
+    The real parts are drawn first, then the imaginary parts, both straight
+    into one complex array.
+    """
+    out = np.empty(shape, dtype=complex)
+    out.real = rng.standard_normal(shape)
+    out.imag = rng.standard_normal(shape)
+    out *= np.sqrt(0.5)
+    return out
 
 
 def jakes_correlation(speed_mps, carrier_hz, symbol_time_s):
@@ -61,6 +68,8 @@ def jakes_correlation(speed_mps, carrier_hz, symbol_time_s):
     The clamp keeps the Gauss-Markov recursion well defined past the first
     Bessel zero, where the raw correlation would turn negative.
     """
+    from scipy.special import j0
+
     if carrier_hz <= 0 or symbol_time_s <= 0 or speed_mps < 0:
         raise ConfigError("jakes_correlation needs carrier_hz > 0, symbol_time_s > 0, speed_mps >= 0")
     x = 2.0 * np.pi * speed_mps * carrier_hz * symbol_time_s / SPEED_OF_LIGHT

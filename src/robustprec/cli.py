@@ -131,7 +131,12 @@ def parse_config(path):
                                          "experiment.assumed_alphas")):
         raise ConfigError("experiment.assumed_alphas must be a list of "
                           "numbers in [0, 1]")
-    plan["algorithms"] = tuple(plan["algorithms"])
+    algorithms = plan["algorithms"]
+    if (not isinstance(algorithms, (list, tuple)) or not algorithms
+            or not all(isinstance(a, str) for a in algorithms)):
+        raise ConfigError("experiment.algorithms must be a non-empty list of "
+                          f"algorithm names; got {algorithms!r}")
+    plan["algorithms"] = tuple(algorithms)
     return cfg, profile, plan
 
 

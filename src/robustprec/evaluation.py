@@ -30,7 +30,7 @@ from .config import at_noise, noise_from_snr
 from .errors import ConfigError, NumericalError
 from .mm_precoder import mm_full, mm_shared
 from .operators import interference_covariance
-from .posterior import build_posterior
+from .posterior import _stack_matmul, build_posterior
 
 
 class Algorithm(NamedTuple):
@@ -135,9 +135,11 @@ def monte_carlo_rate(posterior, precoders, weights, sigma2_z, n, rng,
         acc, acc_sq, left = 0.0, 0.0, n_samples
         while left > 0:
             b = min(batch, left)
-            hp = posterior.sample(k, n, rng, size=b) @ p
-            full = r + hp @ hp.conj().transpose(0, 2, 1)
-            vals = np.linalg.slogdet(full)[1] - base
+            hp = _stack_matmul(posterior.sample(k, n, rng, size=b), p)
+            full = hp @ hp.conj().transpose(0, 2, 1)
+            full += r
+            vals = np.linalg.slogdet(full)[1]
+            vals -= base
             acc += float(np.sum(vals))
             acc_sq += float(np.sum(vals * vals))
             left -= b

@@ -26,6 +26,23 @@ __all__ = [
 ]
 
 
+def _stack_matmul(a, b, out=None):
+    """a @ b for a C-contiguous (n, r, c) stack and one (c, d) matrix,
+    written into out (a C-contiguous (n, r, d) array) when given.
+
+    The stack is folded into n*r rows, so the product is a single GEMM
+    rather than one BLAS call per slice; each row sees the same arithmetic,
+    so the bits match a @ b.  A single-row stack stays a stacked product:
+    numpy takes each slice as a vector product there, whose rounding a GEMM
+    does not reproduce.
+    """
+    n, r, c = a.shape
+    if r == 1:
+        return np.matmul(a, b, out=out)
+    rows = None if out is None else out.reshape(n * r, -1)
+    return np.matmul(a.reshape(n * r, c), b, out=rows).reshape(n, r, -1)
+
+
 def _safe_ratio(num, den):
     out = np.zeros_like(num, dtype=float)
     np.divide(num, den, out=out, where=den > 0)
@@ -82,6 +99,7 @@ class PosteriorModel:
     sigma2_bs: float
     mean1: list
     _kernels: dict = field(default_factory=dict, repr=False)
+    _workspace: np.ndarray = field(default=None, repr=False)
 
     @property
     def n_users(self):
@@ -106,14 +124,22 @@ class PosteriorModel:
         return kern
 
     def sample(self, k, n, rng, size):
-        """A (size, m_k, m_t) batch of posterior draws of user k's block-n
-        channel."""
-        s = self.stats[k]
+        """A new (size, m_k, m_t) batch of posterior draws of user k's
+        block-n channel."""
         amp = np.sqrt(self.var_profile(k, n))
-        mean = self.mean(k, n)
         w = crandn(rng, size, *amp.shape)
-        # batched matmul keeps this off the slow multi-operand einsum path
-        return mean + s.u @ ((amp * w) @ self.v.conj().T)
+        w *= amp
+        # mean + u ((amp o W) v^H), built in the draw buffer.  The beam
+        # products go to a buffer the model keeps between calls of one
+        # shape: a second batch-sized array per call would grow and trim
+        # the heap on every batch.
+        beams = self._workspace
+        if beams is None or beams.shape != w.shape:
+            beams = self._workspace = np.empty_like(w)
+        _stack_matmul(w, self.v.conj().T, out=beams)
+        np.matmul(self.stats[k].u, beams, out=w)
+        w += self.mean(k, n)
+        return w
 
 
 def build_posterior(y, pilots, stats, v, sigma2_bs):

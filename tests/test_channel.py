@@ -18,7 +18,7 @@ from robustprec.channel import (
 from robustprec.config import SystemConfig
 from robustprec.errors import ConfigError
 
-from helpers import j0_series, relerr, small_cfg
+from helpers import crandn_oracle, j0_series, relerr, same_bits, small_cfg
 
 
 def test_dft_matrix_unitary_and_convention():
@@ -243,3 +243,9 @@ def test_config_validation_errors():
     assert cfg.block_len == 3
     assert cfg.weights == (1.0, 1.0)
     assert cfg.uplink_noise == cfg.sigma2_z
+
+
+@pytest.mark.parametrize("shape", [(5,), (3, 4), (600, 2, 16)])
+def test_crandn_keeps_the_complex_expressions_bits(shape):
+    got = crandn(np.random.default_rng(11), *shape)
+    assert same_bits(got, crandn_oracle(np.random.default_rng(11), *shape))

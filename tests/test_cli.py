@@ -1,9 +1,14 @@
 """CLI tests: config validation, file contracts, determinism, exit codes."""
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import robustprec
 from robustprec import cli
 from robustprec.errors import NumericalError
 from robustprec.matio import read_complex_csv
@@ -87,6 +92,10 @@ def test_plan_field_validation(tmp_path, capsys):
     ("experiment", "assumed_alphas", 0.9, "mismatch"),
     ("experiment", "assumed_alphas", [[1.0, 0.8]], "mismatch"),
     ("experiment", "assumed_alphas", ["x"], "mismatch"),
+    ("experiment", "algorithms", 5, "sweep"),
+    ("experiment", "algorithms", [["alg1"]], "sweep"),
+    ("experiment", "algorithms", "alg1", "sweep"),
+    ("experiment", "algorithms", [], "sweep"),
 ])
 def test_malformed_value_is_a_config_error_naming_the_key(
         tmp_path, capsys, section, key, value, subcommand):
@@ -276,3 +285,15 @@ def test_numerical_failure_exits_3_with_error_record(tmp_path, monkeypatch):
     record = json.loads((out / "error.json").read_text())
     assert record["error"] == "NumericalError"
     assert "synthetic breakdown" in record["message"]
+
+
+def test_importing_the_cli_leaves_scipy_unloaded():
+    # scipy.linalg and scipy.special load only inside slnr and
+    # jakes_correlation, so a run that needs neither never pays for them
+    src = str(Path(robustprec.__file__).resolve().parents[1])
+    code = ("import sys, robustprec.cli; print([m for m in "
+            "('scipy.linalg', 'scipy.special') if m in sys.modules])")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env=dict(os.environ, PYTHONPATH=src))
+    assert out.stdout.strip() == "[]"

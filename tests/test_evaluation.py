@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 from numpy.random import default_rng
 
-from helpers import make_instance, small_cfg
+from helpers import (
+    make_instance,
+    monte_carlo_rate_oracle,
+    random_precoder_set,
+    small_cfg,
+)
 from robustprec.baselines import perfect_csi_rate
 from robustprec.channel import BeamProfile
 from robustprec.config import SystemConfig
@@ -35,6 +40,23 @@ def test_monte_carlo_is_exact_when_posterior_is_a_point_mass():
     chans = [post.mean(k, 2) for k in range(2)]
     exact = perfect_csi_rate(chans, pre, cfg.weights, cfg.sigma2_z)
     assert abs(mc.total - exact) <= 1e-9 * (1 + abs(exact))
+
+
+# 600 draws at batch 256 end in a remainder batch of 88; m_k = 1 is the
+# single-row stack that must stay a per-draw vector product
+@pytest.mark.parametrize("m_k, d", [(1, 1), (2, 1), (2, 2), (3, 1), (3, 2)])
+def test_monte_carlo_keeps_the_per_draw_loops_bits(m_k, d):
+    cfg = small_cfg(m_t=16, m_k=(m_k, m_k, m_k), d_k=(d, d, d), n_b=2,
+                    sigma2_z=0.1)
+    rng = default_rng(10 * m_k + d)
+    _, _, _, _, post = make_instance(cfg, rng, alphas=0.8)
+    pre = random_precoder_set(rng, cfg.m_t, cfg.d_k, cfg.p_total)
+    args = (post, pre, cfg.weights, cfg.sigma2_z, 2)
+    got = monte_carlo_rate(*args, default_rng(5), n_samples=600, batch=256)
+    want = monte_carlo_rate_oracle(*args, default_rng(5), n_samples=600,
+                                   batch=256)
+    assert got.total == want.total
+    assert got.stderr == want.stderr
 
 
 def test_monte_carlo_tracks_deterministic_equivalent():

@@ -19,7 +19,7 @@ from robustprec.posterior import (
     zero_mean_posterior,
 )
 
-from helpers import make_instance, relerr, small_cfg
+from helpers import make_instance, relerr, same_bits, sample_oracle, small_cfg
 
 
 def test_delta_profile_values_and_limits():
@@ -147,3 +147,28 @@ def test_build_posterior_rejects_mismatched_pilots():
     y = uplink_observation([b[0] for b in slot], pilots, 0.1, rng)
     with pytest.raises(ConfigError):
         build_posterior(y, pilots[:1], stats, v, 0.1)
+
+
+# m_k = 1 is the single-row stack that must stay a per-draw vector product
+@pytest.mark.parametrize("m_k", [1, 2, 3])
+def test_sample_keeps_the_stacked_expressions_bits(m_k):
+    cfg = small_cfg(m_t=16, m_k=(m_k, m_k), n_b=3, sigma2_z=0.2)
+    _, _, _, _, post = make_instance(cfg, np.random.default_rng(m_k),
+                                     alphas=0.8)
+    for k in range(cfg.n_users):
+        for size in (256, 88, 256):
+            got = post.sample(k, 3, np.random.default_rng(size), size)
+            want = sample_oracle(post, k, 3, np.random.default_rng(size), size)
+            assert got.flags.c_contiguous
+            assert same_bits(got, want)
+
+
+def test_sample_returns_a_new_array_every_call():
+    cfg = small_cfg(m_t=8, m_k=(2,), n_b=2)
+    _, _, _, _, post = make_instance(cfg, np.random.default_rng(0))
+    rng = np.random.default_rng(1)
+    first = post.sample(0, 2, rng, 16)
+    kept = first.copy()
+    second = post.sample(0, 2, rng, 16)
+    assert not np.shares_memory(first, second)
+    assert same_bits(first, kept)
