@@ -36,6 +36,7 @@ from .det_equiv import DEState, de_weighted_sum_rate, solve_fixed_point
 from .errors import BisectionError, ConfigError, FixedPointError, NumericalError
 from .evaluation import (
     ALGORITHMS,
+    ExperimentPlan,
     ExperimentResult,
     RateRecord,
     alpha_mismatch_study,
@@ -57,6 +58,7 @@ __all__ = [
     "BisectionError",
     "ConfigError",
     "DEState",
+    "ExperimentPlan",
     "ExperimentResult",
     "FixedPointError",
     "MMReport",

@@ -8,8 +8,8 @@ LF line endings, a header row, and repr() floats, so reruns are
 byte-identical.
 
 Config file: JSON with sections "system" (SystemConfig fields), "profile"
-(BeamProfile fields) and "experiment" (plan).  A previously written
-run_manifest.json is also accepted; its resolved config is reused.
+(BeamProfile fields) and "experiment" (ExperimentPlan fields).  A previously
+written run_manifest.json is also accepted; its resolved config is reused.
 Exit codes: 0 success, 2 config error, 3 numerical failure (an error.json
 is left in the output directory when one is known).
 """
@@ -24,14 +24,14 @@ from pathlib import Path
 
 from . import __version__
 from .channel import BeamProfile
-from .config import SystemConfig, _cast, _values
+from .config import SystemConfig
 from .errors import ConfigError, NumericalError
 from .evaluation import (
     ALGORITHM_TABLE,
     ALGORITHMS,
+    ExperimentPlan,
     Slot,
     alpha_mismatch_study,
-    check_algorithms,
     experiment_statistics,
     prepare_slot,
     run_slot_experiment,
@@ -39,19 +39,9 @@ from .evaluation import (
 )
 from .matio import write_complex_csv
 
-_PLAN_DEFAULTS = {
-    "algorithms": ("alg1",),
-    "n_slots": 10,
-    "n_mc": 2000,
-    "mm_iters": 30,
-    "mc_batch": 256,
-    "snr_db": None,
-    "assumed_alphas": None,
-    "trace": False,
-    "load_scale": 1.0,
-}
 _SYSTEM_KEYS = {f.name for f in dataclasses.fields(SystemConfig)}
 _PROFILE_KEYS = {f.name for f in dataclasses.fields(BeamProfile)}
+_PLAN_KEYS = {f.name for f in dataclasses.fields(ExperimentPlan)}
 
 
 def _reject_duplicates(pairs):
@@ -85,7 +75,7 @@ def _check_keys(section, data, allowed, required=()):
 def parse_config(path):
     """Read and validate a config (or manifest) file.
 
-    Returns (SystemConfig, BeamProfile or None, plan dict).
+    Returns (SystemConfig, BeamProfile or None, ExperimentPlan).
     """
     data = _load_json(path)
     if not isinstance(data, dict):
@@ -107,41 +97,16 @@ def parse_config(path):
         _check_keys("profile", prof, _PROFILE_KEYS, required=("band_width",))
         profile = BeamProfile(**prof)
         profile.resolve(cfg)  # raises what drawing the statistics would
-    plan = dict(_PLAN_DEFAULTS)
-    if "experiment" in data:
-        exp = data["experiment"]
-        if not isinstance(exp, dict):
-            raise ConfigError("section 'experiment' must be an object")
-        _check_keys("experiment", exp, _PLAN_DEFAULTS)
-        plan.update(exp)
-    for key in ("n_slots", "n_mc", "mm_iters", "mc_batch"):
-        plan[key] = _cast(plan[key], int, f"experiment.{key}")
-        if plan[key] < 1:
-            raise ConfigError(f"experiment.{key} must be a positive integer")
-    if not isinstance(plan["trace"], bool):
-        raise ConfigError("experiment.trace must be a boolean")
-    plan["load_scale"] = _cast(plan["load_scale"], float, "experiment.load_scale")
-    if plan["load_scale"] < 0:
-        raise ConfigError("experiment.load_scale must be a number >= 0")
-    # checked, not converted, so the manifest echoes them as written
-    if plan["snr_db"] is not None:
-        _values(plan["snr_db"], "experiment.snr_db")
-    if plan["assumed_alphas"] is not None and not all(
-            0 <= a <= 1 for a in _values(plan["assumed_alphas"],
-                                         "experiment.assumed_alphas")):
-        raise ConfigError("experiment.assumed_alphas must be a list of "
-                          "numbers in [0, 1]")
-    algorithms = plan["algorithms"]
-    if (not isinstance(algorithms, (list, tuple)) or not algorithms
-            or not all(isinstance(a, str) for a in algorithms)):
-        raise ConfigError("experiment.algorithms must be a non-empty list of "
-                          f"algorithm names; got {algorithms!r}")
-    plan["algorithms"] = tuple(algorithms)
-    return cfg, profile, plan
+    exp = data.get("experiment", {})
+    if not isinstance(exp, dict):
+        raise ConfigError("section 'experiment' must be an object")
+    _check_keys("experiment", exp, _PLAN_KEYS)
+    return cfg, profile, ExperimentPlan(**exp)
 
 
 def _resolved_config(cfg, profile, plan):
-    out = {"system": dataclasses.asdict(cfg), "experiment": plan}
+    out = {"system": dataclasses.asdict(cfg),
+           "experiment": dataclasses.asdict(plan)}
     if profile is not None:
         out["profile"] = dataclasses.asdict(profile)
     return out
@@ -171,7 +136,7 @@ def _write_manifest(out_dir, subcommand, cfg, profile, plan, outputs):
         "version": __version__,
         "subcommand": subcommand,
         "seed": cfg.seed,
-        "algorithms": list(plan["algorithms"]),
+        "algorithms": list(plan.algorithms),
         "config": _resolved_config(cfg, profile, plan),
         "outputs": sorted(outputs),
     })
@@ -181,20 +146,13 @@ def _write_manifest(out_dir, subcommand, cfg, profile, plan, outputs):
 def _run_study(cfg, profile, plan, out_dir, args):
     """sweep (rate vs SNR) or mismatch (rate vs assumed aging): one CSV per
     algorithm, one row per (point, slot, block)."""
-    kw = {key: plan[key]
-          for key in ("n_slots", "n_mc", "mm_iters", "mc_batch", "load_scale")}
     if args.subcommand == "sweep":
         column = "snr_db"
-        results = sweep_snr(cfg, profile, plan["algorithms"],
-                            snr_db=plan["snr_db"], **kw)
+        results = sweep_snr(cfg, profile, plan)
     else:
-        if not plan["assumed_alphas"]:
-            raise ConfigError("mismatch needs experiment.assumed_alphas")
         column = "assumed_alpha"
-        results = alpha_mismatch_study(cfg, profile, plan["algorithms"],
-                                       assumed_alphas=plan["assumed_alphas"],
-                                       **kw)
-    per_alg = {a: [] for a in plan["algorithms"]}
+        results = alpha_mismatch_study(cfg, profile, plan)
+    per_alg = {a: [] for a in plan.algorithms}
     for point, result in results:
         for rec in result.records:
             per_alg[rec.algorithm].append(
@@ -205,7 +163,7 @@ def _run_study(cfg, profile, plan, out_dir, args):
     header = [column, "algorithm", "slot", "block", "sum_rate", "stderr",
               "seed"]
     outputs = []
-    for alg in plan["algorithms"]:
+    for alg in plan.algorithms:
         name = f"{args.subcommand}_{alg.replace('-', '_')}.csv"
         _write_csv(out_dir / name, header, per_alg[alg])
         outputs.append(name)
@@ -213,7 +171,7 @@ def _run_study(cfg, profile, plan, out_dir, args):
 
 
 def _run_converge(cfg, profile, plan, out_dir, args):
-    bad = [a for a in plan["algorithms"] if ALGORITHM_TABLE[a].ascent is None]
+    bad = [a for a in plan.algorithms if ALGORITHM_TABLE[a].ascent is None]
     if bad:
         supported = [a for a in ALGORITHMS
                      if ALGORITHM_TABLE[a].ascent is not None]
@@ -221,10 +179,9 @@ def _run_converge(cfg, profile, plan, out_dir, args):
                           f"got {bad[0]!r}")
     stats = experiment_statistics(cfg, profile)
     blocks, _, posterior = prepare_slot(cfg, stats, 0)
-    slot = Slot(cfg, [b[0] for b in blocks], posterior, plan["mm_iters"],
-                plan["load_scale"])
+    slot = Slot(cfg, [b[0] for b in blocks], posterior, plan)
     outputs = []
-    for alg in plan["algorithms"]:
+    for alg in plan.algorithms:
         alloc, report = ALGORITHM_TABLE[alg].ascent(slot, 2, None)
         rows = [[0, _fmt(report.objective[0]), "", ""]]
         for i in range(report.updates):
@@ -248,7 +205,7 @@ def _run_converge(cfg, profile, plan, out_dir, args):
             _write_csv(out_dir / "allocation_alg3.csv",
                        ["user", "beam", "power"], arows)
             outputs.append("allocation_alg3.csv")
-        if plan["trace"]:
+        if plan.trace:
             tname = f"de_trace_{alg}.csv"
             _write_csv(out_dir / tname,
                        ["update", "user", "sweeps", "residual"],
@@ -305,12 +262,9 @@ def main(argv=None):
             out_dir.mkdir(parents=True, exist_ok=True)
         cfg, profile, plan = parse_config(args.config)
         if getattr(args, "algorithms", None) is not None:
-            plan["algorithms"] = tuple(
-                a.strip() for a in args.algorithms.split(",") if a.strip())
-            if not plan["algorithms"]:
-                raise ConfigError("--algorithms must name at least one "
-                                  "algorithm")
-        check_algorithms(plan["algorithms"], cfg)
+            plan = dataclasses.replace(plan, algorithms=tuple(
+                a.strip() for a in args.algorithms.split(",") if a.strip()))
+        plan.check(cfg)
         if args.subcommand == "validate-config":
             json.dump(_resolved_config(cfg, profile, plan), sys.stdout,
                       indent=2, sort_keys=True)
@@ -319,7 +273,7 @@ def main(argv=None):
         if args.seed is not None:
             cfg = dataclasses.replace(cfg, seed=args.seed)
         if getattr(args, "trace", False):
-            plan["trace"] = True
+            plan = dataclasses.replace(plan, trace=True)
         outputs = _RUNNERS[args.subcommand](cfg, profile, plan, out_dir, args)
         manifest = _write_manifest(out_dir, args.subcommand, cfg, profile,
                                    plan, outputs)

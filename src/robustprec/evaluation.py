@@ -26,7 +26,7 @@ from .channel import (
     orthogonal_pilots,
     uplink_observation,
 )
-from .config import at_noise, noise_from_snr
+from .config import _cast, _values, at_noise, noise_from_snr
 from .errors import ConfigError, NumericalError
 from .mm_precoder import mm_full, mm_shared
 from .operators import interference_covariance
@@ -46,19 +46,19 @@ class Algorithm(NamedTuple):
 
 class Slot(NamedTuple):
     """Design inputs of one slot: first = true block-1 channels, post = the
-    design-side posterior (post.stats its statistics)."""
+    design-side posterior (post.stats its statistics), plan = the
+    ExperimentPlan being run."""
 
     cfg: object
     first: list
     post: object
-    mm_iters: int
-    load_scale: float
+    plan: object
 
 
 def _mm_ascent(runner, s, n, warm):
     if warm is None:
         warm = canonical_allocation(s.post.stats, s.cfg).precoders
-    return None, runner(s.post, s.cfg, n, warm, iters=s.mm_iters)
+    return None, runner(s.post, s.cfg, n, warm, iters=s.plan.mm_iters)
 
 
 def _ascent_entry(slot_wide, ascent):
@@ -77,7 +77,7 @@ ALGORITHM_TABLE = {
     "alg2": _ascent_entry(False, lambda s, n, warm: _mm_ascent(
         mm_shared, s, n, warm)),
     "alg3": _ascent_entry(True, lambda s, n, warm: beam_power_allocation(
-        s.post.stats, s.cfg, iters=s.mm_iters)),
+        s.post.stats, s.cfg, iters=s.plan.mm_iters)),
     "rzf": Algorithm(True, True, lambda s, n, warm: rzf(
         s.first, s.cfg.p_total, s.cfg.sigma2_z)),
     "slnr": Algorithm(True, True, lambda s, n, warm: slnr(
@@ -85,9 +85,74 @@ ALGORITHM_TABLE = {
     "wmmse": Algorithm(True, True, lambda s, n, warm: wmmse(
         s.first, s.cfg.p_total, s.cfg.sigma2_z, s.cfg.weights)[0]),
     "robust-rzf": Algorithm(True, False, lambda s, n, warm: robust_rzf(
-        s.post, n, s.cfg.p_total, s.cfg.sigma2_z, load_scale=s.load_scale)),
+        s.post, n, s.cfg.p_total, s.cfg.sigma2_z,
+        load_scale=s.plan.load_scale)),
 }
 ALGORITHMS = tuple(ALGORITHM_TABLE)
+
+
+@dataclass(frozen=True)
+class ExperimentPlan:
+    """What an experiment runs: the "experiment" section of a config.
+
+    algorithms are ALGORITHM_TABLE names, each at most once, run over
+    n_slots independent slots; mm_iters is the update budget of the
+    iterative designs; n_mc is the Monte Carlo draws per score, mc_batch at
+    a time; snr_db overrides the system's sweep points; assumed_alphas are a
+    mismatch study's design-side aging coefficients; trace makes converge
+    write DE traces; load_scale scales the error load of robust-rzf.  The
+    point lists are checked, not converted, so a manifest echoes them as
+    written.
+    """
+
+    algorithms: tuple = ("alg1",)
+    n_slots: int = 10
+    n_mc: int = 2000
+    mm_iters: int = 30
+    mc_batch: int = 256
+    snr_db: tuple = None
+    assumed_alphas: tuple = None
+    trace: bool = False
+    load_scale: float = 1.0
+
+    def __post_init__(self):
+        ok = lambda name, val: object.__setattr__(self, name, val)
+        for key in ("n_slots", "n_mc", "mm_iters", "mc_batch"):
+            ok(key, _cast(getattr(self, key), int, f"experiment.{key}"))
+            if getattr(self, key) < 1:
+                raise ConfigError(f"experiment.{key} must be a positive integer")
+        if not isinstance(self.trace, bool):
+            raise ConfigError("experiment.trace must be a boolean")
+        ok("load_scale", _cast(self.load_scale, float, "experiment.load_scale"))
+        if self.load_scale < 0:
+            raise ConfigError("experiment.load_scale must be a number >= 0")
+        if self.snr_db is not None:
+            _values(self.snr_db, "experiment.snr_db")
+        if self.assumed_alphas is not None and not all(
+                0 <= a <= 1 for a in _values(self.assumed_alphas,
+                                             "experiment.assumed_alphas")):
+            raise ConfigError("experiment.assumed_alphas must be a list of "
+                              "numbers in [0, 1]")
+        algorithms = self.algorithms
+        if (not isinstance(algorithms, (list, tuple)) or not algorithms
+                or not all(isinstance(a, str) for a in algorithms)):
+            raise ConfigError("experiment.algorithms must be a non-empty list "
+                              f"of algorithm names; got {algorithms!r}")
+        for a in algorithms:
+            if a not in ALGORITHM_TABLE:
+                raise ConfigError(f"unknown algorithm {a!r}; choose from "
+                                  f"{', '.join(ALGORITHMS)}")
+        if len(set(algorithms)) < len(algorithms):
+            raise ConfigError("experiment.algorithms must name each algorithm "
+                              f"once; got {algorithms!r}")
+        ok("algorithms", tuple(algorithms))
+
+    def check(self, cfg):
+        """Raise ConfigError for a full-rank design on a system whose d_k
+        differs from m_k."""
+        for a in self.algorithms:
+            if ALGORITHM_TABLE[a].full_rank and cfg.d_k != cfg.m_k:
+                raise ConfigError(f"{a} requires d_k == m_k")
 
 
 class MCRate(NamedTuple):
@@ -156,27 +221,16 @@ def monte_carlo_rate(posterior, precoders, weights, sigma2_z, n, rng,
     return MCRate(total, stderr)
 
 
-def check_algorithms(algorithms, cfg):
-    """Raise ConfigError for an unknown name or a full-rank design with
-    d_k != m_k."""
-    for a in algorithms:
-        if a not in ALGORITHM_TABLE:
-            raise ConfigError(
-                f"unknown algorithm {a!r}; choose from {', '.join(ALGORITHMS)}")
-        if ALGORITHM_TABLE[a].full_rank and tuple(cfg.d_k) != tuple(cfg.m_k):
-            raise ConfigError(f"{a} requires d_k == m_k")
-
-
-def _algorithm_records(alg, inputs, score_post, slot, n_mc, mc_batch):
+def _algorithm_records(alg, inputs, score_post, slot):
     """One algorithm's designs and scores for every data block of a slot."""
     entry, prev, out = ALGORITHM_TABLE[alg], None, []
-    cfg = inputs.cfg
+    cfg, plan = inputs.cfg, inputs.plan
     for n in range(2, cfg.n_b + 1):
         if prev is None or not entry.slot_wide:
             prev = entry.design(inputs, n, prev)
         rng_mc = default_rng(SeedSequence([cfg.seed, 2, slot, n]))
         mc = monte_carlo_rate(score_post, prev, cfg.weights, cfg.sigma2_z, n,
-                              rng_mc, n_mc, batch=mc_batch)
+                              rng_mc, plan.n_mc, batch=plan.mc_batch)
         out.append(RateRecord(alg, slot, n, mc.total, mc.stderr))
     return out
 
@@ -203,47 +257,42 @@ def prepare_slot(cfg, stats, slot):
     return blocks, y, posterior
 
 
-def run_slot_experiment(cfg, profile=None, algorithms=("alg1",), n_slots=10,
-                        n_mc=2000, mm_iters=30, assumed_alphas=None,
-                        mc_batch=256, load_scale=1.0):
-    """Design and score precoders over independent slots.
+def run_slot_experiment(cfg, profile, plan, assumed_alpha=None):
+    """Design and score precoders over the plan's independent slots.
 
-    assumed_alphas (one aging coefficient for every user) rebuilds the
+    assumed_alpha (one aging coefficient for every user) rebuilds the
     *design-side* posterior under it while scoring stays under the true one.
-    load_scale scales the error-covariance load of the robust-rzf design.
     When a solver fails numerically, only that algorithm's rates for the
     slot are dropped; each slot with such a failure is listed once in
     failed_slots.
     """
-    algorithms = tuple(algorithms)
-    check_algorithms(algorithms, cfg)
+    plan.check(cfg)
     if cfg.n_b < 2:
         raise ConfigError("experiments need n_b >= 2 (block 1 is pilots)")
     stats = experiment_statistics(cfg, profile)
-    if assumed_alphas is None:
+    if assumed_alpha is None:
         design_stats = stats
     else:
         design_stats = [UserStatistics.from_profile(s.u, np.asarray(s.omega),
-                                                    float(assumed_alphas))
+                                                    float(assumed_alpha))
                         for s in stats]
     v = dft_matrix(cfg.m_t)
     pilots = orthogonal_pilots(cfg.m_k, cfg.block_len)
     result = ExperimentResult()
-    for slot in range(n_slots):
+    for slot in range(plan.n_slots):
         blocks, y, score_post = prepare_slot(cfg, stats, slot)
-        if assumed_alphas is None:
+        if assumed_alpha is None:
             design_post = score_post
         else:
             # same received pilots, interpreted under the assumed aging
             design_post = build_posterior(y, pilots, design_stats, v,
                                           cfg.uplink_noise)
-        inputs = Slot(cfg, [b[0] for b in blocks], design_post, mm_iters,
-                      load_scale)
+        inputs = Slot(cfg, [b[0] for b in blocks], design_post, plan)
         failed = False
-        for alg in algorithms:
+        for alg in plan.algorithms:
             try:
                 result.records.extend(_algorithm_records(
-                    alg, inputs, score_post, slot, n_mc, mc_batch))
+                    alg, inputs, score_post, slot))
             except NumericalError:
                 failed = True
         if failed:
@@ -251,36 +300,33 @@ def run_slot_experiment(cfg, profile=None, algorithms=("alg1",), n_slots=10,
     return result
 
 
-def sweep_snr(cfg, profile=None, algorithms=("alg1",), snr_db=None, **kw):
-    """run_slot_experiment at each SNR point; returns [(snr, result)].
+def sweep_snr(cfg, profile, plan):
+    """run_slot_experiment at each SNR point of the plan (or, when it sets
+    none, of the system); returns [(snr, result)].
 
     The noise follows SNR = p_total / sigma2_z; the uplink noise tracks it
     unless the config pins sigma2_bs.  Slot seeds repeat across points, so
     curves share channel realizations.
     """
-    points = tuple(cfg.snr_db if snr_db is None else snr_db)
+    points = tuple(cfg.snr_db if plan.snr_db is None else plan.snr_db)
     if not points:
         raise ConfigError("no SNR points given (set snr_db)")
     out = []
     for snr in points:
         sub = at_noise(cfg, noise_from_snr(snr, cfg.p_total))
-        out.append((float(snr),
-                    run_slot_experiment(sub, profile, algorithms, **kw)))
+        out.append((float(snr), run_slot_experiment(sub, profile, plan)))
     return out
 
 
-def alpha_mismatch_study(cfg, profile=None, algorithms=("alg1",),
-                         assumed_alphas=(1.0,), **kw):
-    """Design under each assumed aging coefficient, score under the truth.
+def alpha_mismatch_study(cfg, profile, plan):
+    """Design under each of the plan's assumed aging coefficients, score
+    under the truth.
 
     Returns [(assumed_alpha, result)].  Statistics and slot channels repeat
     across points, so the only thing that moves is the design-side model.
     """
-    values = tuple(float(a) for a in assumed_alphas)
-    if not values:
-        raise ConfigError("assumed_alphas must not be empty")
-    out = []
-    for a in values:
-        out.append((a, run_slot_experiment(cfg, profile, algorithms,
-                                           assumed_alphas=a, **kw)))
-    return out
+    if not plan.assumed_alphas:
+        raise ConfigError("mismatch needs experiment.assumed_alphas")
+    return [(float(a), run_slot_experiment(cfg, profile, plan,
+                                           assumed_alpha=a))
+            for a in plan.assumed_alphas]

@@ -38,6 +38,7 @@ from robustprec.channel import (
 from robustprec.config import SystemConfig, noise_from_snr
 from robustprec.det_equiv import de_weighted_sum_rate
 from robustprec.evaluation import (
+    ExperimentPlan,
     experiment_statistics,
     monte_carlo_rate,
     prepare_slot,
@@ -407,8 +408,8 @@ def test_08_aging_aware_design_beats_inversion_baselines():
         )
         prof = BeamProfile(band_width=6, lognorm_sigma=0.4, alphas=alpha)
         res = run_slot_experiment(
-            cfg, prof, algorithms=("alg1", "robust-rzf", "rzf"),
-            n_slots=50, n_mc=500, mm_iters=15,
+            cfg, prof, ExperimentPlan(algorithms=("alg1", "robust-rzf", "rzf"),
+                                      n_slots=50, n_mc=500, mm_iters=15),
         )
         assert not res.failed_slots
         means[alpha] = {a: res.mean_rate(a) for a in ("alg1", "robust-rzf", "rzf")}
@@ -442,7 +443,8 @@ def test_09_rate_degrades_monotonically_with_aging():
         )
         prof = BeamProfile(band_width=8, lognorm_sigma=0.4, alphas=alpha)
         res = run_slot_experiment(
-            cfg, prof, algorithms=("alg1",), n_slots=10, n_mc=500, mm_iters=15
+            cfg, prof, ExperimentPlan(algorithms=("alg1",), n_slots=10,
+                                      n_mc=500, mm_iters=15)
         )
         assert not res.failed_slots
         rates[alpha] = res.mean_rate("alg1")

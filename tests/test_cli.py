@@ -96,6 +96,7 @@ def test_plan_field_validation(tmp_path, capsys):
     ("experiment", "algorithms", [["alg1"]], "sweep"),
     ("experiment", "algorithms", "alg1", "sweep"),
     ("experiment", "algorithms", [], "sweep"),
+    ("experiment", "algorithms", ["rzf", "rzf"], "sweep"),
 ])
 def test_malformed_value_is_a_config_error_naming_the_key(
         tmp_path, capsys, section, key, value, subcommand):
@@ -272,6 +273,19 @@ def test_cli_overrides_for_seed_and_algorithms(tmp_path):
     manifest = json.loads((out / "run_manifest.json").read_text())
     assert manifest["seed"] == 11
     assert manifest["algorithms"] == ["rzf"]
+
+
+def test_repeated_algorithm_override_is_a_config_error(tmp_path, capsys):
+    # the override is checked like the config's list; a repeated name would
+    # write every row of its CSV twice and list the file twice
+    out = tmp_path / "twice"
+    assert cli.main(["sweep", "-c", _write_config(tmp_path, BASE), "--out-dir",
+                     str(out), "--algorithms", "rzf,rzf"]) == 2
+    record = json.loads((out / "error.json").read_text())
+    assert record["error"] == "ConfigError"
+    assert "algorithms" in record["message"]
+    assert sorted(p.name for p in out.iterdir()) == ["error.json"]
+    assert "algorithms" in capsys.readouterr().err
 
 
 def test_numerical_failure_exits_3_with_error_record(tmp_path, monkeypatch):
