@@ -117,12 +117,10 @@ def beam_surrogate_diagonals(omegas, weights, alloc, states, sigma2_z):
 def canonical_allocation(stats, cfg):
     """Deterministic beam-aligned starting point: each user's d_k strongest
     beams at a flat gain spending the full budget."""
-    from .channel import dft_matrix
-
     omegas = [np.asarray(s.omega, dtype=float) for s in stats]
     orders = [beam_order(om) for om in omegas]
     scale = math.sqrt(cfg.p_total / sum(cfg.d_k))
-    return BeamAllocation(dft_matrix(omegas[0].shape[1]), orders,
+    return BeamAllocation(stats[0].v, orders,
                           [scale * np.ones(d) for d in cfg.d_k])
 
 

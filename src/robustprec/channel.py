@@ -26,7 +26,6 @@ __all__ = [
     "UserStatistics",
     "BeamProfile",
     "generate_synthetic_stats",
-    "estimate_stats_from_samples",
     "sample_channel",
     "evolve_slot",
     "draw_slot",
@@ -40,11 +39,15 @@ _DFT_CACHE = {}
 
 
 def dft_matrix(m):
-    """Unitary m x m DFT matrix, entry (p, q) = exp(-2i pi p q / m) / sqrt(m)."""
+    """Unitary m x m DFT matrix, entry (p, q) = exp(-2i pi p q / m) / sqrt(m).
+
+    One read-only array per size is shared by every caller.
+    """
     mat = _DFT_CACHE.get(m)
     if mat is None:
         p = np.arange(m)
         mat = np.exp(-2j * np.pi * np.outer(p, p) / m) / np.sqrt(m)
+        mat.flags.writeable = False
         _DFT_CACHE[m] = mat
     return mat
 
@@ -128,6 +131,11 @@ class UserStatistics:
     def m_t(self):
         return self.amp.shape[1]
 
+    @property
+    def v(self):
+        """Transmit (beam) basis: the shared read-only dft_matrix(m_t)."""
+        return dft_matrix(self.m_t)
+
 
 @dataclass(frozen=True)
 class BeamProfile:
@@ -196,50 +204,29 @@ def generate_synthetic_stats(cfg, profile, rng):
     return stats
 
 
-def estimate_stats_from_samples(samples, v, alpha=1.0):
-    """Estimate (u, power profile) from iid zero-mean channel samples.
-
-    The receive eigenbasis comes from the sample covariance E[H H^H]
-    (eigenvalues sorted descending, ties kept in original order); the profile
-    is the per-entry average power of the samples rotated into that basis.
-    """
-    samples = np.asarray(samples, dtype=complex)
-    if samples.ndim == 2:
-        samples = samples[None]
-    s = samples.shape[0]
-    scov = np.einsum("sij,skj->ik", samples, samples.conj()) / s
-    scov = 0.5 * (scov + scov.conj().T)
-    vals, vecs = np.linalg.eigh(scov)
-    order = np.argsort(-vals, kind="stable")
-    u = vecs[:, order]
-    proj = np.einsum("ba,sbt,tc->sac", u.conj(), samples, v)
-    omega = np.mean(np.abs(proj) ** 2, axis=0)
-    return UserStatistics.from_profile(u, omega, alpha)
-
-
-def sample_channel(stats, v, rng):
+def sample_channel(stats, rng):
     """One draw H = u (amp o W) v^H with iid CN(0,1) W."""
     w = crandn(rng, *stats.amp.shape)
-    return stats.u @ (stats.amp * w) @ v.conj().T
+    return stats.u @ (stats.amp * w) @ stats.v.conj().T
 
 
-def evolve_slot(stats, v, n_blocks, rng):
+def evolve_slot(stats, n_blocks, rng):
     """Channel blocks 1..n_blocks of one slot under Gauss-Markov aging.
 
     h[n] = alpha h[n-1] + sqrt(1 - alpha^2) * (fresh draw); alpha = 1 keeps
     the channel bit-identical across blocks, alpha = 0 redraws every block.
     """
     a = stats.alpha
-    out = [sample_channel(stats, v, rng)]
+    out = [sample_channel(stats, rng)]
     innov = np.sqrt(max(1.0 - a * a, 0.0))
     for _ in range(1, n_blocks):
-        out.append(a * out[-1] + innov * sample_channel(stats, v, rng))
+        out.append(a * out[-1] + innov * sample_channel(stats, rng))
     return out
 
 
-def draw_slot(stats, v, n_blocks, rng):
+def draw_slot(stats, n_blocks, rng):
     """evolve_slot for every user; returns blocks[k][n-1]."""
-    return [evolve_slot(s, v, n_blocks, rng) for s in stats]
+    return [evolve_slot(s, n_blocks, rng) for s in stats]
 
 
 def orthogonal_pilots(m_list, block_len):

@@ -20,7 +20,6 @@ from .baselines import robust_rzf, rzf, slnr, wmmse
 from .beam_domain import beam_power_allocation, canonical_allocation
 from .channel import (
     UserStatistics,
-    dft_matrix,
     draw_slot,
     generate_synthetic_stats,
     orthogonal_pilots,
@@ -247,13 +246,12 @@ def experiment_statistics(cfg, profile):
 def prepare_slot(cfg, stats, slot):
     """Channel blocks, pilot observation and posterior for one slot index,
     on the same seed stream the experiment harness uses."""
-    v = dft_matrix(cfg.m_t)
     pilots = orthogonal_pilots(cfg.m_k, cfg.block_len)
     rng_ch = default_rng(SeedSequence([cfg.seed, 1, slot]))
-    blocks = draw_slot(stats, v, cfg.n_b, rng_ch)
+    blocks = draw_slot(stats, cfg.n_b, rng_ch)
     y = uplink_observation([b[0] for b in blocks], pilots, cfg.uplink_noise,
                            rng_ch)
-    posterior = build_posterior(y, pilots, stats, v, cfg.uplink_noise)
+    posterior = build_posterior(y, pilots, stats, cfg.uplink_noise)
     return blocks, y, posterior
 
 
@@ -276,7 +274,6 @@ def run_slot_experiment(cfg, profile, plan, assumed_alpha=None):
         design_stats = [UserStatistics.from_profile(s.u, np.asarray(s.omega),
                                                     float(assumed_alpha))
                         for s in stats]
-    v = dft_matrix(cfg.m_t)
     pilots = orthogonal_pilots(cfg.m_k, cfg.block_len)
     result = ExperimentResult()
     for slot in range(plan.n_slots):
@@ -285,7 +282,7 @@ def run_slot_experiment(cfg, profile, plan, assumed_alpha=None):
             design_post = score_post
         else:
             # same received pilots, interpreted under the assumed aging
-            design_post = build_posterior(y, pilots, design_stats, v,
+            design_post = build_posterior(y, pilots, design_stats,
                                           cfg.uplink_noise)
         inputs = Slot(cfg, [b[0] for b in blocks], design_post, plan)
         failed = False

@@ -27,7 +27,6 @@ from .operators import expected_gram, hermitize
 __all__ = [
     "total_power",
     "normalize_power",
-    "random_precoders",
     "signal_gain",
     "self_penalty",
     "self_penalty_lowrank",
@@ -56,14 +55,6 @@ def normalize_power(precoders, p_total):
         raise NumericalError("cannot normalize an all-zero precoder set")
     scale = math.sqrt(p_total / cur)
     return [scale * p for p in precoders]
-
-
-def random_precoders(m_t, d_list, p_total, rng):
-    """iid Gaussian columns, jointly normalized to the power budget."""
-    from .channel import crandn
-
-    ps = [crandn(rng, m_t, d) for d in d_list]
-    return normalize_power(ps, p_total)
 
 
 def signal_gain(posterior, r, k, n):
@@ -245,12 +236,12 @@ def _de_ascent(posterior, cfg, n, init, iters, step_fn, obj_tol):
 def mm_full(posterior, cfg, n, init, iters=30, obj_tol=1e-8, tol_power=1e-6):
     """MM ascent with per-user update shaping.
 
-    init: starting precoder set (e.g. random_precoders or a previous block's
-    solution).  Stops after iters updates or when the relative objective
-    change falls below obj_tol.  tol_power is the budget tolerance of the
-    inner multiplier bisection; it bounds how far each update can fall short
-    of the exact constrained maximizer, so runs that must certify ascent to
-    a slack tighter than ~tol_power should lower it.
+    init: starting precoder set (e.g. canonical_allocation's precoders or a
+    previous block's solution).  Stops after iters updates or when the
+    relative objective change falls below obj_tol.  tol_power is the budget
+    tolerance of the inner multiplier bisection; it bounds how far each
+    update can fall short of the exact constrained maximizer, so runs that
+    must certify ascent to a slack tighter than ~tol_power should lower it.
     """
     weights = cfg.weights
     k_users = posterior.n_users

@@ -72,16 +72,16 @@ def xi2_profile(omega, alpha, sigma2_bs, n):
     return np.maximum(omega - shrunk, 0.0)
 
 
-def mmse_estimate(y, pilot, stats, v, sigma2_bs, n):
-    """Linear-MMSE estimate of user k's block-n channel from the pilot rx Y.
+def mmse_estimate(y, pilot, stats, sigma2_bs):
+    """Linear-MMSE estimate of user k's block-1 channel from the pilot rx Y.
 
-    The block-1 estimate is formed beam-wise after despreading with the
-    user's pilot, then shrunk by alpha^(n-1) for later blocks.
+    The estimate is formed beam-wise after despreading with the user's
+    pilot; PosteriorModel.mean shrinks it by alpha^(n-1) for block n.
     """
-    shrink = float(stats.alpha) ** (n - 1)
+    v = stats.v
     despread = stats.u.conj().T @ pilot.conj() @ y.T @ v
     delta = delta_profile(stats.omega, sigma2_bs)
-    return shrink * (stats.u @ (delta * despread) @ v.conj().T)
+    return stats.u @ (delta * despread) @ v.conj().T
 
 
 @dataclass
@@ -95,7 +95,6 @@ class PosteriorModel:
     """
 
     stats: list
-    v: np.ndarray
     sigma2_bs: float
     mean1: list
     _kernels: dict = field(default_factory=dict, repr=False)
@@ -119,7 +118,8 @@ class PosteriorModel:
         key = (k, n)
         kern = self._kernels.get(key)
         if kern is None:
-            kern = OperatorKernel(self.stats[k].u, self.v, self.var_profile(k, n))
+            kern = OperatorKernel(self.stats[k].u, self.stats[k].v,
+                                  self.var_profile(k, n))
             self._kernels[key] = kern
         return kern
 
@@ -136,24 +136,21 @@ class PosteriorModel:
         beams = self._workspace
         if beams is None or beams.shape != w.shape:
             beams = self._workspace = np.empty_like(w)
-        _stack_matmul(w, self.v.conj().T, out=beams)
+        _stack_matmul(w, self.stats[k].v.conj().T, out=beams)
         np.matmul(self.stats[k].u, beams, out=w)
         w += self.mean(k, n)
         return w
 
 
-def build_posterior(y, pilots, stats, v, sigma2_bs):
+def build_posterior(y, pilots, stats, sigma2_bs):
     """Assemble the posterior for one slot from the uplink observation."""
     if len(pilots) != len(stats):
         raise ConfigError("one pilot matrix per user is required")
-    mean1 = [
-        mmse_estimate(y, x, s, v, sigma2_bs, 1)
-        for x, s in zip(pilots, stats)
-    ]
-    return PosteriorModel(list(stats), v, float(sigma2_bs), mean1)
+    mean1 = [mmse_estimate(y, x, s, sigma2_bs) for x, s in zip(pilots, stats)]
+    return PosteriorModel(list(stats), float(sigma2_bs), mean1)
 
 
-def zero_mean_posterior(stats, v):
+def zero_mean_posterior(stats):
     """Posterior with no instantaneous CSI: zero means, full prior variance.
 
     Intended for data blocks n >= 2, where the variance profile equals the
@@ -163,4 +160,4 @@ def zero_mean_posterior(stats, v):
 
     stats0 = [_dc.replace(s, alpha=0.0) for s in stats]
     mean1 = [np.zeros((s.m_k, s.m_t), dtype=complex) for s in stats0]
-    return PosteriorModel(stats0, v, 0.0, mean1)
+    return PosteriorModel(stats0, 0.0, mean1)

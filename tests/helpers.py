@@ -6,7 +6,6 @@ import numpy as np
 from robustprec.channel import (
     BeamProfile,
     crandn,
-    dft_matrix,
     draw_slot,
     generate_synthetic_stats,
     orthogonal_pilots,
@@ -54,12 +53,11 @@ def make_instance(cfg, rng, alphas=0.9, band_width=None, lognorm_sigma=0.4, deca
     profile = BeamProfile(band_width=band_width, lognorm_sigma=lognorm_sigma,
                           decay=decay, alphas=alphas)
     stats = generate_synthetic_stats(cfg, profile, rng)
-    v = dft_matrix(cfg.m_t)
-    slot = draw_slot(stats, v, cfg.n_b, rng)
+    slot = draw_slot(stats, cfg.n_b, rng)
     pilots = orthogonal_pilots(cfg.m_k, cfg.block_len)
     y = uplink_observation([blocks[0] for blocks in slot], pilots, cfg.uplink_noise, rng)
-    post = build_posterior(y, pilots, stats, v, cfg.uplink_noise)
-    return stats, v, slot, pilots, post
+    post = build_posterior(y, pilots, stats, cfg.uplink_noise)
+    return stats, stats[0].v, slot, pilots, post
 
 
 def random_precoder_set(rng, m_t, d_list, p_total):
@@ -79,7 +77,7 @@ def sample_oracle(post, k, n, rng, size):
     with numpy's stacked (one BLAS call per draw) products."""
     amp = np.sqrt(post.var_profile(k, n))
     w = crandn_oracle(rng, size, *amp.shape)
-    return post.mean(k, n) + post.stats[k].u @ ((amp * w) @ post.v.conj().T)
+    return post.mean(k, n) + post.stats[k].u @ ((amp * w) @ post.stats[k].v.conj().T)
 
 
 def monte_carlo_rate_oracle(posterior, precoders, weights, sigma2_z, n, rng,

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 from numpy.random import SeedSequence, default_rng
 
-from helpers import make_instance, small_cfg
+from helpers import make_instance, random_precoder_set, small_cfg
 from robustprec import cli
 from robustprec.baselines import robust_rzf, rzf, slnr, wmmse, wmmse_step
 from robustprec.beam_domain import (
@@ -44,7 +44,7 @@ from robustprec.evaluation import (
     prepare_slot,
     run_slot_experiment,
 )
-from robustprec.mm_precoder import mm_full, mm_shared, random_precoders, total_power
+from robustprec.mm_precoder import mm_full, mm_shared, total_power
 from robustprec.operators import OperatorKernel, mean_quadratic_rx, mean_quadratic_tx
 from robustprec.posterior import (
     build_posterior,
@@ -162,9 +162,9 @@ def test_02_posterior_conservation_and_estimator_error():
     acc = np.zeros((cfg.m_k[0], cfg.m_t))
     post = None
     for _ in range(n_slots):
-        blocks = draw_slot(stats, v, cfg.n_b, slot_rng)
+        blocks = draw_slot(stats, cfg.n_b, slot_rng)
         y = uplink_observation([blocks[0][0]], pilots, cfg.uplink_noise, slot_rng)
-        post = build_posterior(y, pilots, stats, v, cfg.uplink_noise)
+        post = build_posterior(y, pilots, stats, cfg.uplink_noise)
         err = stats[0].u.conj().T @ (post.mean(0, 2) - blocks[0][1]) @ v
         acc += np.abs(err) ** 2
     mse = acc / n_slots
@@ -192,8 +192,8 @@ def test_03_deterministic_rate_matches_sampling_at_scale():
         prof = BeamProfile(band_width=16, lognorm_sigma=0.4, alphas=0.9)
         stats = experiment_statistics(cfg, prof)
         _, _, post = prepare_slot(cfg, stats, 0)
-        pre = random_precoders(
-            cfg.m_t, cfg.d_k, cfg.p_total, default_rng(SeedSequence([2000 + inst]))
+        pre = random_precoder_set(
+            default_rng(SeedSequence([2000 + inst])), cfg.m_t, cfg.d_k, cfg.p_total
         )
         de = de_weighted_sum_rate(post, pre, cfg.weights, cfg.sigma2_z, 2).total
         mc = monte_carlo_rate(
@@ -275,7 +275,7 @@ def test_05_exact_csi_step_matches_iterative_mmse_design():
         rng = default_rng(SeedSequence([seed, 77]))
         _, _, _, _, post = make_instance(cfg, rng, alphas=1.0)
         channels = [post.mean(k, 2) for k in range(cfg.n_users)]
-        init = random_precoders(cfg.m_t, cfg.d_k, cfg.p_total, rng)
+        init = random_precoder_set(rng, cfg.m_t, cfg.d_k, cfg.p_total)
         stepped, _ = wmmse_step(channels, init, cfg.weights, cfg.sigma2_z, cfg.p_total)
         rep = mm_full(post, cfg, 2, init, iters=1, obj_tol=0.0)
         diff = max(
@@ -336,7 +336,7 @@ def test_07_statistics_only_allocation_matches_zero_mean_solver():
     prof = BeamProfile(band_width=8, lognorm_sigma=0.4, alphas=0.9)
     stats = experiment_statistics(cfg, prof)
     v = dft_matrix(cfg.m_t)
-    zm = zero_mean_posterior(stats, v)
+    zm = zero_mean_posterior(stats)
 
     alloc, rep3 = beam_power_allocation(stats, cfg, iters=100)
     _assert_report_power(rep3, cfg.p_total)
@@ -350,7 +350,7 @@ def test_07_statistics_only_allocation_matches_zero_mean_solver():
 
     rep1r = mm_full(
         zm, cfg, 2,
-        random_precoders(cfg.m_t, cfg.d_k, cfg.p_total, default_rng(SeedSequence([99]))),
+        random_precoder_set(default_rng(SeedSequence([99])), cfg.m_t, cfg.d_k, cfg.p_total),
         iters=100,
     )
     gap_random = abs(f3 - rep1r.objective[-1]) / max(f3, rep1r.objective[-1])
@@ -378,7 +378,7 @@ def test_07_statistics_only_allocation_matches_zero_mean_solver():
     )
     stats1 = experiment_statistics(cfg1, prof)
     rep_single = mm_full(
-        zero_mean_posterior(stats1, v), cfg1, 2,
+        zero_mean_posterior(stats1), cfg1, 2,
         canonical_allocation(stats1, cfg1).precoders, iters=100,
     )
     ok_s, worst_s = verify_beam_structure(rep_single.precoders, v, tol=1e-4)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from numpy.random import default_rng
 
-from helpers import make_instance, small_cfg
+from helpers import make_instance, random_precoder_set, small_cfg
 from robustprec.baselines import (
     perfect_csi_rate,
     robust_rzf,
@@ -21,7 +21,7 @@ from robustprec.baselines import (
 from robustprec.channel import crandn
 from robustprec.config import SystemConfig
 from robustprec.errors import NumericalError
-from robustprec.mm_precoder import mm_full, random_precoders, total_power
+from robustprec.mm_precoder import mm_full, total_power
 from robustprec.posterior import zero_mean_posterior
 
 
@@ -94,8 +94,8 @@ def test_wmmse_step_matches_posterior_update_at_exact_csi():
     # of the deterministic objective and one sum-MSE update coincide
     for seed in range(3):
         cfg, post, chans = _exact_posterior(seed=seed, weights=(1.0, 1.5, 0.7))
-        init = random_precoders(cfg.m_t, cfg.d_k, cfg.p_total,
-                                default_rng(100 + seed))
+        init = random_precoder_set(default_rng(100 + seed), cfg.m_t, cfg.d_k,
+                                   cfg.p_total)
         stepped, _ = wmmse_step(chans, init, cfg.weights, cfg.sigma2_z,
                                 cfg.p_total)
         rep = mm_full(post, cfg, 2, init, iters=1, obj_tol=0.0)
@@ -127,7 +127,7 @@ def test_robust_rzf_on_zero_mean_posterior_raises_numerical_error():
     stats, v, slot, pilots, post = make_instance(cfg, default_rng(13),
                                                  alphas=0.9)
     with pytest.raises(NumericalError, match="all-zero"):
-        robust_rzf(zero_mean_posterior(stats, v), 2, cfg.p_total,
+        robust_rzf(zero_mean_posterior(stats), 2, cfg.p_total,
                    cfg.sigma2_z)
 
 

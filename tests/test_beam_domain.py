@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from numpy.random import default_rng
 
-from helpers import make_instance, relerr, small_cfg
+from helpers import make_instance, random_precoder_set, relerr, small_cfg
 from robustprec.beam_domain import (
     BeamAllocation,
     beam_fixed_point,
@@ -23,7 +23,7 @@ from robustprec.beam_domain import (
 from robustprec.channel import UserStatistics, crandn, dft_matrix
 from robustprec.config import SystemConfig
 from robustprec.det_equiv import de_weighted_sum_rate
-from robustprec.mm_precoder import mm_full, mm_shared, mu_bisection, random_precoders
+from robustprec.mm_precoder import mm_full, mm_shared, mu_bisection
 from robustprec.operators import basis_diag
 from robustprec.posterior import zero_mean_posterior
 
@@ -32,7 +32,7 @@ def _zero_mean_setup(seed=21, m_t=8, m_k=(2, 2, 2), sigma2_z=0.1):
     cfg = small_cfg(m_t=m_t, m_k=m_k, n_b=3, sigma2_z=sigma2_z)
     rng = default_rng(seed)
     stats, v, slot, pilots, post = make_instance(cfg, rng, alphas=0.9)
-    return cfg, stats, zero_mean_posterior(stats, v)
+    return cfg, stats, zero_mean_posterior(stats)
 
 
 def _canonical_alloc(stats, cfg):
@@ -229,8 +229,8 @@ def test_matrix_mm_at_zero_mean_lands_on_beam_structure():
     cfg = SystemConfig(m_t=8, m_k=(2, 2, 2), d_k=(1, 1, 1), n_b=3, sigma2_z=0.1)
     rng = default_rng(4)
     stats, v, slot, pilots, post = make_instance(cfg, rng, alphas=0.9)
-    zm = zero_mean_posterior(stats, v)
-    init = random_precoders(cfg.m_t, cfg.d_k, cfg.p_total, rng)
+    zm = zero_mean_posterior(stats)
+    init = random_precoder_set(rng, cfg.m_t, cfg.d_k, cfg.p_total)
     rep = mm_full(zm, cfg, 2, init, iters=300, obj_tol=0.0)
     ok, worst = verify_beam_structure(rep.precoders, dft_matrix(cfg.m_t), 1e-8)
     assert ok, worst
@@ -238,7 +238,7 @@ def test_matrix_mm_at_zero_mean_lands_on_beam_structure():
     # multi-stream users: the *gram* is beam-diagonal even though columns
     # may stay mixed inside the active beam set
     cfg2, stats2, zm2 = _zero_mean_setup()
-    init2 = random_precoders(cfg2.m_t, cfg2.d_k, cfg2.p_total, default_rng(3))
+    init2 = random_precoder_set(default_rng(3), cfg2.m_t, cfg2.d_k, cfg2.p_total)
     rep2 = mm_full(zm2, cfg2, 2, init2, iters=400, obj_tol=0.0)
     v2 = dft_matrix(cfg2.m_t)
     for p in rep2.precoders:

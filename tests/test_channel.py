@@ -7,7 +7,6 @@ from robustprec.channel import (
     UserStatistics,
     crandn,
     dft_matrix,
-    estimate_stats_from_samples,
     evolve_slot,
     generate_synthetic_stats,
     jakes_correlation,
@@ -28,6 +27,10 @@ def test_dft_matrix_unitary_and_convention():
         p, q = 2 % m, 3 % m
         want = np.exp(-2j * np.pi * p * q / m) / np.sqrt(m)
         assert abs(v[p, q] - want) < 1e-14
+    with pytest.raises(ValueError):
+        dft_matrix(8)[0, 0] = 0.0
+    stats = UserStatistics.from_profile(np.eye(2), np.ones((2, 8)), 1.0)
+    assert stats.v is dft_matrix(8)
 
 
 def test_jakes_against_series_oracle():
@@ -128,14 +131,13 @@ def test_sample_channel_covariance_matches_kronecker_form():
 def test_evolve_slot_static_and_memoryless():
     rng = np.random.default_rng(4)
     cfg = small_cfg(m_t=8, m_k=(2,))
-    v = dft_matrix(cfg.m_t)
     s1 = generate_synthetic_stats(cfg, BeamProfile(band_width=4, alphas=1.0), rng)[0]
-    blocks = evolve_slot(s1, v, 4, rng)
+    blocks = evolve_slot(s1, 4, rng)
     for b in blocks[1:]:
         assert np.array_equal(b, blocks[0])
 
     s0 = generate_synthetic_stats(cfg, BeamProfile(band_width=4, alphas=0.0), rng)[0]
-    blocks = evolve_slot(s0, v, 3, rng)
+    blocks = evolve_slot(s0, 3, rng)
     assert not np.allclose(blocks[0], blocks[1])
 
 
@@ -143,66 +145,15 @@ def test_evolve_slot_correlation_matches_alpha():
     rng = np.random.default_rng(5)
     alpha = 0.8
     cfg = small_cfg(m_t=8, m_k=(2,))
-    v = dft_matrix(cfg.m_t)
     s = generate_synthetic_stats(cfg, BeamProfile(band_width=8, lognorm_sigma=0.2,
                                                   alphas=alpha), rng)[0]
     n = 20_000
     num = den = 0.0
     for _ in range(n):
-        b = evolve_slot(s, v, 2, rng)
+        b = evolve_slot(s, 2, rng)
         num += np.sum(b[1] * b[0].conj()).real
         den += np.sum(np.abs(b[0]) ** 2)
     assert abs(num / den - alpha) < 0.02
-
-
-def test_estimate_stats_recovers_profile():
-    rng = np.random.default_rng(6)
-    cfg = small_cfg(m_t=8, m_k=(3,))
-    profile = BeamProfile(band_width=6, lognorm_sigma=0.5, alphas=1.0)
-    s = generate_synthetic_stats(cfg, profile, rng)[0]
-    v = dft_matrix(cfg.m_t)
-    n = 100_000
-    w = crandn(rng, n, s.m_k, cfg.m_t)
-    samples = np.einsum("ab,sbt,ct->sac", s.u, s.amp * w, v.conj())
-    est = estimate_stats_from_samples(samples, v)
-    # recovered rows come out sorted by covariance eigenvalue
-    order = np.argsort(-s.omega.sum(axis=1), kind="stable")
-    assert relerr(est.omega, s.omega[order]) < 0.03
-
-
-def test_estimate_stats_error_decreases_with_sample_count():
-    rng = np.random.default_rng(7)
-    cfg = small_cfg(m_t=8, m_k=(2,))
-    s = generate_synthetic_stats(cfg, BeamProfile(band_width=6, lognorm_sigma=0.5,
-                                                  alphas=1.0), rng)[0]
-    v = dft_matrix(cfg.m_t)
-    order = np.argsort(-s.omega.sum(axis=1), kind="stable")
-    want = s.omega[order]
-    errs = []
-    for n in (1_000, 10_000, 100_000):
-        w = crandn(rng, n, s.m_k, cfg.m_t)
-        samples = np.einsum("ab,sbt,ct->sac", s.u, s.amp * w, v.conj())
-        errs.append(relerr(estimate_stats_from_samples(samples, v).omega, want))
-    assert errs[0] > errs[1] > errs[2]
-
-
-def test_estimate_stats_rank_one_and_zero_cases():
-    m_k, m_t = 3, 8
-    v = dft_matrix(m_t)
-    # single sample u e_i, beam column j
-    i, j = 1, 5
-    h = np.zeros((m_k, m_t), dtype=complex)
-    h[i] = v[:, j].conj()          # H = e_i v_j^H row
-    est = estimate_stats_from_samples(h[None], v)
-    omega = est.omega
-    assert abs(omega[0, j] - 1.0) < 1e-10
-    omega_rest = omega.copy()
-    omega_rest[0, j] = 0.0
-    assert np.all(np.abs(omega_rest) < 1e-10)
-
-    est0 = estimate_stats_from_samples(np.zeros((1, m_k, m_t)), v)
-    assert np.array_equal(est0.u, np.eye(m_k))
-    assert np.all(est0.omega == 0.0)
 
 
 def test_orthogonal_pilots_properties():
@@ -220,8 +171,7 @@ def test_uplink_observation_noiseless_despread():
     rng = np.random.default_rng(8)
     cfg = small_cfg(m_t=8, m_k=(3,))
     s = generate_synthetic_stats(cfg, BeamProfile(band_width=8), rng)[0]
-    v = dft_matrix(cfg.m_t)
-    h = sample_channel(s, v, rng)
+    h = sample_channel(s, rng)
     (x,) = orthogonal_pilots(cfg.m_k, cfg.block_len)
     y = uplink_observation([h], [x], 0.0, rng)
     assert np.allclose(y @ x.conj().T, h.T, atol=1e-12)

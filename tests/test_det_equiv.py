@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from robustprec.beam_domain import canonical_allocation
-from robustprec.channel import BeamProfile, dft_matrix, generate_synthetic_stats
+from robustprec.channel import BeamProfile, generate_synthetic_stats
 from robustprec.config import SystemConfig, at_noise, noise_from_snr
 from robustprec.det_equiv import (
     de_rate_form1,
@@ -113,7 +113,7 @@ def test_exact_under_perfect_csi():
     from robustprec.channel import uplink_observation, orthogonal_pilots, draw_slot
     stats, v, slot, pilots, _ = make_instance(cfg, rng, alphas=1.0)
     y = uplink_observation([b[0] for b in slot], pilots, 0.0, rng)
-    post = build_posterior(y, pilots, stats, v, 0.0)
+    post = build_posterior(y, pilots, stats, 0.0)
     precoders = random_precoder_set(rng, cfg.m_t, cfg.d_k, cfg.p_total)
     for k in range(2):
         r = interference_covariance(post, precoders, k, 2, cfg.sigma2_z)
@@ -140,7 +140,7 @@ def test_null_channel_state():
     rng = np.random.default_rng(5)
     cfg = small_cfg(m_t=8, m_k=(2,), n_b=2)
     stats, v, _, _, _ = make_instance(cfg, rng, alphas=1.0)
-    post = zero_mean_posterior(stats, v)
+    post = zero_mean_posterior(stats)
     post.stats = [post.stats[0]]
     kern_zero = post.var_profile(0, 2) * 0.0
     import dataclasses
@@ -179,7 +179,7 @@ def test_de_accuracy_improves_with_dimension():
             cfg = small_cfg(m_t=m_t, m_k=(m, m), n_b=2, sigma2_z=0.1)
             profile = BeamProfile(band_width=m_t, lognorm_sigma=0.5, alphas=0.9)
             stats = generate_synthetic_stats(cfg, profile, rng)
-            post = zero_mean_posterior(stats, dft_matrix(m_t))
+            post = zero_mean_posterior(stats)
             precoders = random_precoder_set(rng, cfg.m_t, cfg.d_k, cfg.p_total)
             r = interference_covariance(post, precoders, 0, 2, cfg.sigma2_z)
             state = solve_fixed_point(post, precoders[0], r, 0, 2)

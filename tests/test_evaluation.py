@@ -24,7 +24,6 @@ from robustprec.evaluation import (
     run_slot_experiment,
     sweep_snr,
 )
-from robustprec.mm_precoder import random_precoders
 
 
 def _profile(width=4, alphas=0.9):
@@ -35,7 +34,7 @@ def test_monte_carlo_is_exact_when_posterior_is_a_point_mass():
     cfg = SystemConfig(m_t=8, m_k=(2, 2), n_b=2, sigma2_z=0.1, sigma2_bs=0.0)
     rng = default_rng(0)
     stats, v, slot, pilots, post = make_instance(cfg, rng, alphas=1.0)
-    pre = random_precoders(cfg.m_t, cfg.d_k, cfg.p_total, rng)
+    pre = random_precoder_set(rng, cfg.m_t, cfg.d_k, cfg.p_total)
     mc = monte_carlo_rate(post, pre, cfg.weights, cfg.sigma2_z, 2,
                           default_rng(1), n_samples=7)
     chans = [post.mean(k, 2) for k in range(2)]
@@ -64,7 +63,7 @@ def test_monte_carlo_tracks_deterministic_equivalent():
     cfg = small_cfg(m_t=8, m_k=(2, 2), n_b=2, sigma2_z=0.1)
     rng = default_rng(3)
     stats, v, slot, pilots, post = make_instance(cfg, rng, alphas=0.9)
-    pre = random_precoders(cfg.m_t, cfg.d_k, cfg.p_total, rng)
+    pre = random_precoder_set(rng, cfg.m_t, cfg.d_k, cfg.p_total)
     de = de_weighted_sum_rate(post, pre, cfg.weights, cfg.sigma2_z, 2)
     mc = monte_carlo_rate(post, pre, cfg.weights, cfg.sigma2_z, 2,
                           default_rng(4), n_samples=8000)

@@ -12,11 +12,10 @@ import numpy as np
 import pytest
 from numpy.random import default_rng
 
-from helpers import make_instance, relerr, small_cfg
+from helpers import make_instance, random_precoder_set, relerr, small_cfg
 from robustprec.channel import (
     BeamProfile,
     crandn,
-    dft_matrix,
     draw_slot,
     generate_synthetic_stats,
     orthogonal_pilots,
@@ -31,7 +30,6 @@ from robustprec.mm_precoder import (
     mu_bisection,
     normalize_power,
     penalty_gap,
-    random_precoders,
     self_penalty,
     self_penalty_lowrank,
     signal_gain,
@@ -71,7 +69,7 @@ def _min_eig(a):
 
 def test_self_penalty_routes_agree():
     cfg, rng, post = _instance(0)
-    p = random_precoders(cfg.m_t, cfg.d_k, cfg.p_total, rng)
+    p = random_precoder_set(rng, cfg.m_t, cfg.d_k, cfg.p_total)
     _, states, gains, selfs, _ = _surrogate_pieces(cfg, post, p, 2)
     for k in range(3):
         lowrank = self_penalty_lowrank(gains[k], states[k], p[k])
@@ -81,7 +79,7 @@ def test_self_penalty_routes_agree():
 def test_penalty_matrices_are_psd_and_ordered():
     for seed in range(4):
         cfg, rng, post = _instance(seed)
-        p = random_precoders(cfg.m_t, cfg.d_k, cfg.p_total, rng)
+        p = random_precoder_set(rng, cfg.m_t, cfg.d_k, cfg.p_total)
         _, _, gains, selfs, leaks = _surrogate_pieces(cfg, post, p, 2)
         w = cfg.weights
         scale = max(np.linalg.norm(g) for g in gains)
@@ -107,12 +105,11 @@ def test_perfect_csi_collapses_penalty_gap():
     rng = default_rng(5)
     profile = BeamProfile(band_width=4, lognorm_sigma=0.3, alphas=1.0)
     stats = generate_synthetic_stats(cfg, profile, rng)
-    v = dft_matrix(cfg.m_t)
-    slot = draw_slot(stats, v, cfg.n_b, rng)
+    slot = draw_slot(stats, cfg.n_b, rng)
     pilots = orthogonal_pilots(cfg.m_k, cfg.block_len)
     y = uplink_observation([b[0] for b in slot], pilots, 0.0, rng)
-    post = build_posterior(y, pilots, stats, v, 0.0)
-    p = random_precoders(cfg.m_t, cfg.d_k, cfg.p_total, rng)
+    post = build_posterior(y, pilots, stats, 0.0)
+    p = random_precoder_set(rng, cfg.m_t, cfg.d_k, cfg.p_total)
     _, _, gains, selfs, leaks = _surrogate_pieces(cfg, post, p, 2)
     for k in range(2):
         assert relerr(leaks[k], selfs[k]) < 1e-6
@@ -134,7 +131,7 @@ def test_sample_surrogate_lower_bounds_rate():
     k_users = post.n_users
     w = cfg.weights
     draws = [post.sample(k, n, rng, size=n_draws) for k in range(k_users)]
-    p0 = random_precoders(cfg.m_t, cfg.d_k, cfg.p_total, rng)
+    p0 = random_precoder_set(rng, cfg.m_t, cfg.d_k, cfg.p_total)
 
     def avg_rate(ps):
         total = 0.0
@@ -186,7 +183,7 @@ def test_sample_surrogate_lower_bounds_rate():
     f0, g0val = avg_rate(p0), surrogate(p0)
     assert abs(f0 - g0val) < 1e-9 * (1 + abs(f0))
     for trial in range(6):
-        probe = random_precoders(cfg.m_t, cfg.d_k, cfg.p_total, rng)
+        probe = random_precoder_set(rng, cfg.m_t, cfg.d_k, cfg.p_total)
         blend = normalize_power(
             [0.7 * a + 0.3 * b for a, b in zip(p0, probe)], cfg.p_total)
         for ps in (probe, blend):
@@ -269,7 +266,7 @@ def test_mu_bisection_unbracketable_raises():
 def test_mm_objective_is_nondecreasing(algorithm):
     for seed in (0, 1, 2):
         cfg, rng, post = _instance(seed, sigma2_z=0.1)
-        init = random_precoders(cfg.m_t, cfg.d_k, cfg.p_total, rng)
+        init = random_precoder_set(rng, cfg.m_t, cfg.d_k, cfg.p_total)
         rep = algorithm(post, cfg, 2, init, iters=20)
         obj = np.array(rep.objective)
         slack = 1e-8 * (1 + np.abs(obj[1:]))
@@ -281,7 +278,7 @@ def test_mm_objective_is_nondecreasing(algorithm):
 @pytest.mark.parametrize("algorithm", [mm_full, mm_shared])
 def test_mm_power_trace_feasible(algorithm):
     cfg, rng, post = _instance(3)
-    init = random_precoders(cfg.m_t, cfg.d_k, cfg.p_total, rng)
+    init = random_precoder_set(rng, cfg.m_t, cfg.d_k, cfg.p_total)
     rep = algorithm(post, cfg, 2, init, iters=12)
     for mu, pw in zip(rep.mu_trace, rep.power_trace):
         assert pw <= cfg.p_total * (1 + 1e-9)
@@ -291,7 +288,7 @@ def test_mm_power_trace_feasible(algorithm):
 
 def test_mm_early_exit_flags_convergence():
     cfg, rng, post = _instance(4)
-    init = random_precoders(cfg.m_t, cfg.d_k, cfg.p_total, rng)
+    init = random_precoder_set(rng, cfg.m_t, cfg.d_k, cfg.p_total)
     rep = mm_full(post, cfg, 2, init, iters=200, obj_tol=1e-4)
     assert rep.converged
     assert rep.updates < 200
@@ -301,7 +298,7 @@ def test_mm_early_exit_flags_convergence():
 
 def test_mm_de_trace_records_sweeps():
     cfg, rng, post = _instance(5)
-    init = random_precoders(cfg.m_t, cfg.d_k, cfg.p_total, rng)
+    init = random_precoder_set(rng, cfg.m_t, cfg.d_k, cfg.p_total)
     rep = mm_full(post, cfg, 2, init, iters=3)
     trace = rep.de_trace
     assert len(trace) == (rep.updates + 1) * post.n_users
@@ -318,11 +315,10 @@ def test_single_user_perfect_csi_reaches_waterfilling():
     rng = default_rng(3)
     profile = BeamProfile(band_width=4, lognorm_sigma=0.4, alphas=1.0)
     stats = generate_synthetic_stats(cfg, profile, rng)
-    v = dft_matrix(cfg.m_t)
-    slot = draw_slot(stats, v, cfg.n_b, rng)
+    slot = draw_slot(stats, cfg.n_b, rng)
     pilots = orthogonal_pilots(cfg.m_k, cfg.block_len)
     y = uplink_observation([b[0] for b in slot], pilots, 0.0, rng)
-    post = build_posterior(y, pilots, stats, v, 0.0)
+    post = build_posterior(y, pilots, stats, 0.0)
     h = slot[0][1]
 
     s = np.linalg.svd(h, compute_uv=False)
@@ -337,7 +333,7 @@ def test_single_user_perfect_csi_reaches_waterfilling():
     loading = np.maximum(1.0 / hi - 1.0 / gain, 0.0)
     oracle = float(np.sum(np.log1p(loading * gain)))
 
-    init = random_precoders(cfg.m_t, cfg.d_k, cfg.p_total, rng)
+    init = random_precoder_set(rng, cfg.m_t, cfg.d_k, cfg.p_total)
     rep = mm_full(post, cfg, 2, init, iters=150, obj_tol=0.0)
     assert abs(rep.objective[-1] - oracle) <= 1e-6 * oracle
 
@@ -349,7 +345,7 @@ def test_single_user_full_and_shared_share_fixed_points():
     cfg = small_cfg(m_t=8, m_k=(3,), n_b=3, sigma2_z=0.1)
     rng = default_rng(11)
     stats, v, slot, pilots, post = make_instance(cfg, rng, alphas=0.85)
-    init = random_precoders(cfg.m_t, cfg.d_k, cfg.p_total, rng)
+    init = random_precoder_set(rng, cfg.m_t, cfg.d_k, cfg.p_total)
     ra = mm_full(post, cfg, 2, init, iters=120, obj_tol=0.0)
     rb = mm_shared(post, cfg, 2, init, iters=120, obj_tol=0.0)
     assert abs(ra.objective[-1] - rb.objective[-1]) <= 2e-3 * abs(ra.objective[-1])
@@ -369,7 +365,7 @@ def test_zero_aging_decouples_blocks():
     cfg = small_cfg(m_t=6, m_k=(2, 2), n_b=4, sigma2_z=0.2)
     rng = default_rng(9)
     stats, v, slot, pilots, post = make_instance(cfg, rng, alphas=0.0)
-    init = random_precoders(cfg.m_t, cfg.d_k, cfg.p_total, rng)
+    init = random_precoder_set(rng, cfg.m_t, cfg.d_k, cfg.p_total)
     r2 = mm_full(post, cfg, 2, init, iters=6)
     r3 = mm_full(post, cfg, 3, init, iters=6)
     assert np.allclose(r2.objective, r3.objective, rtol=1e-10, atol=1e-12)

@@ -171,7 +171,7 @@ def test_interference_covariance_zero_variance_reduces_to_means():
 
     # rebuild with noiseless pilots so the posterior variance is exactly zero
     y = uplink_observation([b[0] for b in slot], pilots, 0.0, rng)
-    post0 = build_posterior(y, pilots, stats, v, 0.0)
+    post0 = build_posterior(y, pilots, stats, 0.0)
     precoders = random_precoder_set(rng, cfg.m_t, cfg.d_k, cfg.p_total)
     r = interference_covariance(post0, precoders, 0, 2, cfg.sigma2_z)
     h = post0.mean(0, 2)
