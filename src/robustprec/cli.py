@@ -34,7 +34,6 @@ from .evaluation import (
     alpha_mismatch_study,
     experiment_statistics,
     prepare_slot,
-    run_slot_experiment,
     sweep_snr,
 )
 from .matio import write_complex_csv
@@ -75,7 +74,7 @@ def _check_keys(section, data, allowed, required=()):
 def parse_config(path):
     """Read and validate a config (or manifest) file.
 
-    Returns (SystemConfig, BeamProfile or None, ExperimentPlan).
+    Returns (SystemConfig, BeamProfile, ExperimentPlan).
     """
     data = _load_json(path)
     if not isinstance(data, dict):
@@ -89,27 +88,26 @@ def parse_config(path):
         raise ConfigError("section 'system' must be an object")
     _check_keys("system", system, _SYSTEM_KEYS, required=("m_t", "m_k"))
     cfg = SystemConfig(**system)
-    profile = None
-    if "profile" in data:
-        prof = data["profile"]
-        if not isinstance(prof, dict):
-            raise ConfigError("section 'profile' must be an object")
-        _check_keys("profile", prof, _PROFILE_KEYS, required=("band_width",))
-        profile = BeamProfile(**prof)
-        profile.resolve(cfg)  # raises what drawing the statistics would
     exp = data.get("experiment", {})
     if not isinstance(exp, dict):
         raise ConfigError("section 'experiment' must be an object")
     _check_keys("experiment", exp, _PLAN_KEYS)
-    return cfg, profile, ExperimentPlan(**exp)
+    plan = ExperimentPlan(**exp)
+    # read last, so an error in another section is the one reported
+    prof = data.get("profile")
+    if not isinstance(prof, dict):
+        raise ConfigError("a beam profile is required: section 'profile' "
+                          "must be an object")
+    _check_keys("profile", prof, _PROFILE_KEYS, required=("band_width",))
+    profile = BeamProfile(**prof)
+    profile.resolve(cfg)  # raises what drawing the statistics would
+    return cfg, profile, plan
 
 
 def _resolved_config(cfg, profile, plan):
-    out = {"system": dataclasses.asdict(cfg),
-           "experiment": dataclasses.asdict(plan)}
-    if profile is not None:
-        out["profile"] = dataclasses.asdict(profile)
-    return out
+    return {"system": dataclasses.asdict(cfg),
+            "profile": dataclasses.asdict(profile),
+            "experiment": dataclasses.asdict(plan)}
 
 
 def _write_json(path, payload):
@@ -178,7 +176,7 @@ def _run_converge(cfg, profile, plan, out_dir, args):
         raise ConfigError(f"converge supports {', '.join(supported)}; "
                           f"got {bad[0]!r}")
     stats = experiment_statistics(cfg, profile)
-    blocks, _, posterior = prepare_slot(cfg, stats, 0)
+    blocks, posterior = prepare_slot(cfg, stats, 0)
     slot = Slot(cfg, [b[0] for b in blocks], posterior, plan)
     outputs = []
     for alg in plan.algorithms:

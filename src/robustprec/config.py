@@ -128,8 +128,15 @@ class SystemConfig:
 
 
 def noise_from_snr(snr_db, p_total=1.0):
-    """Noise variance for a given SNR point, SNR = p_total / sigma2_z."""
-    return p_total * 10.0 ** (-float(snr_db) / 10.0)
+    """Noise variance for a given SNR point, SNR = p_total / sigma2_z; a
+    point whose variance is not a positive finite float is a ConfigError."""
+    try:
+        out = p_total * 10.0 ** (-float(snr_db) / 10.0)
+    except OverflowError:
+        out = math.inf
+    if not 0.0 < out < math.inf:
+        raise ConfigError(f"snr_db {snr_db!r} gives noise variance {out!r}")
+    return out
 
 
 def at_noise(cfg, sigma2_z):

@@ -19,7 +19,6 @@ from numpy.random import SeedSequence, default_rng
 from .baselines import robust_rzf, rzf, slnr, wmmse
 from .beam_domain import beam_power_allocation, canonical_allocation
 from .channel import (
-    UserStatistics,
     draw_slot,
     generate_synthetic_stats,
     orthogonal_pilots,
@@ -147,8 +146,13 @@ class ExperimentPlan:
         ok("algorithms", tuple(algorithms))
 
     def check(self, cfg):
-        """Raise ConfigError for a full-rank design on a system whose d_k
-        differs from m_k."""
+        """Raise ConfigError for what this plan cannot run on cfg: n_b < 2,
+        an SNR point (the plan's, or else the system's) with no usable noise
+        variance, or a full-rank design with d_k != m_k."""
+        if cfg.n_b < 2:
+            raise ConfigError("experiments need n_b >= 2 (block 1 is pilots)")
+        for snr in cfg.snr_db if self.snr_db is None else self.snr_db:
+            noise_from_snr(snr, cfg.p_total)
         for a in self.algorithms:
             if ALGORITHM_TABLE[a].full_rank and cfg.d_k != cfg.m_k:
                 raise ConfigError(f"{a} requires d_k == m_k")
@@ -244,46 +248,33 @@ def experiment_statistics(cfg, profile):
 
 
 def prepare_slot(cfg, stats, slot):
-    """Channel blocks, pilot observation and posterior for one slot index,
-    on the same seed stream the experiment harness uses."""
+    """Channel blocks and posterior for one slot index, on the same seed
+    stream the experiment harness uses."""
     pilots = orthogonal_pilots(cfg.m_k, cfg.block_len)
     rng_ch = default_rng(SeedSequence([cfg.seed, 1, slot]))
     blocks = draw_slot(stats, cfg.n_b, rng_ch)
     y = uplink_observation([b[0] for b in blocks], pilots, cfg.uplink_noise,
                            rng_ch)
     posterior = build_posterior(y, pilots, stats, cfg.uplink_noise)
-    return blocks, y, posterior
+    return blocks, posterior
 
 
 def run_slot_experiment(cfg, profile, plan, assumed_alpha=None):
     """Design and score precoders over the plan's independent slots.
 
-    assumed_alpha (one aging coefficient for every user) rebuilds the
-    *design-side* posterior under it while scoring stays under the true one.
-    When a solver fails numerically, only that algorithm's rates for the
-    slot are dropped; each slot with such a failure is listed once in
-    failed_slots.
+    assumed_alpha (one aging coefficient for every user) re-reads the
+    slot's posterior under it for the *design* side, while scoring stays
+    under the true one.  When a solver fails numerically, only that
+    algorithm's rates for the slot are dropped; each slot with such a
+    failure is listed once in failed_slots.
     """
     plan.check(cfg)
-    if cfg.n_b < 2:
-        raise ConfigError("experiments need n_b >= 2 (block 1 is pilots)")
     stats = experiment_statistics(cfg, profile)
-    if assumed_alpha is None:
-        design_stats = stats
-    else:
-        design_stats = [UserStatistics.from_profile(s.u, np.asarray(s.omega),
-                                                    float(assumed_alpha))
-                        for s in stats]
-    pilots = orthogonal_pilots(cfg.m_k, cfg.block_len)
     result = ExperimentResult()
     for slot in range(plan.n_slots):
-        blocks, y, score_post = prepare_slot(cfg, stats, slot)
-        if assumed_alpha is None:
-            design_post = score_post
-        else:
-            # same received pilots, interpreted under the assumed aging
-            design_post = build_posterior(y, pilots, design_stats,
-                                          cfg.uplink_noise)
+        blocks, score_post = prepare_slot(cfg, stats, slot)
+        design_post = (score_post if assumed_alpha is None
+                       else score_post.assuming(assumed_alpha))
         inputs = Slot(cfg, [b[0] for b in blocks], design_post, plan)
         failed = False
         for alg in plan.algorithms:

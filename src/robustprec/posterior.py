@@ -8,7 +8,7 @@ exact conservation identity against the prior profile.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -104,6 +104,12 @@ class PosteriorModel:
     def n_users(self):
         return len(self.stats)
 
+    def assuming(self, alpha):
+        """These block-1 estimates, which do not depend on alpha, read under
+        aging coefficient alpha for every user."""
+        return PosteriorModel([replace(s, alpha=alpha) for s in self.stats],
+                              self.sigma2_bs, self.mean1)
+
     def mean(self, k, n):
         """Posterior mean of user k's block-n channel."""
         return float(self.stats[k].alpha) ** (n - 1) * self.mean1[k]
@@ -156,8 +162,5 @@ def zero_mean_posterior(stats):
     Intended for data blocks n >= 2, where the variance profile equals the
     prior power profile exactly (aging coefficient forced to 0).
     """
-    import dataclasses as _dc
-
-    stats0 = [_dc.replace(s, alpha=0.0) for s in stats]
-    mean1 = [np.zeros((s.m_k, s.m_t), dtype=complex) for s in stats0]
-    return PosteriorModel(stats0, 0.0, mean1)
+    mean1 = [np.zeros((s.m_k, s.m_t), dtype=complex) for s in stats]
+    return PosteriorModel(list(stats), 0.0, mean1).assuming(0.0)

@@ -57,7 +57,7 @@ def make_instance(cfg, rng, alphas=0.9, band_width=None, lognorm_sigma=0.4, deca
     pilots = orthogonal_pilots(cfg.m_k, cfg.block_len)
     y = uplink_observation([blocks[0] for blocks in slot], pilots, cfg.uplink_noise, rng)
     post = build_posterior(y, pilots, stats, cfg.uplink_noise)
-    return stats, stats[0].v, slot, pilots, post
+    return stats, slot, pilots, post
 
 
 def random_precoder_set(rng, m_t, d_list, p_total):

@@ -16,7 +16,6 @@ import json
 import warnings
 
 import numpy as np
-import pytest
 from numpy.random import SeedSequence, default_rng
 
 from helpers import make_instance, random_precoder_set, small_cfg
@@ -191,7 +190,7 @@ def test_03_deterministic_rate_matches_sampling_at_scale():
         cfg = SystemConfig(m_t=32, m_k=(2,) * 4, n_b=2, sigma2_z=0.1, seed=1000 + inst)
         prof = BeamProfile(band_width=16, lognorm_sigma=0.4, alphas=0.9)
         stats = experiment_statistics(cfg, prof)
-        _, _, post = prepare_slot(cfg, stats, 0)
+        _, post = prepare_slot(cfg, stats, 0)
         pre = random_precoder_set(
             default_rng(SeedSequence([2000 + inst])), cfg.m_t, cfg.d_k, cfg.p_total
         )
@@ -227,7 +226,7 @@ def test_04_surrogate_ascent_and_convergence_speed():
             )
             prof = BeamProfile(band_width=16, lognorm_sigma=0.4, alphas=0.9)
             stats = experiment_statistics(cfg, prof)
-            _, _, post = prepare_slot(cfg, stats, 0)
+            _, post = prepare_slot(cfg, stats, 0)
             init = canonical_allocation(stats, cfg).precoders
             for solver in (mm_full, mm_shared):
                 # tol_power well below the ascent slack so the inner
@@ -273,7 +272,7 @@ def test_05_exact_csi_step_matches_iterative_mmse_design():
             sigma2_bs=0.0, weights=(1.0, 1.5, 0.7), seed=seed,
         )
         rng = default_rng(SeedSequence([seed, 77]))
-        _, _, _, _, post = make_instance(cfg, rng, alphas=1.0)
+        _, _, _, post = make_instance(cfg, rng, alphas=1.0)
         channels = [post.mean(k, 2) for k in range(cfg.n_users)]
         init = random_precoder_set(rng, cfg.m_t, cfg.d_k, cfg.p_total)
         stepped, _ = wmmse_step(channels, init, cfg.weights, cfg.sigma2_z, cfg.p_total)
@@ -304,7 +303,7 @@ def test_06_full_and_shared_shaping_agree_on_mixed_aging():
     stats = experiment_statistics(cfg, prof)
     gaps = []
     for slot in range(3):
-        _, _, post = prepare_slot(cfg, stats, slot)
+        _, post = prepare_slot(cfg, stats, slot)
         init = canonical_allocation(stats, cfg).precoders
         rep1 = mm_full(post, cfg, 2, init, iters=30)
         rep2 = mm_shared(post, cfg, 2, init, iters=30)
@@ -483,7 +482,7 @@ def test_10_power_budget_feasibility_across_algorithms():
     )
     prof = BeamProfile(band_width=8, lognorm_sigma=0.4, alphas=0.9)
     stats = experiment_statistics(cfg, prof)
-    blocks, _, post = prepare_slot(cfg, stats, 0)
+    blocks, post = prepare_slot(cfg, stats, 0)
     first = [b[0] for b in blocks]
     p = cfg.p_total
 

@@ -36,7 +36,7 @@ def _exact_posterior(seed=7, m_t=8, m_k=(2, 2, 2), weights=None):
     cfg = SystemConfig(m_t=m_t, m_k=m_k, n_b=2, sigma2_z=0.1, sigma2_bs=0.0,
                        weights=weights or (1.0,) * len(m_k))
     rng = default_rng(seed)
-    stats, v, slot, pilots, post = make_instance(cfg, rng, alphas=1.0)
+    stats, slot, pilots, post = make_instance(cfg, rng, alphas=1.0)
     return cfg, post, [post.mean(k, 2) for k in range(len(m_k))]
 
 
@@ -114,7 +114,7 @@ def test_robust_rzf_collapses_to_plain_rzf_without_uncertainty():
 def test_robust_rzf_loading_reacts_to_uncertainty():
     cfg = small_cfg(m_t=8, m_k=(2, 2, 2), n_b=2, sigma2_z=0.1)
     rng = default_rng(12)
-    stats, v, slot, pilots, post = make_instance(cfg, rng, alphas=0.7)
+    stats, slot, pilots, post = make_instance(cfg, rng, alphas=0.7)
     aware = robust_rzf(post, 2, cfg.p_total, cfg.sigma2_z)
     naive = rzf([post.mean(k, 2) for k in range(3)], cfg.p_total, cfg.sigma2_z)
     assert abs(total_power(aware) - cfg.p_total) <= 1e-12
@@ -124,7 +124,7 @@ def test_robust_rzf_loading_reacts_to_uncertainty():
 
 def test_robust_rzf_on_zero_mean_posterior_raises_numerical_error():
     cfg = small_cfg(m_t=8, m_k=(2, 2), n_b=2, sigma2_z=0.1)
-    stats, v, slot, pilots, post = make_instance(cfg, default_rng(13),
+    stats, slot, pilots, post = make_instance(cfg, default_rng(13),
                                                  alphas=0.9)
     with pytest.raises(NumericalError, match="all-zero"):
         robust_rzf(zero_mean_posterior(stats), 2, cfg.p_total,

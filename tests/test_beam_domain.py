@@ -6,7 +6,6 @@ from the same beam-aligned precoders — every matrix in that run is diagonal
 in the transmit basis, so the two implementations compute the same object.
 """
 import numpy as np
-import pytest
 from numpy.random import default_rng
 
 from helpers import make_instance, random_precoder_set, relerr, small_cfg
@@ -31,7 +30,7 @@ from robustprec.posterior import zero_mean_posterior
 def _zero_mean_setup(seed=21, m_t=8, m_k=(2, 2, 2), sigma2_z=0.1):
     cfg = small_cfg(m_t=m_t, m_k=m_k, n_b=3, sigma2_z=sigma2_z)
     rng = default_rng(seed)
-    stats, v, slot, pilots, post = make_instance(cfg, rng, alphas=0.9)
+    stats, slot, pilots, post = make_instance(cfg, rng, alphas=0.9)
     return cfg, stats, zero_mean_posterior(stats)
 
 
@@ -228,7 +227,7 @@ def test_matrix_mm_at_zero_mean_lands_on_beam_structure():
     # single-stream users: converged precoder columns must ride one beam each
     cfg = SystemConfig(m_t=8, m_k=(2, 2, 2), d_k=(1, 1, 1), n_b=3, sigma2_z=0.1)
     rng = default_rng(4)
-    stats, v, slot, pilots, post = make_instance(cfg, rng, alphas=0.9)
+    stats, slot, pilots, post = make_instance(cfg, rng, alphas=0.9)
     zm = zero_mean_posterior(stats)
     init = random_precoder_set(rng, cfg.m_t, cfg.d_k, cfg.p_total)
     rep = mm_full(zm, cfg, 2, init, iters=300, obj_tol=0.0)

@@ -5,7 +5,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import robustprec
@@ -128,6 +127,9 @@ def test_malformed_value_is_a_config_error_naming_the_key(
     ("experiment", "n_slots", True),
     ("experiment", "load_scale", float("nan")),
     ("experiment", "snr_db", [float("-inf")]),
+    ("system", "n_b", 1),
+    ("system", "snr_db", [-1e6]),
+    ("experiment", "snr_db", [1e6]),
 ])
 def test_strict_value_is_a_config_error_naming_the_key(
         tmp_path, capsys, section, key, value):
@@ -141,6 +143,18 @@ def test_strict_value_is_a_config_error_naming_the_key(
     assert record["error"] == "ConfigError"
     assert key in record["message"]
     assert sorted(p.name for p in out.iterdir()) == ["error.json"]
+
+
+def test_config_without_a_profile_is_a_config_error(tmp_path, capsys):
+    data = {key: val for key, val in BASE.items() if key != "profile"}
+    cfgfile = _write_config(tmp_path, data)
+    assert cli.main(["validate-config", "-c", cfgfile]) == 2
+    assert "'profile'" in capsys.readouterr().err
+    out = tmp_path / "out"
+    assert cli.main(["sweep", "-c", cfgfile, "--out-dir", str(out)]) == 2
+    record = json.loads((out / "error.json").read_text())
+    assert record["error"] == "ConfigError"
+    assert "'profile'" in record["message"]
 
 
 def test_seed_above_2_53_keeps_its_value(tmp_path, capsys):

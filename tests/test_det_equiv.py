@@ -19,7 +19,7 @@ from robustprec.operators import (
     mean_quadratic_rx,
     mean_quadratic_tx,
 )
-from robustprec.posterior import PosteriorModel, build_posterior, zero_mean_posterior
+from robustprec.posterior import build_posterior, zero_mean_posterior
 
 from helpers import make_instance, rand_hermitian_psd, random_precoder_set, relerr, small_cfg
 
@@ -70,7 +70,7 @@ def mc_rate(posterior, p, r, k, n, n_samples, rng):
 
 def _instance(rng, m_t=8, m_k=(2, 2), alphas=0.8, sigma2_z=0.1, **kw):
     cfg = small_cfg(m_t=m_t, m_k=m_k, n_b=3, sigma2_z=sigma2_z)
-    _, _, _, _, post = make_instance(cfg, rng, alphas=alphas, **kw)
+    _, _, _, post = make_instance(cfg, rng, alphas=alphas, **kw)
     precoders = random_precoder_set(rng, cfg.m_t, cfg.d_k, cfg.p_total)
     return cfg, post, precoders
 
@@ -110,8 +110,8 @@ def test_exact_under_perfect_csi():
     # zero posterior variance: DE equals logdet(I + R^-1 H P P^H H^H) exactly
     rng = np.random.default_rng(3)
     cfg = small_cfg(m_t=8, m_k=(2, 2), n_b=3, sigma2_z=0.2)
-    from robustprec.channel import uplink_observation, orthogonal_pilots, draw_slot
-    stats, v, slot, pilots, _ = make_instance(cfg, rng, alphas=1.0)
+    from robustprec.channel import uplink_observation
+    stats, slot, pilots, _ = make_instance(cfg, rng, alphas=1.0)
     y = uplink_observation([b[0] for b in slot], pilots, 0.0, rng)
     post = build_posterior(y, pilots, stats, 0.0)
     precoders = random_precoder_set(rng, cfg.m_t, cfg.d_k, cfg.p_total)
@@ -139,7 +139,7 @@ def test_null_channel_state():
     # zero mean and zero variance: all gains vanish, rate 0
     rng = np.random.default_rng(5)
     cfg = small_cfg(m_t=8, m_k=(2,), n_b=2)
-    stats, v, _, _, _ = make_instance(cfg, rng, alphas=1.0)
+    stats, _, _, _ = make_instance(cfg, rng, alphas=1.0)
     post = zero_mean_posterior(stats)
     post.stats = [post.stats[0]]
     kern_zero = post.var_profile(0, 2) * 0.0
@@ -156,7 +156,7 @@ def test_null_channel_state():
 def test_de_matches_monte_carlo_small():
     rng = np.random.default_rng(6)
     cfg = small_cfg(m_t=16, m_k=(2, 2, 2, 2), n_b=3, sigma2_z=0.1)
-    _, _, _, _, post = make_instance(cfg, rng, alphas=0.85)
+    _, _, _, post = make_instance(cfg, rng, alphas=0.85)
     precoders = random_precoder_set(rng, cfg.m_t, cfg.d_k, cfg.p_total)
     for k in (0, 2):
         r = interference_covariance(post, precoders, k, 2, cfg.sigma2_z)
@@ -207,7 +207,7 @@ def test_rank_one_high_snr_two_cycle_is_damped_to_convergence(snr_db):
     # in a two-cycle that shrinks by under 0.5% per sweep
     cfg = at_noise(SystemConfig(m_t=8, m_k=(1, 1), n_b=2), noise_from_snr(snr_db))
     stats = experiment_statistics(cfg, BeamProfile(band_width=1, alphas=0.0))
-    post = prepare_slot(cfg, stats, 0)[2]
+    post = prepare_slot(cfg, stats, 0)[1]
     precoders = canonical_allocation(stats, cfg).precoders
     res = de_weighted_sum_rate(post, precoders, cfg.weights, cfg.sigma2_z, 2)
     for k, state in enumerate(res.states):

@@ -33,7 +33,7 @@ def _profile(width=4, alphas=0.9):
 def test_monte_carlo_is_exact_when_posterior_is_a_point_mass():
     cfg = SystemConfig(m_t=8, m_k=(2, 2), n_b=2, sigma2_z=0.1, sigma2_bs=0.0)
     rng = default_rng(0)
-    stats, v, slot, pilots, post = make_instance(cfg, rng, alphas=1.0)
+    stats, slot, pilots, post = make_instance(cfg, rng, alphas=1.0)
     pre = random_precoder_set(rng, cfg.m_t, cfg.d_k, cfg.p_total)
     mc = monte_carlo_rate(post, pre, cfg.weights, cfg.sigma2_z, 2,
                           default_rng(1), n_samples=7)
@@ -49,7 +49,7 @@ def test_monte_carlo_keeps_the_per_draw_loops_bits(m_k, d):
     cfg = small_cfg(m_t=16, m_k=(m_k, m_k, m_k), d_k=(d, d, d), n_b=2,
                     sigma2_z=0.1)
     rng = default_rng(10 * m_k + d)
-    _, _, _, _, post = make_instance(cfg, rng, alphas=0.8)
+    _, _, _, post = make_instance(cfg, rng, alphas=0.8)
     pre = random_precoder_set(rng, cfg.m_t, cfg.d_k, cfg.p_total)
     args = (post, pre, cfg.weights, cfg.sigma2_z, 2)
     got = monte_carlo_rate(*args, default_rng(5), n_samples=600, batch=256)
@@ -62,7 +62,7 @@ def test_monte_carlo_keeps_the_per_draw_loops_bits(m_k, d):
 def test_monte_carlo_tracks_deterministic_equivalent():
     cfg = small_cfg(m_t=8, m_k=(2, 2), n_b=2, sigma2_z=0.1)
     rng = default_rng(3)
-    stats, v, slot, pilots, post = make_instance(cfg, rng, alphas=0.9)
+    stats, slot, pilots, post = make_instance(cfg, rng, alphas=0.9)
     pre = random_precoder_set(rng, cfg.m_t, cfg.d_k, cfg.p_total)
     de = de_weighted_sum_rate(post, pre, cfg.weights, cfg.sigma2_z, 2)
     mc = monte_carlo_rate(post, pre, cfg.weights, cfg.sigma2_z, 2,

@@ -21,7 +21,7 @@ from robustprec.channel import (
     orthogonal_pilots,
     uplink_observation,
 )
-from robustprec.det_equiv import de_weighted_sum_rate, solve_fixed_point
+from robustprec.det_equiv import solve_fixed_point
 from robustprec.errors import BisectionError
 from robustprec.mm_precoder import (
     leakage_penalty,
@@ -43,7 +43,7 @@ from robustprec.posterior import build_posterior
 def _instance(seed, m_t=8, m_k=(2, 2, 2), alphas=0.9, sigma2_z=0.1, n_b=3):
     cfg = small_cfg(m_t=m_t, m_k=m_k, n_b=n_b, sigma2_z=sigma2_z)
     rng = default_rng(seed)
-    stats, v, slot, pilots, post = make_instance(cfg, rng, alphas=alphas)
+    stats, slot, pilots, post = make_instance(cfg, rng, alphas=alphas)
     return cfg, rng, post
 
 
@@ -126,7 +126,7 @@ def test_sample_surrogate_lower_bounds_rate():
     # draw count does not limit the check's precision.
     cfg = small_cfg(m_t=6, m_k=(2, 2), n_b=3, sigma2_z=0.2)
     rng = default_rng(12)
-    stats, v, slot, pilots, post = make_instance(cfg, rng, alphas=0.85)
+    stats, slot, pilots, post = make_instance(cfg, rng, alphas=0.85)
     n, n_draws = 2, 300
     k_users = post.n_users
     w = cfg.weights
@@ -344,7 +344,7 @@ def test_single_user_full_and_shared_share_fixed_points():
     # other, so long runs from one init land on the same objective.
     cfg = small_cfg(m_t=8, m_k=(3,), n_b=3, sigma2_z=0.1)
     rng = default_rng(11)
-    stats, v, slot, pilots, post = make_instance(cfg, rng, alphas=0.85)
+    stats, slot, pilots, post = make_instance(cfg, rng, alphas=0.85)
     init = random_precoder_set(rng, cfg.m_t, cfg.d_k, cfg.p_total)
     ra = mm_full(post, cfg, 2, init, iters=120, obj_tol=0.0)
     rb = mm_shared(post, cfg, 2, init, iters=120, obj_tol=0.0)
@@ -364,7 +364,7 @@ def test_zero_aging_decouples_blocks():
     # identical for every data block, so runs from one init coincide
     cfg = small_cfg(m_t=6, m_k=(2, 2), n_b=4, sigma2_z=0.2)
     rng = default_rng(9)
-    stats, v, slot, pilots, post = make_instance(cfg, rng, alphas=0.0)
+    stats, slot, pilots, post = make_instance(cfg, rng, alphas=0.0)
     init = random_precoder_set(rng, cfg.m_t, cfg.d_k, cfg.p_total)
     r2 = mm_full(post, cfg, 2, init, iters=6)
     r3 = mm_full(post, cfg, 3, init, iters=6)

@@ -130,7 +130,7 @@ def test_zero_profile_gives_zero_operator():
 def test_expected_gram_and_outer_match_monte_carlo():
     rng = np.random.default_rng(8)
     cfg = small_cfg(m_t=8, m_k=(2, 2), n_b=3, sigma2_z=0.2)
-    _, _, _, _, post = make_instance(cfg, rng, alphas=0.8)
+    _, _, _, post = make_instance(cfg, rng, alphas=0.8)
     c_rx = rand_hermitian_psd(rng, 2)
     c_tx = rand_hermitian_psd(rng, 8)
     n = 100_000
@@ -144,7 +144,7 @@ def test_expected_gram_and_outer_match_monte_carlo():
 def test_interference_covariance_matches_monte_carlo():
     rng = np.random.default_rng(9)
     cfg = small_cfg(m_t=8, m_k=(2, 2, 2), n_b=3, sigma2_z=0.3)
-    _, _, _, _, post = make_instance(cfg, rng, alphas=0.9)
+    _, _, _, post = make_instance(cfg, rng, alphas=0.9)
     precoders = random_precoder_set(rng, cfg.m_t, cfg.d_k, cfg.p_total)
     k, n = 1, 2
     r = interference_covariance(post, precoders, k, n, cfg.sigma2_z)
@@ -165,7 +165,7 @@ def test_interference_covariance_matches_monte_carlo():
 def test_interference_covariance_zero_variance_reduces_to_means():
     rng = np.random.default_rng(10)
     cfg = small_cfg(m_t=8, m_k=(2, 2), n_b=2, sigma2_z=0.5)
-    stats, v, slot, pilots, _ = make_instance(cfg, rng, alphas=1.0)
+    stats, slot, pilots, _ = make_instance(cfg, rng, alphas=1.0)
     from robustprec.channel import uplink_observation
     from robustprec.posterior import build_posterior
 

@@ -3,7 +3,7 @@ import pytest
 
 from robustprec.channel import (
     BeamProfile,
-    crandn,
+    UserStatistics,
     dft_matrix,
     draw_slot,
     generate_synthetic_stats,
@@ -59,7 +59,7 @@ def test_xi2_rejects_bad_block():
 def test_mmse_estimate_noiseless_static_recovers_truth():
     rng = np.random.default_rng(2)
     cfg = small_cfg(m_t=8, m_k=(2, 3), n_b=4, sigma2_z=0.5)
-    stats, v, slot, pilots, _ = make_instance(cfg, rng, alphas=1.0)
+    stats, slot, pilots, _ = make_instance(cfg, rng, alphas=1.0)
     y = uplink_observation([b[0] for b in slot], pilots, 0.0, rng)
     for k, s in enumerate(stats):
         for n in (1, 3):
@@ -70,7 +70,7 @@ def test_mmse_estimate_noiseless_static_recovers_truth():
 def test_build_posterior_mean_shrinks_with_alpha():
     rng = np.random.default_rng(3)
     cfg = small_cfg(m_t=8, m_k=(2,), n_b=5)
-    stats, v, slot, pilots, post = make_instance(cfg, rng, alphas=0.8)
+    stats, slot, pilots, post = make_instance(cfg, rng, alphas=0.8)
     base = post.mean(0, 1)
     for n in range(2, cfg.n_b + 1):
         assert np.allclose(post.mean(0, n), 0.8 ** (n - 1) * base, atol=1e-14)
@@ -106,7 +106,7 @@ def test_estimation_error_second_moment_matches_xi2():
 def test_posterior_orthogonality_of_error_and_estimate():
     rng = np.random.default_rng(5)
     cfg = small_cfg(m_t=8, m_k=(2,), n_b=2)
-    _, _, _, _, post = make_instance(cfg, rng, alphas=0.9)
+    _, _, _, post = make_instance(cfg, rng, alphas=0.9)
     n_mc = 10_000
     mean = post.mean(0, 2)
     draws = post.sample(0, 2, rng, size=n_mc)
@@ -119,13 +119,13 @@ def test_posterior_orthogonality_of_error_and_estimate():
 def test_posterior_sample_covariance_matches_xi2_kronecker():
     rng = np.random.default_rng(6)
     cfg = small_cfg(m_t=8, m_k=(2,), n_b=2, sigma2_z=0.3)
-    stats, v, _, _, post = make_instance(cfg, rng, alphas=0.7)
+    stats, _, _, post = make_instance(cfg, rng, alphas=0.7)
     s = stats[0]
     n = 100_000
     draws = post.sample(0, 2, rng, size=n) - post.mean(0, 2)
     flat = draws.reshape(n, -1)
     emp = flat.T @ flat.conj() / n
-    kron = np.kron(s.u, v.conj())
+    kron = np.kron(s.u, s.v.conj())
     want = (kron * post.var_profile(0, 2).ravel()) @ kron.conj().T
     assert relerr(emp, want) < 0.03
 
@@ -144,7 +144,7 @@ def test_zero_mean_posterior_matches_prior_profile():
 def test_build_posterior_rejects_mismatched_pilots():
     rng = np.random.default_rng(8)
     cfg = small_cfg(m_t=8, m_k=(2, 2))
-    stats, v, slot, pilots, _ = make_instance(cfg, rng)
+    stats, slot, pilots, _ = make_instance(cfg, rng)
     y = uplink_observation([b[0] for b in slot], pilots, 0.1, rng)
     with pytest.raises(ConfigError):
         build_posterior(y, pilots[:1], stats, 0.1)
@@ -154,7 +154,7 @@ def test_build_posterior_rejects_mismatched_pilots():
 @pytest.mark.parametrize("m_k", [1, 2, 3])
 def test_sample_keeps_the_stacked_expressions_bits(m_k):
     cfg = small_cfg(m_t=16, m_k=(m_k, m_k), n_b=3, sigma2_z=0.2)
-    _, _, _, _, post = make_instance(cfg, np.random.default_rng(m_k),
+    _, _, _, post = make_instance(cfg, np.random.default_rng(m_k),
                                      alphas=0.8)
     for k in range(cfg.n_users):
         for size in (256, 88, 256):
@@ -166,10 +166,30 @@ def test_sample_keeps_the_stacked_expressions_bits(m_k):
 
 def test_sample_returns_a_new_array_every_call():
     cfg = small_cfg(m_t=8, m_k=(2,), n_b=2)
-    _, _, _, _, post = make_instance(cfg, np.random.default_rng(0))
+    _, _, _, post = make_instance(cfg, np.random.default_rng(0))
     rng = np.random.default_rng(1)
     first = post.sample(0, 2, rng, 16)
     kept = first.copy()
     second = post.sample(0, 2, rng, 16)
     assert not np.shares_memory(first, second)
     assert same_bits(first, kept)
+
+
+def test_assuming_matches_a_posterior_rebuilt_from_the_pilots():
+    # the block-1 estimate does not read alpha, so re-reading the posterior
+    # under an assumed alpha gives the bits of re-estimating under it
+    rng = np.random.default_rng(9)
+    cfg = small_cfg(m_t=8, m_k=(2, 3), n_b=4, sigma2_z=0.3)
+    stats, slot, pilots, _ = make_instance(cfg, rng, alphas=0.9)
+    y = uplink_observation([b[0] for b in slot], pilots, cfg.uplink_noise, rng)
+    post = build_posterior(y, pilots, stats, cfg.uplink_noise)
+    for alpha in (0.0, 0.5, 1.0):
+        got = post.assuming(alpha)
+        want = build_posterior(
+            y, pilots, [UserStatistics.from_profile(s.u, s.omega, alpha)
+                        for s in stats], cfg.uplink_noise)
+        for k in range(cfg.n_users):
+            for n in range(1, cfg.n_b + 1):
+                assert same_bits(got.mean(k, n), want.mean(k, n))
+                assert same_bits(got.var_profile(k, n),
+                                 want.var_profile(k, n))
