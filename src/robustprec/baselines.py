@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import NumericalError
 from .mm_precoder import mu_bisection, normalize_power
 from .operators import hermitize, mean_quadratic_tx
 
@@ -59,7 +60,9 @@ def slnr(channels, p_total, sigma2_z):
 
     User k transmits along the top generalized eigenvectors of its own
     Gram matrix against noise plus everyone else's; columns are unit
-    vectors scaled so each user spends p_total / K.
+    vectors scaled so each user spends p_total / K.  Raises NumericalError
+    when that denominator is not numerically positive definite (noise far
+    below the Gram matrices' round-off).
     """
     from scipy.linalg import eigh
 
@@ -72,7 +75,11 @@ def slnr(channels, p_total, sigma2_z):
         for l in range(k_users):
             if l != k:
                 den = den + grams[l]
-        _, vecs = eigh(hermitize(grams[k]), hermitize(den))
+        try:
+            _, vecs = eigh(hermitize(grams[k]), hermitize(den))
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(f"slnr: user {k}'s leakage matrix is not "
+                                 f"positive definite ({exc})") from exc
         top = vecs[:, ::-1][:, :m_k]  # eigh is ascending
         top = top / np.linalg.norm(top, axis=0, keepdims=True)
         out.append(np.sqrt(p_total / (k_users * m_k)) * top)

@@ -4,9 +4,10 @@ One experiment draws user statistics once, then per slot: channel blocks,
 an uplink pilot observation, the posterior, one precoder design per
 requested algorithm, and posterior-sampled rate scores.  Scoring reuses the
 same stream seed for every algorithm at a given (slot, block), so designs
-are compared under common random numbers.  Seeds derive from the config
-seed through SeedSequence spawn keys, never from global state, which makes
-every run reproducible bit for bit.
+are compared under common random numbers; the designs of one algorithm at
+every point of a mismatch study are scored on one pass of those draws.
+Seeds derive from the config seed through SeedSequence spawn keys, never
+from global state, which makes every run reproducible bit for bit.
 """
 from __future__ import annotations
 
@@ -184,57 +185,61 @@ class ExperimentResult:
         return float(np.mean(vals))
 
 
-def monte_carlo_rate(posterior, precoders, weights, sigma2_z, n, rng,
+def monte_carlo_rate(posterior, designs, weights, sigma2_z, n, rng,
                      n_samples, batch=256):
-    """Posterior-averaged weighted sum rate by sampling, in nats.
+    """Posterior-averaged weighted sum rate of each precoder set in designs
+    by sampling, in nats; one MCRate per set.
 
     Interference is treated as Gaussian noise with its posterior-expected
     covariance (the same matrix the deterministic evaluation uses), so only
     the desired channel is drawn: each user's rate averages
     logdet(R + (HP)(HP)^H) - logdet(R) over posterior samples of H.
-    Draws are batched; matrices stay (batch, m_k, m_k).
+    Draws are batched; matrices stay (batch, m_k, m_k).  Each batch is
+    drawn once and scores every design, so all designs see the same draws,
+    and each design's result is the one it would get scored alone.
     """
-    per_user, variances = [], []
     n_samples = int(n_samples)
+    per_user = [[] for _ in designs]
+    variances = [[] for _ in designs]
     for k in range(posterior.n_users):
-        r = interference_covariance(posterior, precoders, k, n, sigma2_z)
-        base = float(np.linalg.slogdet(r)[1])
-        p = precoders[k]
-        acc, acc_sq, left = 0.0, 0.0, n_samples
+        covs = [interference_covariance(posterior, pre, k, n, sigma2_z)
+                for pre in designs]
+        bases = [float(np.linalg.slogdet(r)[1]) for r in covs]
+        acc, acc_sq = [0.0] * len(designs), [0.0] * len(designs)
+        left = n_samples
         while left > 0:
             b = min(batch, left)
-            hp = _stack_matmul(posterior.sample(k, n, rng, size=b), p)
-            full = hp @ hp.conj().transpose(0, 2, 1)
-            full += r
-            vals = np.linalg.slogdet(full)[1]
-            vals -= base
-            acc += float(np.sum(vals))
-            acc_sq += float(np.sum(vals * vals))
+            draws = posterior.sample(k, n, rng, size=b)
+            for i, pre in enumerate(designs):
+                hp = _stack_matmul(draws, pre[k])
+                full = hp @ hp.conj().transpose(0, 2, 1)
+                full += covs[i]
+                vals = np.linalg.slogdet(full)[1]
+                vals -= bases[i]
+                acc[i] += float(np.sum(vals))
+                acc_sq[i] += float(np.sum(vals * vals))
             left -= b
-        mean = acc / n_samples
-        per_user.append(mean)
-        if n_samples > 1:
-            variances.append(max(acc_sq / n_samples - mean * mean, 0.0)
-                             * n_samples / (n_samples - 1))
-        else:
-            variances.append(0.0)
-    total = float(np.dot(weights, per_user))
+        for i in range(len(designs)):
+            mean = acc[i] / n_samples
+            per_user[i].append(mean)
+            if n_samples > 1:
+                variances[i].append(max(acc_sq[i] / n_samples - mean * mean,
+                                        0.0) * n_samples / (n_samples - 1))
+            else:
+                variances[i].append(0.0)
     # users are sampled independently, so weighted variances add
-    stderr = float(np.sqrt(np.dot(np.square(weights), variances) / n_samples))
-    return MCRate(total, stderr)
+    return [MCRate(float(np.dot(weights, means)),
+                   float(np.sqrt(np.dot(np.square(weights), var) / n_samples)))
+            for means, var in zip(per_user, variances)]
 
 
-def _algorithm_records(alg, inputs, score_post, slot):
-    """One algorithm's designs and scores for every data block of a slot."""
+def _algorithm_designs(alg, inputs):
+    """One algorithm's precoders for every data block of a slot."""
     entry, prev, out = ALGORITHM_TABLE[alg], None, []
-    cfg, plan = inputs.cfg, inputs.plan
-    for n in range(2, cfg.n_b + 1):
+    for n in range(2, inputs.cfg.n_b + 1):
         if prev is None or not entry.slot_wide:
             prev = entry.design(inputs, n, prev)
-        rng_mc = default_rng(SeedSequence([cfg.seed, 2, slot, n]))
-        mc = monte_carlo_rate(score_post, prev, cfg.weights, cfg.sigma2_z, n,
-                              rng_mc, plan.n_mc, batch=plan.mc_batch)
-        out.append(RateRecord(alg, slot, n, mc.total, mc.stderr))
+        out.append(prev)
     return out
 
 
@@ -259,6 +264,50 @@ def prepare_slot(cfg, stats, slot):
     return blocks, posterior
 
 
+def _run_points(cfg, profile, plan, assumed_alphas):
+    """The plan's slots, designed once per design-side aging coefficient
+    (None: the slot's own posterior) and scored under the truth; one
+    ExperimentResult per coefficient.
+
+    Per slot and algorithm, every point designs all its data blocks first;
+    then each block's designs are scored together on one pass of that
+    block's draws.  A NumericalError drops only that point's rates of that
+    algorithm for the slot, and lists the slot once in that point's
+    failed_slots.
+    """
+    plan.check(cfg)
+    stats = experiment_statistics(cfg, profile)
+    results = [ExperimentResult() for _ in assumed_alphas]
+    for slot in range(plan.n_slots):
+        blocks, score_post = prepare_slot(cfg, stats, slot)
+        first = [b[0] for b in blocks]
+        points = [Slot(cfg, first, score_post if a is None
+                       else score_post.assuming(a), plan)
+                  for a in assumed_alphas]
+        failed = [False] * len(points)
+        for alg in plan.algorithms:
+            designs = {}
+            for i, inputs in enumerate(points):
+                try:
+                    designs[i] = _algorithm_designs(alg, inputs)
+                except NumericalError:
+                    failed[i] = True
+            if not designs:
+                continue
+            for j, n in enumerate(range(2, cfg.n_b + 1)):
+                rng_mc = default_rng(SeedSequence([cfg.seed, 2, slot, n]))
+                rates = monte_carlo_rate(
+                    score_post, [d[j] for d in designs.values()], cfg.weights,
+                    cfg.sigma2_z, n, rng_mc, plan.n_mc, batch=plan.mc_batch)
+                for i, mc in zip(designs, rates):
+                    results[i].records.append(
+                        RateRecord(alg, slot, n, mc.total, mc.stderr))
+        for result, hit in zip(results, failed):
+            if hit:
+                result.failed_slots.append(slot)
+    return results
+
+
 def run_slot_experiment(cfg, profile, plan, assumed_alpha=None):
     """Design and score precoders over the plan's independent slots.
 
@@ -268,24 +317,7 @@ def run_slot_experiment(cfg, profile, plan, assumed_alpha=None):
     algorithm's rates for the slot are dropped; each slot with such a
     failure is listed once in failed_slots.
     """
-    plan.check(cfg)
-    stats = experiment_statistics(cfg, profile)
-    result = ExperimentResult()
-    for slot in range(plan.n_slots):
-        blocks, score_post = prepare_slot(cfg, stats, slot)
-        design_post = (score_post if assumed_alpha is None
-                       else score_post.assuming(assumed_alpha))
-        inputs = Slot(cfg, [b[0] for b in blocks], design_post, plan)
-        failed = False
-        for alg in plan.algorithms:
-            try:
-                result.records.extend(_algorithm_records(
-                    alg, inputs, score_post, slot))
-            except NumericalError:
-                failed = True
-        if failed:
-            result.failed_slots.append(slot)
-    return result
+    return _run_points(cfg, profile, plan, [assumed_alpha])[0]
 
 
 def sweep_snr(cfg, profile, plan):
@@ -315,6 +347,5 @@ def alpha_mismatch_study(cfg, profile, plan):
     """
     if not plan.assumed_alphas:
         raise ConfigError("mismatch needs experiment.assumed_alphas")
-    return [(float(a), run_slot_experiment(cfg, profile, plan,
-                                           assumed_alpha=a))
-            for a in plan.assumed_alphas]
+    alphas = [float(a) for a in plan.assumed_alphas]
+    return list(zip(alphas, _run_points(cfg, profile, plan, alphas)))

@@ -119,6 +119,28 @@ def _power_at(data, mu):
     return total
 
 
+def _stacked_power_at(data):
+    """_power_at for mu > 0 as one array expression over all users.
+
+    Needs spectra of one length and no NaN: with lam >= 0 and mu > 0 every
+    denominator is positive, so nothing is masked, and each row sum sees
+    the per-user sum's values in its order.  None when that does not hold.
+    """
+    if len({lam.shape for lam, _ in data}) != 1:
+        return None
+    lam = np.stack([lam for lam, _ in data])
+    rows = np.stack([row for _, row in data])
+    if not np.all(lam >= 0):
+        return None
+
+    def power(mu):
+        total = 0.0
+        for s in np.sum(rows / (lam + mu) ** 2, axis=1):
+            total += float(s)
+        return total
+    return power
+
+
 def mu_bisection(rhs_list, shaping_list, p_total, tol_power=1e-6):
     """Smallest multiplier meeting the sum power budget, and the precoders.
 
@@ -126,9 +148,10 @@ def mu_bisection(rhs_list, shaping_list, p_total, tol_power=1e-6):
     budget, otherwise the mu making the total power equal p_total to
     tol_power relative.  Shaping matrices must be Hermitian (only their
     lower triangles are read); each is eigendecomposed once (repeated
-    objects are cached), so each probe costs O(m_t d) per user.
-    The returned power never exceeds the budget: bisection keeps the
-    feasible side of the bracket.
+    objects are cached), so each probe costs O(m_t d) per user, and a
+    probe at mu > 0 is one array expression when every spectrum has the
+    same length.  The returned power never exceeds the budget: bisection
+    keeps the feasible side of the bracket.
     """
     specs = {}
     data, basis = [], []
@@ -153,18 +176,19 @@ def mu_bisection(rhs_list, shaping_list, p_total, tol_power=1e-6):
     if _power_at(data, 0.0) <= p_total:
         return 0.0, build(0.0)
 
+    probe = _stacked_power_at(data) or (lambda mu: _power_at(data, mu))
     lo, hi = 0.0, 1.0
-    p_hi = _power_at(data, hi)
+    p_hi = probe(hi)
     while p_hi > p_total:
         lo, hi = hi, 2.0 * hi
         if hi > _MU_BRACKET_CAP:
             raise BisectionError("power bisection failed to bracket the multiplier")
-        p_hi = _power_at(data, hi)
+        p_hi = probe(hi)
     for _ in range(_BISECT_CAP):
         if p_hi >= p_total * (1.0 - tol_power):
             return hi, build(hi)
         mid = 0.5 * (lo + hi)
-        p_mid = _power_at(data, mid)
+        p_mid = probe(mid)
         if p_mid > p_total:
             lo = mid
         else:

@@ -12,7 +12,9 @@ from robustprec.channel import (
     uplink_observation,
 )
 from robustprec.config import SystemConfig
+from robustprec.errors import BisectionError
 from robustprec.evaluation import MCRate
+from robustprec.mm_precoder import _BISECT_CAP, _MU_BRACKET_CAP
 from robustprec.operators import interference_covariance
 from robustprec.posterior import build_posterior
 
@@ -113,3 +115,57 @@ def same_bits(a, b):
     a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
     return a.shape == b.shape and np.array_equal(a.view(np.uint64),
                                                  b.view(np.uint64))
+
+
+def mu_bisection_oracle(rhs_list, shaping_list, p_total, tol_power=1e-6):
+    """mu_bisection with a Python loop over the users at every probe: each
+    user's power masks the zero denominators and sums on its own, and the
+    users' sums add in order."""
+    specs, data, basis = {}, [], []
+    for rhs, shaping in zip(rhs_list, shaping_list):
+        if id(shaping) not in specs:
+            lam, q = np.linalg.eigh(shaping)
+            specs[id(shaping)] = np.maximum(lam, 0.0), q
+        lam, q = specs[id(shaping)]
+        coef = q.conj().T @ rhs
+        data.append((lam, np.sum(np.abs(coef) ** 2, axis=1)))
+        basis.append((lam, q, coef))
+
+    def power(mu):
+        total = 0.0
+        for lam, row in data:
+            den = (lam + mu) ** 2
+            live = den > 0
+            if np.any(row[~live] > 0):
+                return np.inf
+            total += float(np.sum(row[live] / den[live]))
+        return total
+
+    def build(mu):
+        out = []
+        for lam, q, coef in basis:
+            den = lam + mu
+            scale = np.zeros_like(lam)
+            np.divide(1.0, den, out=scale, where=den > 0)
+            out.append(q @ (scale[:, None] * coef))
+        return out
+
+    if power(0.0) <= p_total:
+        return 0.0, build(0.0)
+    lo, hi = 0.0, 1.0
+    p_hi = power(hi)
+    while p_hi > p_total:
+        lo, hi = hi, 2.0 * hi
+        if hi > _MU_BRACKET_CAP:
+            raise BisectionError("no bracket")
+        p_hi = power(hi)
+    for _ in range(_BISECT_CAP):
+        if p_hi >= p_total * (1.0 - tol_power):
+            return hi, build(hi)
+        mid = 0.5 * (lo + hi)
+        p_mid = power(mid)
+        if p_mid > p_total:
+            lo = mid
+        else:
+            hi, p_hi = mid, p_mid
+    raise BisectionError("no convergence")

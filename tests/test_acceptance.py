@@ -195,8 +195,8 @@ def test_03_deterministic_rate_matches_sampling_at_scale():
             default_rng(SeedSequence([2000 + inst])), cfg.m_t, cfg.d_k, cfg.p_total
         )
         de = de_weighted_sum_rate(post, pre, cfg.weights, cfg.sigma2_z, 2).total
-        mc = monte_carlo_rate(
-            post, pre, cfg.weights, cfg.sigma2_z, 2,
+        mc, = monte_carlo_rate(
+            post, [pre], cfg.weights, cfg.sigma2_z, 2,
             default_rng(SeedSequence([3000 + inst])), 10_000,
         )
         rel = abs(de - mc.total) / mc.total

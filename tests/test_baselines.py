@@ -77,6 +77,13 @@ def test_slnr_uniform_power_split():
         assert abs(np.sum(np.abs(p) ** 2) - 1.0) <= 1e-12
 
 
+def test_slnr_without_a_positive_definite_leakage_is_a_numerical_error():
+    # 300 dB: the noise term is far below the others' rank-2 Gram's
+    # round-off, so the generalized eigenproblem has no definite side
+    with pytest.raises(NumericalError, match="slnr"):
+        slnr(_channels(4, k=2), 1.0, 1e-30)
+
+
 def test_wmmse_ascends_known_channel_rate_and_beats_inversion():
     chans = _channels(4)
     weights = [1.0, 1.5, 0.7]

@@ -259,6 +259,20 @@ def test_zero_mean_inversion_baseline_exits_3_with_error_record(tmp_path):
     assert record["error"] == "NumericalError"
 
 
+def test_slnr_at_300_db_exits_3_with_error_record(tmp_path):
+    # a config that validates must end in a typed result, not a traceback
+    data = {"system": {"m_t": 8, "m_k": [2, 2], "n_b": 2, "seed": 0,
+                       "snr_db": [300]},
+            "profile": {"band_width": 4},
+            "experiment": {"algorithms": ["slnr"], "n_slots": 1, "n_mc": 32}}
+    out = tmp_path / "slnr"
+    assert cli.main(["sweep", "-c", _write_config(tmp_path, data),
+                     "--out-dir", str(out)]) == 3
+    record = json.loads((out / "error.json").read_text())
+    assert record["error"] == "NumericalError"
+    assert sorted(p.name for p in out.iterdir()) == ["error.json"]
+
+
 def test_failing_baseline_keeps_the_mm_design_rows(tmp_path):
     # robust-rzf fails on a zero-mean posterior; alg1 must still be written
     data = dict(BASE, profile=dict(BASE["profile"], alphas=0.0))

@@ -35,8 +35,8 @@ def test_monte_carlo_is_exact_when_posterior_is_a_point_mass():
     rng = default_rng(0)
     stats, slot, pilots, post = make_instance(cfg, rng, alphas=1.0)
     pre = random_precoder_set(rng, cfg.m_t, cfg.d_k, cfg.p_total)
-    mc = monte_carlo_rate(post, pre, cfg.weights, cfg.sigma2_z, 2,
-                          default_rng(1), n_samples=7)
+    mc, = monte_carlo_rate(post, [pre], cfg.weights, cfg.sigma2_z, 2,
+                           default_rng(1), n_samples=7)
     chans = [post.mean(k, 2) for k in range(2)]
     exact = perfect_csi_rate(chans, pre, cfg.weights, cfg.sigma2_z)
     assert abs(mc.total - exact) <= 1e-9 * (1 + abs(exact))
@@ -51,12 +51,34 @@ def test_monte_carlo_keeps_the_per_draw_loops_bits(m_k, d):
     rng = default_rng(10 * m_k + d)
     _, _, _, post = make_instance(cfg, rng, alphas=0.8)
     pre = random_precoder_set(rng, cfg.m_t, cfg.d_k, cfg.p_total)
-    args = (post, pre, cfg.weights, cfg.sigma2_z, 2)
-    got = monte_carlo_rate(*args, default_rng(5), n_samples=600, batch=256)
-    want = monte_carlo_rate_oracle(*args, default_rng(5), n_samples=600,
-                                   batch=256)
+    args = (cfg.weights, cfg.sigma2_z, 2)
+    got, = monte_carlo_rate(post, [pre], *args, default_rng(5), n_samples=600,
+                            batch=256)
+    want = monte_carlo_rate_oracle(post, pre, *args, default_rng(5),
+                                   n_samples=600, batch=256)
     assert got.total == want.total
     assert got.stderr == want.stderr
+
+
+def test_designs_scored_together_keep_their_solo_bits():
+    # one pass of draws scores all three designs; each must get the total
+    # and stderr it gets scored alone (600 draws: a last batch of 88)
+    cfg = small_cfg(m_t=16, m_k=(2, 2, 2), n_b=3, sigma2_z=0.1)
+    rng = default_rng(12)
+    _, _, _, post = make_instance(cfg, rng, alphas=0.8)
+    designs = [random_precoder_set(rng, cfg.m_t, cfg.d_k, cfg.p_total)
+               for _ in range(3)]
+    args = (cfg.weights, cfg.sigma2_z, 3)
+    together = monte_carlo_rate(post, designs, *args, default_rng(7),
+                                n_samples=600, batch=256)
+    assert len(together) == 3
+    for pre, got in zip(designs, together):
+        solo, = monte_carlo_rate(post, [pre], *args, default_rng(7),
+                                 n_samples=600, batch=256)
+        want = monte_carlo_rate_oracle(post, pre, *args, default_rng(7),
+                                       n_samples=600, batch=256)
+        assert got.total == solo.total == want.total
+        assert got.stderr == solo.stderr == want.stderr
 
 
 def test_monte_carlo_tracks_deterministic_equivalent():
@@ -65,8 +87,8 @@ def test_monte_carlo_tracks_deterministic_equivalent():
     stats, slot, pilots, post = make_instance(cfg, rng, alphas=0.9)
     pre = random_precoder_set(rng, cfg.m_t, cfg.d_k, cfg.p_total)
     de = de_weighted_sum_rate(post, pre, cfg.weights, cfg.sigma2_z, 2)
-    mc = monte_carlo_rate(post, pre, cfg.weights, cfg.sigma2_z, 2,
-                          default_rng(4), n_samples=8000)
+    mc, = monte_carlo_rate(post, [pre], cfg.weights, cfg.sigma2_z, 2,
+                           default_rng(4), n_samples=8000)
     assert abs(mc.total - de.total) <= 0.05 * de.total
 
 
@@ -111,6 +133,46 @@ def test_mismatch_with_true_aging_reproduces_plain_run():
     for a, b in zip(plain.records, matched.records):
         assert (a.algorithm, a.slot, a.block) == (b.algorithm, b.slot, b.block)
         assert abs(a.rate - b.rate) <= 1e-9 * (1 + abs(a.rate))
+
+
+def test_mismatch_points_equal_one_point_runs():
+    # the study designs every point before scoring and shares its draws;
+    # each point must still equal run_slot_experiment at that point
+    cfg = SystemConfig(m_t=8, m_k=(2, 2), n_b=3, sigma2_z=0.1, seed=11)
+    kw = dict(algorithms=("alg2", "alg3", "robust-rzf", "rzf"), n_slots=2,
+              n_mc=96, mm_iters=4, mc_batch=64)
+    out = alpha_mismatch_study(cfg, _profile(alphas=0.9), ExperimentPlan(
+        assumed_alphas=(1.0, 0.5, 0.9), **kw))
+    assert [a for a, _ in out] == [1.0, 0.5, 0.9]
+    for alpha, result in out:
+        alone = run_slot_experiment(cfg, _profile(alphas=0.9),
+                                    ExperimentPlan(**kw), assumed_alpha=alpha)
+        assert len(result.records) == 4 * 2 * 2
+        assert result.records == alone.records
+        assert result.failed_slots == alone.failed_slots == []
+
+
+def test_one_points_failure_keeps_the_other_points_rates():
+    # robust-rzf cannot invert a zero-mean design posterior (assumed
+    # alpha 0): only that point's robust-rzf rates go, and only that point
+    # lists the slots
+    cfg = SystemConfig(m_t=8, m_k=(2, 2), n_b=3, seed=4)
+    kw = dict(algorithms=("alg1", "robust-rzf"), n_slots=2, n_mc=64,
+              mm_iters=4)
+    (a0, zero), (a9, aged) = alpha_mismatch_study(
+        cfg, BeamProfile(band_width=4), ExperimentPlan(
+            assumed_alphas=(0.0, 0.9), **kw))
+    assert (a0, a9) == (0.0, 0.9)
+    assert zero.failed_slots == [0, 1]
+    assert {r.algorithm for r in zero.records} == {"alg1"}
+    assert len(zero.records) == 2 * 2
+    assert aged.failed_slots == []
+    assert len(aged.records) == 2 * 2 * 2
+    for alpha, result in ((0.0, zero), (0.9, aged)):
+        alone = run_slot_experiment(cfg, BeamProfile(band_width=4),
+                                    ExperimentPlan(**kw), assumed_alpha=alpha)
+        assert result.records == alone.records
+        assert result.failed_slots == alone.failed_slots
 
 
 def test_error_load_scale_moves_robust_rzf_only():

@@ -12,7 +12,16 @@ import numpy as np
 import pytest
 from numpy.random import default_rng
 
-from helpers import make_instance, random_precoder_set, relerr, small_cfg
+from helpers import (
+    make_instance,
+    mu_bisection_oracle,
+    random_precoder_set,
+    relerr,
+    same_bits,
+    small_cfg,
+)
+from robustprec import baselines, beam_domain, mm_precoder
+from robustprec.beam_domain import beam_power_allocation, canonical_allocation
 from robustprec.channel import (
     BeamProfile,
     crandn,
@@ -244,6 +253,68 @@ def test_mu_bisection_shared_object_matches_copies():
     assert mu_a == mu_b
     for a, b in zip(ps_a, ps_b):
         assert np.allclose(a, b)
+
+
+def _captured_bisections(monkeypatch, module, run):
+    """The (args, kwargs) of every mu_bisection call that run() makes
+    through module's global."""
+    calls = []
+
+    def record(*args, **kwargs):
+        calls.append((args, kwargs))
+        return mu_bisection(*args, **kwargs)
+
+    monkeypatch.setattr(module, "mu_bisection", record)
+    run()
+    return calls
+
+
+# mm_full and mm_shared probe with spectra of one length (stacked probes);
+# alg3 with d_k = (2, 1) gives users 2 and 1 active beams (the per-user loop)
+@pytest.mark.parametrize("source, d_k", [
+    ("mm_full", (2, 2)), ("mm_shared", (2, 2)), ("wmmse", (2, 2)),
+    ("alg3", (2, 2)), ("alg3", (2, 1)),
+])
+def test_mu_bisection_matches_the_per_user_loop_bit_for_bit(
+        monkeypatch, source, d_k):
+    cfg = small_cfg(m_t=8, m_k=(2, 2), d_k=d_k, n_b=2, sigma2_z=0.1)
+    stats, slot, _, post = make_instance(cfg, default_rng(21), alphas=0.9)
+    init = canonical_allocation(stats, cfg).precoders
+    runs = {
+        "mm_full": (mm_precoder, lambda: mm_full(post, cfg, 2, init, iters=6)),
+        "mm_shared": (mm_precoder,
+                      lambda: mm_shared(post, cfg, 2, init, iters=6)),
+        "wmmse": (baselines, lambda: baselines.wmmse(
+            [b[0] for b in slot], cfg.p_total, cfg.sigma2_z, cfg.weights)),
+        "alg3": (beam_domain,
+                 lambda: beam_power_allocation(stats, cfg, iters=6)),
+    }
+    calls = _captured_bisections(monkeypatch, *runs[source])
+    if d_k == (2, 1):
+        assert all(len({r.shape[0] for r in a[0]}) == 2 for a, _ in calls)
+    mus = []
+    for args, kwargs in calls:
+        mu, ps = mu_bisection(*args, **kwargs)
+        mu_want, ps_want = mu_bisection_oracle(*args, **kwargs)
+        assert mu == mu_want
+        assert all(same_bits(p, q) for p, q in zip(ps, ps_want))
+        mus.append(mu)
+    assert max(mus) > 0  # the budget binds, so probes at mu > 0 ran
+
+
+@pytest.mark.parametrize("k_users, m", [(3, 8), (4, 32), (16, 128)])
+def test_stacked_probe_has_the_per_user_sums_bits(k_users, m):
+    # the power at mu > 0 decides every bracket step, so it must not move
+    rng = default_rng(m)
+    data = []
+    for _ in range(k_users):
+        lam = np.maximum(rng.standard_normal(m), 0.0)  # about half are 0
+        data.append((lam, rng.exponential(size=m) * rng.uniform(1e-3, 1e3)))
+    probe = mm_precoder._stacked_power_at(data)
+    for mu in np.geomspace(1e-9, 1e9, 61):
+        assert probe(mu) == mm_precoder._power_at(data, mu)
+    assert mm_precoder._stacked_power_at(data[:1] + [(
+        np.zeros(m - 1), np.ones(m - 1))]) is None  # unequal lengths
 
 
 def test_mu_bisection_all_zero_rhs():
