@@ -19,7 +19,6 @@ from .beam_domain import (
     BeamAllocation,
     beam_power_allocation,
     canonical_allocation,
-    verify_beam_structure,
 )
 from .channel import (
     BeamProfile,
@@ -48,7 +47,7 @@ from .evaluation import (
 )
 from .matio import read_complex_csv, write_complex_csv
 from .mm_precoder import MMReport, mm_full, mm_shared, mu_bisection
-from .posterior import PosteriorModel, build_posterior, zero_mean_posterior
+from .posterior import PosteriorModel, build_posterior
 
 __all__ = [
     "__version__",
@@ -94,8 +93,6 @@ __all__ = [
     "solve_fixed_point",
     "sweep_snr",
     "uplink_observation",
-    "verify_beam_structure",
     "wmmse",
     "write_complex_csv",
-    "zero_mean_posterior",
 ]

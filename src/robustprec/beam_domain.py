@@ -24,7 +24,6 @@ __all__ = [
     "canonical_allocation",
     "beam_surrogate_diagonals",
     "beam_power_allocation",
-    "verify_beam_structure",
 ]
 
 
@@ -90,28 +89,28 @@ class BeamAllocation:
                 for k, g in enumerate(self.gains)]
 
 
-def beam_surrogate_diagonals(omegas, weights, alloc, states, sigma2_z):
-    """Per-beam surrogate vectors at the current allocation.
+def beam_surrogate_diagonals(omegas, weights, alloc, states, q_full, r):
+    """The shared-shaping update's surrogate at the current allocation, in
+    elementwise form.
 
-    Returns (signal list, leakage list, gap list, shared shaping):
-    elementwise specializations of the shared-shaping update's matrices,
-    with gap already weight-scaled (w * (leakage - self)) and the shared
-    shaping the weight-summed leakage vector.
+    q_full[k] is user k's power per beam and r[k] its interference-plus-noise
+    level per receive dimension, both as evaluated at alloc, and states[k]
+    its converged beam_fixed_point state there.  Returns (rhs, shapings),
+    mu_bisection's inputs: per user, the active beams' weighted signal less
+    the weighted self term, times the current gains, as a column; and the
+    diagonal matrix of the weight-summed leakage on those beams.
     """
-    k_users = len(omegas)
-    q_full = [alloc.beam_powers(k) for k in range(k_users)]
-    q_sum = np.sum(q_full, axis=0)
-    signal, leakage, gap = [], [], []
-    for k in range(k_users):
-        r = sigma2_z + omegas[k] @ (q_sum - q_full[k])
-        lam_a = omegas[k].T @ (1.0 / r)
+    rhs, leakage = [], []
+    for k, w in enumerate(weights):
+        lam_a = omegas[k].T @ (1.0 / r[k])
         gamma = states[k].tx_gain
-        signal.append(lam_a)
         leakage.append(lam_a - gamma)
         own = gamma * gamma * q_full[k] / (1.0 + gamma * q_full[k])
-        gap.append(-weights[k] * own)
+        num = (w * lam_a - w * own)[alloc.active_beams(k)] * alloc.gains[k]
+        rhs.append(num[:, None])
     shared = sum(w * c for w, c in zip(weights, leakage))
-    return signal, leakage, gap, shared
+    return rhs, [np.diag(shared[alloc.active_beams(k)])
+                 for k in range(len(rhs))]
 
 
 def canonical_allocation(stats, cfg):
@@ -142,46 +141,22 @@ def beam_power_allocation(stats, cfg, iters=50, obj_tol=1e-8):
         alloc = BeamAllocation(start.v, start.orders, gains)
         q_full = [alloc.beam_powers(k) for k in range(k_users)]
         q_sum = np.sum(q_full, axis=0)
-        rates = []
+        rates, r = [], []
         for k in range(k_users):
-            r = cfg.sigma2_z + omegas[k] @ (q_sum - q_full[k])
-            states[k] = beam_fixed_point(omegas[k], q_full[k], r,
+            r.append(cfg.sigma2_z + omegas[k] @ (q_sum - q_full[k]))
+            states[k] = beam_fixed_point(omegas[k], q_full[k], r[k],
                                          init=states[k])
-            rates.append(beam_rate(states[k], q_full[k], r))
-        return float(sum(w * rk for w, rk in zip(weights, rates))), states, alloc
+            rates.append(beam_rate(states[k], q_full[k], r[k]))
+        total = float(sum(w * rk for w, rk in zip(weights, rates)))
+        return total, states, (alloc, q_full, r)
 
-    def update(gains, states, alloc):
-        signal, leakage, gap, shared = beam_surrogate_diagonals(
-            omegas, weights, alloc, states, cfg.sigma2_z)
-        rhs, shapings = [], []
-        for k in range(k_users):
-            active = alloc.active_beams(k)
-            num = (weights[k] * signal[k] + gap[k])[active] * gains[k]
-            rhs.append(num[:, None])
-            shapings.append(np.diag(shared[active]))
-        mu, cols = mu_bisection(rhs, shapings, cfg.p_total)
+    def update(gains, states, aux):
+        alloc, q_full, r = aux
+        mu, cols = mu_bisection(*beam_surrogate_diagonals(
+            omegas, weights, alloc, states, q_full, r), cfg.p_total)
         return mu, [np.abs(c[:, 0]) for c in cols]
 
     report = _mm_loop(evaluate, update, start.gains, iters, obj_tol)
     alloc = BeamAllocation(start.v, start.orders, report.precoders)
     report.precoders = alloc.precoders
     return alloc, report
-
-
-def verify_beam_structure(precoders, v, tol=1e-10):
-    """Check that every precoder column rides a single transmit beam.
-
-    Returns (ok, worst) where worst is the largest off-beam share of any
-    column's squared norm; zero columns pass.
-    """
-    worst = 0.0
-    for p in precoders:
-        x = v.conj().T @ p
-        power = np.abs(x) ** 2
-        norms = power.sum(axis=0)
-        for j, nrm in enumerate(norms):
-            if nrm <= 0:
-                continue
-            off = 1.0 - power[:, j].max() / nrm
-            worst = max(worst, float(off))
-    return worst <= tol, worst

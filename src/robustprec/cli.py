@@ -157,7 +157,10 @@ def _run_study(cfg, profile, plan, out_dir, args):
                 [_fmt(point), rec.algorithm, rec.slot, rec.block,
                  _fmt(rec.rate), _fmt(rec.stderr), cfg.seed])
     if not any(per_alg.values()):
-        raise NumericalError("every slot failed; no rates were produced")
+        cause = next(r.first_error for _, r in results if r.first_error)
+        raise NumericalError("every slot failed; no rates were produced; "
+                             f"first failure: {type(cause).__name__}: "
+                             f"{cause}") from cause
     header = [column, "algorithm", "slot", "block", "sum_rate", "stderr",
               "seed"]
     outputs = []

@@ -177,6 +177,7 @@ class RateRecord:
 class ExperimentResult:
     records: list = field(default_factory=list)
     failed_slots: list = field(default_factory=list)
+    first_error: NumericalError = None  # what dropped the first failed slot
 
     def mean_rate(self, algorithm):
         vals = [r.rate for r in self.records if r.algorithm == algorithm]
@@ -257,6 +258,9 @@ def prepare_slot(cfg, stats, slot):
     stream the experiment harness uses."""
     pilots = orthogonal_pilots(cfg.m_k, cfg.block_len)
     rng_ch = default_rng(SeedSequence([cfg.seed, 1, slot]))
+    # Callers read only block 1, but blocks 2..n_b are drawn all the same:
+    # each user's draws advance rng_ch before the next user's block 1 and
+    # the uplink noise, so dropping them would move every rate.
     blocks = draw_slot(stats, cfg.n_b, rng_ch)
     y = uplink_observation([b[0] for b in blocks], pilots, cfg.uplink_noise,
                            rng_ch)
@@ -272,8 +276,8 @@ def _run_points(cfg, profile, plan, assumed_alphas):
     Per slot and algorithm, every point designs all its data blocks first;
     then each block's designs are scored together on one pass of that
     block's draws.  A NumericalError drops only that point's rates of that
-    algorithm for the slot, and lists the slot once in that point's
-    failed_slots.
+    algorithm for the slot, lists the slot once in that point's
+    failed_slots, and is kept as the point's first_error if it is the first.
     """
     plan.check(cfg)
     stats = experiment_statistics(cfg, profile)
@@ -284,14 +288,14 @@ def _run_points(cfg, profile, plan, assumed_alphas):
         points = [Slot(cfg, first, score_post if a is None
                        else score_post.assuming(a), plan)
                   for a in assumed_alphas]
-        failed = [False] * len(points)
+        failed = [None] * len(points)
         for alg in plan.algorithms:
             designs = {}
             for i, inputs in enumerate(points):
                 try:
                     designs[i] = _algorithm_designs(alg, inputs)
-                except NumericalError:
-                    failed[i] = True
+                except NumericalError as exc:
+                    failed[i] = failed[i] or exc
             if not designs:
                 continue
             for j, n in enumerate(range(2, cfg.n_b + 1)):
@@ -302,22 +306,23 @@ def _run_points(cfg, profile, plan, assumed_alphas):
                 for i, mc in zip(designs, rates):
                     results[i].records.append(
                         RateRecord(alg, slot, n, mc.total, mc.stderr))
-        for result, hit in zip(results, failed):
-            if hit:
+        for result, exc in zip(results, failed):
+            if exc is not None:
                 result.failed_slots.append(slot)
+                result.first_error = result.first_error or exc
     return results
 
 
-def run_slot_experiment(cfg, profile, plan, assumed_alpha=None):
-    """Design and score precoders over the plan's independent slots.
+def run_slot_experiment(cfg, profile, plan):
+    """Design and score precoders over the plan's independent slots, each
+    design on the slot's own posterior (alpha_mismatch_study designs under
+    an assumed aging coefficient).
 
-    assumed_alpha (one aging coefficient for every user) re-reads the
-    slot's posterior under it for the *design* side, while scoring stays
-    under the true one.  When a solver fails numerically, only that
-    algorithm's rates for the slot are dropped; each slot with such a
-    failure is listed once in failed_slots.
+    When a solver fails numerically, only that algorithm's rates for the
+    slot are dropped; each slot with such a failure is listed once in
+    failed_slots, and the first such error is kept as first_error.
     """
-    return _run_points(cfg, profile, plan, [assumed_alpha])[0]
+    return _run_points(cfg, profile, plan, [None])[0]
 
 
 def sweep_snr(cfg, profile, plan):

@@ -21,7 +21,6 @@ __all__ = [
     "xi2_profile",
     "mmse_estimate",
     "build_posterior",
-    "zero_mean_posterior",
     "PosteriorModel",
 ]
 
@@ -154,13 +153,3 @@ def build_posterior(y, pilots, stats, sigma2_bs):
         raise ConfigError("one pilot matrix per user is required")
     mean1 = [mmse_estimate(y, x, s, sigma2_bs) for x, s in zip(pilots, stats)]
     return PosteriorModel(list(stats), float(sigma2_bs), mean1)
-
-
-def zero_mean_posterior(stats):
-    """Posterior with no instantaneous CSI: zero means, full prior variance.
-
-    Intended for data blocks n >= 2, where the variance profile equals the
-    prior power profile exactly (aging coefficient forced to 0).
-    """
-    mean1 = [np.zeros((s.m_k, s.m_t), dtype=complex) for s in stats]
-    return PosteriorModel(list(stats), 0.0, mean1).assuming(0.0)

@@ -18,13 +18,18 @@ import warnings
 import numpy as np
 from numpy.random import SeedSequence, default_rng
 
-from helpers import make_instance, random_precoder_set, small_cfg
+from helpers import (
+    make_instance,
+    random_precoder_set,
+    small_cfg,
+    verify_beam_structure,
+    zero_mean_posterior,
+)
 from robustprec import cli
 from robustprec.baselines import robust_rzf, rzf, slnr, wmmse, wmmse_step
 from robustprec.beam_domain import (
     beam_power_allocation,
     canonical_allocation,
-    verify_beam_structure,
 )
 from robustprec.channel import (
     BeamProfile,
@@ -45,12 +50,7 @@ from robustprec.evaluation import (
 )
 from robustprec.mm_precoder import mm_full, mm_shared, total_power
 from robustprec.operators import OperatorKernel, mean_quadratic_rx, mean_quadratic_tx
-from robustprec.posterior import (
-    build_posterior,
-    delta_profile,
-    xi2_profile,
-    zero_mean_posterior,
-)
+from robustprec.posterior import build_posterior, delta_profile, xi2_profile
 
 
 def _passed(num, detail):

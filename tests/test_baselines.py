@@ -9,7 +9,12 @@ import numpy as np
 import pytest
 from numpy.random import default_rng
 
-from helpers import make_instance, random_precoder_set, small_cfg
+from helpers import (
+    make_instance,
+    random_precoder_set,
+    small_cfg,
+    zero_mean_posterior,
+)
 from robustprec.baselines import (
     perfect_csi_rate,
     robust_rzf,
@@ -22,7 +27,6 @@ from robustprec.channel import crandn
 from robustprec.config import SystemConfig
 from robustprec.errors import NumericalError
 from robustprec.mm_precoder import mm_full, total_power
-from robustprec.posterior import zero_mean_posterior
 
 
 def _channels(seed, k=3, m_k=2, m_t=8):

@@ -8,7 +8,14 @@ in the transmit basis, so the two implementations compute the same object.
 import numpy as np
 from numpy.random import default_rng
 
-from helpers import make_instance, random_precoder_set, relerr, small_cfg
+from helpers import (
+    make_instance,
+    random_precoder_set,
+    relerr,
+    small_cfg,
+    verify_beam_structure,
+    zero_mean_posterior,
+)
 from robustprec.beam_domain import (
     BeamAllocation,
     beam_fixed_point,
@@ -17,14 +24,12 @@ from robustprec.beam_domain import (
     beam_rate,
     beam_surrogate_diagonals,
     canonical_allocation,
-    verify_beam_structure,
 )
 from robustprec.channel import UserStatistics, crandn, dft_matrix
 from robustprec.config import SystemConfig
 from robustprec.det_equiv import de_weighted_sum_rate
 from robustprec.mm_precoder import mm_full, mm_shared, mu_bisection
 from robustprec.operators import basis_diag
-from robustprec.posterior import zero_mean_posterior
 
 
 def _zero_mean_setup(seed=21, m_t=8, m_k=(2, 2, 2), sigma2_z=0.1):
@@ -144,19 +149,10 @@ def test_allocation_stationarity_at_convergence():
     alloc, rep = beam_power_allocation(stats, cfg, iters=2000, obj_tol=1e-13)
     q_full = [alloc.beam_powers(k) for k in range(3)]
     q_sum = np.sum(q_full, axis=0)
-    states = []
-    for k in range(3):
-        r = cfg.sigma2_z + omegas[k] @ (q_sum - q_full[k])
-        states.append(beam_fixed_point(omegas[k], q_full[k], r))
-    signal, leakage, gap, shared = beam_surrogate_diagonals(
-        omegas, cfg.weights, alloc, states, cfg.sigma2_z)
-    rhs, shapings = [], []
-    for k in range(3):
-        active = alloc.active_beams(k)
-        num = (cfg.weights[k] * signal[k] + gap[k])[active] * alloc.gains[k]
-        rhs.append(num[:, None])
-        shapings.append(np.diag(shared[active]))
-    mu, cols = mu_bisection(rhs, shapings, cfg.p_total)
+    r = [cfg.sigma2_z + omegas[k] @ (q_sum - q_full[k]) for k in range(3)]
+    states = [beam_fixed_point(omegas[k], q_full[k], r[k]) for k in range(3)]
+    _, cols = mu_bisection(*beam_surrogate_diagonals(
+        omegas, cfg.weights, alloc, states, q_full, r), cfg.p_total)
     residual = max(np.linalg.norm(np.abs(c[:, 0]) - g) / np.linalg.norm(g)
                    for c, g in zip(cols, alloc.gains))
     assert residual <= 1e-5

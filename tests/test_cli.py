@@ -257,6 +257,8 @@ def test_zero_mean_inversion_baseline_exits_3_with_error_record(tmp_path):
                      "--out-dir", str(out)]) == 3
     record = json.loads((out / "error.json").read_text())
     assert record["error"] == "NumericalError"
+    assert ("NumericalError: cannot normalize an all-zero precoder set"
+            in record["message"])
 
 
 def test_slnr_at_300_db_exits_3_with_error_record(tmp_path):
@@ -270,6 +272,8 @@ def test_slnr_at_300_db_exits_3_with_error_record(tmp_path):
                      "--out-dir", str(out)]) == 3
     record = json.loads((out / "error.json").read_text())
     assert record["error"] == "NumericalError"
+    assert ("NumericalError: slnr: user 0's leakage matrix is not positive "
+            "definite" in record["message"])
     assert sorted(p.name for p in out.iterdir()) == ["error.json"]
 
 

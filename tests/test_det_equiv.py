@@ -19,9 +19,16 @@ from robustprec.operators import (
     mean_quadratic_rx,
     mean_quadratic_tx,
 )
-from robustprec.posterior import build_posterior, zero_mean_posterior
+from robustprec.posterior import build_posterior
 
-from helpers import make_instance, rand_hermitian_psd, random_precoder_set, relerr, small_cfg
+from helpers import (
+    make_instance,
+    rand_hermitian_psd,
+    random_precoder_set,
+    relerr,
+    small_cfg,
+    zero_mean_posterior,
+)
 
 
 def picard_reference(posterior, p, r, k, n, beta=0.3, iters=5000, tol=1e-13):

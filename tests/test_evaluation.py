@@ -137,7 +137,7 @@ def test_mismatch_with_true_aging_reproduces_plain_run():
 
 def test_mismatch_points_equal_one_point_runs():
     # the study designs every point before scoring and shares its draws;
-    # each point must still equal run_slot_experiment at that point
+    # each point must still equal a study of that point alone
     cfg = SystemConfig(m_t=8, m_k=(2, 2), n_b=3, sigma2_z=0.1, seed=11)
     kw = dict(algorithms=("alg2", "alg3", "robust-rzf", "rzf"), n_slots=2,
               n_mc=96, mm_iters=4, mc_batch=64)
@@ -145,8 +145,9 @@ def test_mismatch_points_equal_one_point_runs():
         assumed_alphas=(1.0, 0.5, 0.9), **kw))
     assert [a for a, _ in out] == [1.0, 0.5, 0.9]
     for alpha, result in out:
-        alone = run_slot_experiment(cfg, _profile(alphas=0.9),
-                                    ExperimentPlan(**kw), assumed_alpha=alpha)
+        (_, alone), = alpha_mismatch_study(
+            cfg, _profile(alphas=0.9),
+            ExperimentPlan(assumed_alphas=(alpha,), **kw))
         assert len(result.records) == 4 * 2 * 2
         assert result.records == alone.records
         assert result.failed_slots == alone.failed_slots == []
@@ -164,13 +165,16 @@ def test_one_points_failure_keeps_the_other_points_rates():
             assumed_alphas=(0.0, 0.9), **kw))
     assert (a0, a9) == (0.0, 0.9)
     assert zero.failed_slots == [0, 1]
+    assert "all-zero precoder set" in str(zero.first_error)
     assert {r.algorithm for r in zero.records} == {"alg1"}
     assert len(zero.records) == 2 * 2
     assert aged.failed_slots == []
+    assert aged.first_error is None
     assert len(aged.records) == 2 * 2 * 2
     for alpha, result in ((0.0, zero), (0.9, aged)):
-        alone = run_slot_experiment(cfg, BeamProfile(band_width=4),
-                                    ExperimentPlan(**kw), assumed_alpha=alpha)
+        (_, alone), = alpha_mismatch_study(
+            cfg, BeamProfile(band_width=4),
+            ExperimentPlan(assumed_alphas=(alpha,), **kw))
         assert result.records == alone.records
         assert result.failed_slots == alone.failed_slots
 
@@ -215,23 +219,27 @@ def test_failed_slots_are_skipped_and_reported(monkeypatch):
     res = run_slot_experiment(cfg, _profile(), ExperimentPlan(
         algorithms=("alg1",), n_slots=3, n_mc=100, mm_iters=3))
     assert res.failed_slots == [0]
+    assert str(res.first_error) == "injected failure"
     assert {r.slot for r in res.records} == {1, 2}
 
 
 def test_one_algorithms_failure_keeps_the_others_rates(monkeypatch):
     cfg = SystemConfig(m_t=8, m_k=(2, 2), n_b=3, sigma2_z=0.1, seed=9)
 
-    def boom(*args, **kwargs):
-        raise NumericalError("injected failure")
+    def boom(name):
+        def fail(*args, **kwargs):
+            raise NumericalError(f"injected {name} failure")
+        return fail
 
     kw = dict(n_slots=2, n_mc=50, mm_iters=3)
     solo = run_slot_experiment(cfg, _profile(), ExperimentPlan(
         algorithms=("rzf",), **kw))
-    monkeypatch.setattr(evaluation, "mm_full", boom)
-    monkeypatch.setattr(evaluation, "mm_shared", boom)
+    monkeypatch.setattr(evaluation, "mm_full", boom("mm_full"))
+    monkeypatch.setattr(evaluation, "mm_shared", boom("mm_shared"))
     res = run_slot_experiment(cfg, _profile(), ExperimentPlan(
         algorithms=("alg1", "rzf", "alg2"), **kw))
     assert res.failed_slots == [0, 1]  # each failing slot listed once
+    assert str(res.first_error) == "injected mm_full failure"
     assert res.records == solo.records
 
 

@@ -16,10 +16,16 @@ from robustprec.posterior import (
     delta_profile,
     mmse_estimate,
     xi2_profile,
-    zero_mean_posterior,
 )
 
-from helpers import make_instance, relerr, same_bits, sample_oracle, small_cfg
+from helpers import (
+    make_instance,
+    relerr,
+    same_bits,
+    sample_oracle,
+    small_cfg,
+    zero_mean_posterior,
+)
 
 
 def test_delta_profile_values_and_limits():
