@@ -5,7 +5,9 @@ an uplink pilot observation, the posterior, one precoder design per
 requested algorithm, and posterior-sampled rate scores.  Scoring reuses the
 same stream seed for every algorithm at a given (slot, block), so designs
 are compared under common random numbers; the designs of one algorithm at
-every point of a mismatch study are scored on one pass of those draws.
+every point of a mismatch study are scored on one pass of those draws, and
+an algorithm whose design does not read the assumed aging coefficient is
+designed and scored once per slot for all points.
 Seeds derive from the config seed through SeedSequence spawn keys, never
 from global state, which makes every run reproducible bit for bit.
 """
@@ -37,6 +39,9 @@ class Algorithm(NamedTuple):
 
     full_rank: bool   # one stream per receive antenna, so d_k must equal m_k
     slot_wide: bool   # one design serves every data block of a slot
+    # the design reads the design-side aging coefficient; one that does not
+    # is the same at every point of a mismatch study
+    reads_alpha: bool
     design: object    # design(slot, n, warm) -> precoders for data block n
     # an MM ascent, which `converge` can trace: ascent(slot, n, warm) ->
     # (beam allocation or None, MMReport); None otherwise
@@ -60,8 +65,8 @@ def _mm_ascent(runner, s, n, warm):
     return None, runner(s.post, s.cfg, n, warm, iters=s.plan.mm_iters)
 
 
-def _ascent_entry(slot_wide, ascent):
-    return Algorithm(False, slot_wide,
+def _ascent_entry(slot_wide, reads_alpha, ascent):
+    return Algorithm(False, slot_wide, reads_alpha,
                      lambda s, n, warm: ascent(s, n, warm)[1].precoders,
                      ascent)
 
@@ -71,19 +76,22 @@ def _ascent_entry(slot_wide, ascent):
 # the call.  warm is the same algorithm's design for the previous block,
 # or None.
 ALGORITHM_TABLE = {
-    "alg1": _ascent_entry(False, lambda s, n, warm: _mm_ascent(
+    "alg1": _ascent_entry(False, True, lambda s, n, warm: _mm_ascent(
         mm_full, s, n, warm)),
-    "alg2": _ascent_entry(False, lambda s, n, warm: _mm_ascent(
+    "alg2": _ascent_entry(False, True, lambda s, n, warm: _mm_ascent(
         mm_shared, s, n, warm)),
-    "alg3": _ascent_entry(True, lambda s, n, warm: beam_power_allocation(
-        s.post.stats, s.cfg, iters=s.plan.mm_iters)),
-    "rzf": Algorithm(True, True, lambda s, n, warm: rzf(
+    # alg3 reads only the coupling profile omega; the inversion baselines
+    # read only the true block-1 channels
+    "alg3": _ascent_entry(True, False, lambda s, n, warm:
+                          beam_power_allocation(s.post.stats, s.cfg,
+                                                iters=s.plan.mm_iters)),
+    "rzf": Algorithm(True, True, False, lambda s, n, warm: rzf(
         s.first, s.cfg.p_total, s.cfg.sigma2_z)),
-    "slnr": Algorithm(True, True, lambda s, n, warm: slnr(
+    "slnr": Algorithm(True, True, False, lambda s, n, warm: slnr(
         s.first, s.cfg.p_total, s.cfg.sigma2_z)),
-    "wmmse": Algorithm(True, True, lambda s, n, warm: wmmse(
+    "wmmse": Algorithm(True, True, False, lambda s, n, warm: wmmse(
         s.first, s.cfg.p_total, s.cfg.sigma2_z, s.cfg.weights)[0]),
-    "robust-rzf": Algorithm(True, False, lambda s, n, warm: robust_rzf(
+    "robust-rzf": Algorithm(True, False, True, lambda s, n, warm: robust_rzf(
         s.post, n, s.cfg.p_total, s.cfg.sigma2_z,
         load_scale=s.plan.load_scale)),
 }
@@ -275,9 +283,11 @@ def _run_points(cfg, profile, plan, assumed_alphas):
 
     Per slot and algorithm, every point designs all its data blocks first;
     then each block's designs are scored together on one pass of that
-    block's draws.  A NumericalError drops only that point's rates of that
-    algorithm for the slot, lists the slot once in that point's
-    failed_slots, and is kept as the point's first_error if it is the first.
+    block's draws.  An algorithm that does not read alpha is designed and
+    scored once per slot, and its records are copied to every point.  A
+    NumericalError drops the rates of that algorithm for the slot at the
+    points its design serves, lists the slot once in each such point's
+    failed_slots, and is kept as a point's first_error if it is the first.
     """
     plan.check(cfg)
     stats = experiment_statistics(cfg, profile)
@@ -290,22 +300,29 @@ def _run_points(cfg, profile, plan, assumed_alphas):
                   for a in assumed_alphas]
         failed = [None] * len(points)
         for alg in plan.algorithms:
-            designs = {}
-            for i, inputs in enumerate(points):
+            # the points each design serves: its own, or all of them
+            groups = ([[i] for i in range(len(points))]
+                      if ALGORITHM_TABLE[alg].reads_alpha
+                      else [range(len(points))])
+            designs = []
+            for group in groups:
                 try:
-                    designs[i] = _algorithm_designs(alg, inputs)
+                    designs.append(
+                        (group, _algorithm_designs(alg, points[group[0]])))
                 except NumericalError as exc:
-                    failed[i] = failed[i] or exc
+                    for i in group:
+                        failed[i] = failed[i] or exc
             if not designs:
                 continue
             for j, n in enumerate(range(2, cfg.n_b + 1)):
                 rng_mc = default_rng(SeedSequence([cfg.seed, 2, slot, n]))
                 rates = monte_carlo_rate(
-                    score_post, [d[j] for d in designs.values()], cfg.weights,
+                    score_post, [d[j] for _, d in designs], cfg.weights,
                     cfg.sigma2_z, n, rng_mc, plan.n_mc, batch=plan.mc_batch)
-                for i, mc in zip(designs, rates):
-                    results[i].records.append(
-                        RateRecord(alg, slot, n, mc.total, mc.stderr))
+                for (group, _), mc in zip(designs, rates):
+                    for i in group:
+                        results[i].records.append(
+                            RateRecord(alg, slot, n, mc.total, mc.stderr))
         for result, exc in zip(results, failed):
             if exc is not None:
                 result.failed_slots.append(slot)

@@ -35,10 +35,14 @@ def hermitize(c):
     The result is exactly Hermitian, and hermitize of an exactly Hermitian
     matrix returns it bit for bit, so callers symmetrize where a product is
     Hermitian only up to round-off and nowhere else.  Nothing is checked:
-    the solvers build their matrices Hermitian analytically.
+    the solvers build their matrices Hermitian analytically.  The sum is
+    built in its one output array, in the layout 0.5 * (C + C^H) has.
     """
     c = np.asarray(c)
-    return 0.5 * (c + c.conj().T)
+    out = np.conjugate(c.T, order="C")
+    out += c
+    out *= 0.5
+    return out
 
 
 def basis_diag(basis, c):

@@ -131,7 +131,7 @@ class PosteriorModel:
     def sample(self, k, n, rng, size):
         """A new (size, m_k, m_t) batch of posterior draws of user k's
         block-n channel."""
-        amp = np.sqrt(self.var_profile(k, n))
+        amp = np.sqrt(self.kernel(k, n).var_profile)
         w = crandn(rng, size, *amp.shape)
         w *= amp
         # mean + u ((amp o W) v^H), built in the draw buffer.  The beam

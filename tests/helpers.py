@@ -38,6 +38,11 @@ def rand_hermitian(rng, m):
     return 0.5 * (a + a.conj().T)
 
 
+def hermitize_oracle(c):
+    """operators.hermitize as one expression, (C + C^H)/2."""
+    return 0.5 * (c + c.conj().T)
+
+
 def relerr(got, want):
     denom = max(np.linalg.norm(want), 1e-300)
     return np.linalg.norm(np.asarray(got) - np.asarray(want)) / denom

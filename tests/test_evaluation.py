@@ -8,6 +8,7 @@ from helpers import (
     make_instance,
     monte_carlo_rate_oracle,
     random_precoder_set,
+    same_bits,
     small_cfg,
 )
 from robustprec.baselines import perfect_csi_rate
@@ -17,10 +18,14 @@ from robustprec.errors import ConfigError, NumericalError
 from robustprec.det_equiv import de_weighted_sum_rate
 from robustprec import evaluation
 from robustprec.evaluation import (
+    ALGORITHM_TABLE,
     ALGORITHMS,
     ExperimentPlan,
+    Slot,
     alpha_mismatch_study,
+    experiment_statistics,
     monte_carlo_rate,
+    prepare_slot,
     run_slot_experiment,
     sweep_snr,
 )
@@ -139,8 +144,9 @@ def test_mismatch_points_equal_one_point_runs():
     # the study designs every point before scoring and shares its draws;
     # each point must still equal a study of that point alone
     cfg = SystemConfig(m_t=8, m_k=(2, 2), n_b=3, sigma2_z=0.1, seed=11)
-    kw = dict(algorithms=("alg2", "alg3", "robust-rzf", "rzf"), n_slots=2,
-              n_mc=96, mm_iters=4, mc_batch=64)
+    kw = dict(algorithms=("alg2", "alg3", "robust-rzf", "rzf", "slnr",
+                          "wmmse"), n_slots=2, n_mc=96, mm_iters=4,
+              mc_batch=64)
     out = alpha_mismatch_study(cfg, _profile(alphas=0.9), ExperimentPlan(
         assumed_alphas=(1.0, 0.5, 0.9), **kw))
     assert [a for a, _ in out] == [1.0, 0.5, 0.9]
@@ -148,9 +154,82 @@ def test_mismatch_points_equal_one_point_runs():
         (_, alone), = alpha_mismatch_study(
             cfg, _profile(alphas=0.9),
             ExperimentPlan(assumed_alphas=(alpha,), **kw))
-        assert len(result.records) == 4 * 2 * 2
+        assert len(result.records) == 6 * 2 * 2
         assert result.records == alone.records
         assert result.failed_slots == alone.failed_slots == []
+
+
+def _slot(cfg, profile, plan, alpha):
+    blocks, post = prepare_slot(cfg, experiment_statistics(cfg, profile), 0)
+    return Slot(cfg, [b[0] for b in blocks], post.assuming(alpha), plan)
+
+
+def test_reads_alpha_matches_what_each_design_reads():
+    # the harness designs an entry once for every point unless it reads
+    # alpha, so the table's fact must match what the design does
+    cfg = SystemConfig(m_t=8, m_k=(2, 2), n_b=3, sigma2_z=0.1, seed=3)
+    plan = ExperimentPlan(mm_iters=4)
+    for alg, entry in ALGORITHM_TABLE.items():
+        one, half = (evaluation._algorithm_designs(alg, _slot(
+            cfg, _profile(alphas=0.9), plan, a)) for a in (1.0, 0.5))
+        same = [same_bits(p, q) for ps, qs in zip(one, half)
+                for p, q in zip(ps, qs)]
+        assert all(same) == (not entry.reads_alpha), alg
+    assert {a for a, e in ALGORITHM_TABLE.items() if not e.reads_alpha} == {
+        "alg3", "rzf", "slnr", "wmmse"}
+
+
+def _study(cfg, algorithms, alphas=(1.0, 0.5, 0.9)):
+    return alpha_mismatch_study(cfg, _profile(alphas=0.9), ExperimentPlan(
+        algorithms=algorithms, assumed_alphas=alphas, n_slots=2, n_mc=64,
+        mm_iters=4))
+
+
+def test_alpha_free_failure_drops_its_slot_at_every_point(monkeypatch):
+    # one slnr design serves every point, so its failure in slot 0 drops
+    # slnr's slot-0 rates everywhere and is every point's first_error
+    cfg = SystemConfig(m_t=8, m_k=(2, 2), n_b=3, sigma2_z=0.1, seed=11)
+    slot0 = _slot(cfg, _profile(alphas=0.9), ExperimentPlan(), 1.0).first
+    real = evaluation.slnr
+
+    def slnr_failing_in_slot_0(chans, *args, **kwargs):
+        if all(np.array_equal(h, h0) for h, h0 in zip(chans, slot0)):
+            raise NumericalError("injected slnr failure")
+        return real(chans, *args, **kwargs)
+
+    others = ("alg2", "rzf")
+    alone = {a: _study(cfg, others, (a,))[0][1] for a in (1.0, 0.5, 0.9)}
+    monkeypatch.setattr(evaluation, "slnr", slnr_failing_in_slot_0)
+    out = _study(cfg, others + ("slnr",))
+    error = out[0][1].first_error
+    assert str(error) == "injected slnr failure"
+    for alpha, result in out:
+        assert result.failed_slots == [0]
+        assert result.first_error is error
+        assert [(r.slot, r.block) for r in result.records
+                if r.algorithm == "slnr"] == [(1, 2), (1, 3)]
+        assert [r for r in result.records
+                if r.algorithm != "slnr"] == alone[alpha].records
+
+
+def test_alpha_free_designs_run_once_per_slot(monkeypatch):
+    cfg = SystemConfig(m_t=8, m_k=(2, 2), n_b=3, sigma2_z=0.1, seed=11)
+    calls = {}
+
+    def counted(name):
+        real = getattr(evaluation, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    for name in ("wmmse", "beam_power_allocation"):
+        monkeypatch.setattr(evaluation, name, counted(name))
+    out = _study(cfg, ("alg3", "wmmse"))
+    assert calls == {"wmmse": 2, "beam_power_allocation": 2}  # n_slots each
+    for _, result in out:
+        assert result.records == out[0][1].records
 
 
 def test_one_points_failure_keeps_the_other_points_rates():

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -16,7 +17,16 @@ from robustprec.operators import (
     tx_gain_diag,
 )
 
-from helpers import make_instance, rand_hermitian_psd, random_precoder_set, relerr, small_cfg
+from helpers import (
+    hermitize_oracle,
+    make_instance,
+    rand_hermitian,
+    rand_hermitian_psd,
+    random_precoder_set,
+    relerr,
+    same_bits,
+    small_cfg,
+)
 
 
 def _kernel(rng, m_k=2, m_t=8, band=6):
@@ -60,6 +70,19 @@ def test_hermitize_symmetrizes_exactly(pair, w):
     # value (== treats the signed zeros of the complex products alike)
     s = w[0] * h + w[1] * hermitize(b)
     assert np.array_equal(hermitize(s), s)
+
+
+# the in-place sum adds C^H + C where the expression adds C + C^H; IEEE
+# addition commutes, so the bits and the C layout must be the expression's
+@pytest.mark.parametrize("m", [2, 32, 128])
+@pytest.mark.parametrize("hermitian", [False, True])
+def test_hermitize_has_the_expressions_bits(m, hermitian):
+    rng = np.random.default_rng(m)
+    c = rand_hermitian(rng, m) if hermitian else crandn(rng, m, m)
+    for layout in (c, np.asfortranarray(c)):
+        got = hermitize(layout)
+        assert got.flags.c_contiguous
+        assert same_bits(got, hermitize_oracle(layout))
 
 
 def test_mean_quadratic_operators_match_monte_carlo():
