@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import NumericalError
-from .mm_precoder import mu_bisection, normalize_power
+from .mm_precoder import _mm_loop, mu_bisection, normalize_power
 from .operators import hermitize, mean_quadratic_tx
 
 
@@ -121,18 +121,20 @@ def wmmse_step(channels, precoders, weights, sigma2_z, p_total,
 def wmmse(channels, p_total, sigma2_z, weights, iters=100, tol_power=1e-6):
     """Alternating sum-MSE precoding from a regularized-inversion start.
 
-    Deterministic given its inputs. Stops when the known-channel weighted
-    sum rate moves by less than 1e-8 (relative). Returns (precoders, rates).
+    Deterministic given its inputs. Runs the MM ascent loop on the
+    known-channel weighted sum rate, stopping when it moves by less than
+    1e-8 (relative), and returns that loop's MMReport.
     """
-    precoders = rzf(channels, p_total, sigma2_z)
-    rates = [perfect_csi_rate(channels, precoders, weights, sigma2_z)]
-    for _ in range(iters):
-        precoders, _ = wmmse_step(channels, precoders, weights, sigma2_z,
-                                  p_total, tol_power=tol_power)
-        rates.append(perfect_csi_rate(channels, precoders, weights, sigma2_z))
-        if abs(rates[-1] - rates[-2]) <= 1e-8 * (1 + abs(rates[-1])):
-            break
-    return precoders, rates
+    def evaluate(precoders, states):
+        return perfect_csi_rate(channels, precoders, weights, sigma2_z), (), None
+
+    def update(precoders, states, aux):
+        new_p, mu = wmmse_step(channels, precoders, weights, sigma2_z,
+                               p_total, tol_power=tol_power)
+        return mu, new_p
+
+    return _mm_loop(evaluate, update, rzf(channels, p_total, sigma2_z),
+                    iters, 1e-8)
 
 
 def robust_rzf(posterior, n, p_total, sigma2_z, load_scale=1.0):

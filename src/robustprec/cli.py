@@ -54,10 +54,14 @@ def _reject_duplicates(pairs):
 
 def _load_json(path):
     try:
-        with open(path) as f:
+        with open(path, encoding="utf-8") as f:
             return json.load(f, object_pairs_hook=_reject_duplicates)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
+    except OSError as e:
+        raise ConfigError(f"config file {path} cannot be read: {e.strerror or e}")
+    except UnicodeDecodeError as e:
+        raise ConfigError(f"config file {path} is not UTF-8: {e}")
     except json.JSONDecodeError as e:
         raise ConfigError(f"config file {path} is not valid JSON: {e}")
 
@@ -179,8 +183,8 @@ def _run_converge(cfg, profile, plan, out_dir, args):
         raise ConfigError(f"converge supports {', '.join(supported)}; "
                           f"got {bad[0]!r}")
     stats = experiment_statistics(cfg, profile)
-    blocks, posterior = prepare_slot(cfg, stats, 0)
-    slot = Slot(cfg, [b[0] for b in blocks], posterior, plan)
+    first, posterior = prepare_slot(cfg, stats, 0)
+    slot = Slot(cfg, first, posterior, plan)
     outputs = []
     for alg in plan.algorithms:
         alloc, report = ALGORITHM_TABLE[alg].ascent(slot, 2, None)
@@ -260,7 +264,11 @@ def main(argv=None):
     try:
         if getattr(args, "out_dir", None) is not None:
             out_dir = Path(args.out_dir)
-            out_dir.mkdir(parents=True, exist_ok=True)
+            try:
+                out_dir.mkdir(parents=True, exist_ok=True)
+            except OSError as e:
+                raise ConfigError(f"--out-dir {out_dir} cannot be created: "
+                                  f"{e.strerror or e}")
         cfg, profile, plan = parse_config(args.config)
         if getattr(args, "algorithms", None) is not None:
             plan = dataclasses.replace(plan, algorithms=tuple(

@@ -90,7 +90,7 @@ ALGORITHM_TABLE = {
     "slnr": Algorithm(True, True, False, lambda s, n, warm: slnr(
         s.first, s.cfg.p_total, s.cfg.sigma2_z)),
     "wmmse": Algorithm(True, True, False, lambda s, n, warm: wmmse(
-        s.first, s.cfg.p_total, s.cfg.sigma2_z, s.cfg.weights)[0]),
+        s.first, s.cfg.p_total, s.cfg.sigma2_z, s.cfg.weights).precoders),
     "robust-rzf": Algorithm(True, False, True, lambda s, n, warm: robust_rzf(
         s.post, n, s.cfg.p_total, s.cfg.sigma2_z,
         load_scale=s.plan.load_scale)),
@@ -262,18 +262,16 @@ def experiment_statistics(cfg, profile):
 
 
 def prepare_slot(cfg, stats, slot):
-    """Channel blocks and posterior for one slot index, on the same seed
-    stream the experiment harness uses."""
+    """(true block-1 channels, posterior) for one slot index, on the same
+    seed stream the experiment harness uses."""
     pilots = orthogonal_pilots(cfg.m_k, cfg.block_len)
     rng_ch = default_rng(SeedSequence([cfg.seed, 1, slot]))
-    # Callers read only block 1, but blocks 2..n_b are drawn all the same:
+    # Only block 1 is returned, but blocks 2..n_b are drawn all the same:
     # each user's draws advance rng_ch before the next user's block 1 and
     # the uplink noise, so dropping them would move every rate.
-    blocks = draw_slot(stats, cfg.n_b, rng_ch)
-    y = uplink_observation([b[0] for b in blocks], pilots, cfg.uplink_noise,
-                           rng_ch)
-    posterior = build_posterior(y, pilots, stats, cfg.uplink_noise)
-    return blocks, posterior
+    first = [b[0] for b in draw_slot(stats, cfg.n_b, rng_ch)]
+    y = uplink_observation(first, pilots, cfg.uplink_noise, rng_ch)
+    return first, build_posterior(y, pilots, stats, cfg.uplink_noise)
 
 
 def _run_points(cfg, profile, plan, assumed_alphas):
@@ -293,8 +291,7 @@ def _run_points(cfg, profile, plan, assumed_alphas):
     stats = experiment_statistics(cfg, profile)
     results = [ExperimentResult() for _ in assumed_alphas]
     for slot in range(plan.n_slots):
-        blocks, score_post = prepare_slot(cfg, stats, slot)
-        first = [b[0] for b in blocks]
+        first, score_post = prepare_slot(cfg, stats, slot)
         points = [Slot(cfg, first, score_post if a is None
                        else score_post.assuming(a), plan)
                   for a in assumed_alphas]

@@ -43,9 +43,16 @@ def read_complex_csv(path):
         for line in r:
             if not line:
                 continue
-            name, i, j, re_part, im_part = line
-            entries.setdefault(name, []).append(
-                (int(i), int(j), float(re_part), float(im_part)))
+            try:
+                name, i, j, re_part, im_part = line
+                entry = (int(i), int(j), float(re_part), float(im_part))
+            except ValueError as e:
+                raise ConfigError(f"{path} line {r.line_num}: bad row "
+                                  f"{line!r} ({e})") from None
+            if min(entry[:2]) < 0:  # would wrap onto another entry
+                raise ConfigError(f"{path} line {r.line_num}: bad row "
+                                  f"{line!r} (negative index)")
+            entries.setdefault(name, []).append(entry)
     out = {}
     for name, items in entries.items():
         rows = 1 + max(i for i, _, _, _ in items)

@@ -54,6 +54,8 @@ def normalize_power(precoders, p_total):
     if cur <= 0:
         raise NumericalError("cannot normalize an all-zero precoder set")
     scale = math.sqrt(p_total / cur)
+    if not math.isfinite(scale):
+        raise NumericalError(f"cannot scale precoder power {cur!r} to {p_total!r}")
     return [scale * p for p in precoders]
 
 
@@ -108,36 +110,27 @@ def _spectral(shaping):
     return np.maximum(lam, 0.0), q
 
 
-def _power_at(data, mu):
-    total = 0.0
-    for lam, row in data:
-        den = (lam + mu) ** 2
-        live = den > 0
-        if np.any(row[~live] > 0):
-            return np.inf
-        total += float(np.sum(row[live] / den[live]))
-    return total
-
-
-def _stacked_power_at(data):
-    """_power_at for mu > 0 as one array expression over all users.
-
-    Needs spectra of one length and no NaN: with lam >= 0 and mu > 0 every
-    denominator is positive, so nothing is masked, and each row sum sees
-    the per-user sum's values in its order.  None when that does not hold.
-    """
-    if len({lam.shape for lam, _ in data}) != 1:
-        return None
-    lam = np.stack([lam for lam, _ in data])
-    rows = np.stack([row for _, row in data])
-    if not np.all(lam >= 0):
-        return None
+def _power_probe(data):
+    """Total power as a function of mu, one array expression over every
+    user's (spectrum, row weights): rows are padded with entries adding
+    exactly 0 (lam 1, weight 0), a zero denominator adds 0 under a zero
+    weight and makes the power infinite otherwise, and the row sums add in
+    user order."""
+    width = max(lam.size for lam, _ in data)
+    lams = np.ones((len(data), width))
+    rows = np.zeros((len(data), width))
+    for k, (lam, row) in enumerate(data):
+        lams[k, :lam.size] = lam
+        rows[k, :row.size] = row
+    positive = rows > 0
 
     def power(mu):
-        total = 0.0
-        for s in np.sum(rows / (lam + mu) ** 2, axis=1):
-            total += float(s)
-        return total
+        den = (lams + mu) ** 2
+        live = den > 0
+        if (positive & ~live).any():
+            return np.inf
+        terms = np.divide(rows, den, out=np.zeros_like(den), where=live)
+        return float(np.add.accumulate(terms.sum(axis=1))[-1])
     return power
 
 
@@ -148,21 +141,16 @@ def mu_bisection(rhs_list, shaping_list, p_total, tol_power=1e-6):
     budget, otherwise the mu making the total power equal p_total to
     tol_power relative.  Shaping matrices must be Hermitian (only their
     lower triangles are read); each is eigendecomposed once (repeated
-    objects are cached), so each probe costs O(m_t d) per user, and a
-    probe at mu > 0 is one array expression when every spectrum has the
-    same length.  The returned power never exceeds the budget: bisection
-    keeps the feasible side of the bracket.
+    objects are cached), so each probe is one array expression of
+    O(m_t d) per user.  The returned power never exceeds the budget:
+    bisection keeps the feasible side of the bracket.
     """
-    specs = {}
-    data, basis = [], []
+    specs, basis = {}, []
     for rhs, shaping in zip(rhs_list, shaping_list):
-        key = id(shaping)
-        if key not in specs:
-            specs[key] = _spectral(shaping)
-        lam, q = specs[key]
-        coef = q.conj().T @ rhs
-        data.append((lam, np.sum(np.abs(coef) ** 2, axis=1)))
-        basis.append((lam, q, coef))
+        if id(shaping) not in specs:
+            specs[id(shaping)] = _spectral(shaping)
+        lam, q = specs[id(shaping)]
+        basis.append((lam, q, q.conj().T @ rhs))
 
     def build(mu):
         out = []
@@ -173,10 +161,10 @@ def mu_bisection(rhs_list, shaping_list, p_total, tol_power=1e-6):
             out.append(q @ (scale[:, None] * coef))
         return out
 
-    if _power_at(data, 0.0) <= p_total:
+    probe = _power_probe([(lam, np.sum(np.abs(coef) ** 2, axis=1))
+                          for lam, _, coef in basis])
+    if probe(0.0) <= p_total:
         return 0.0, build(0.0)
-
-    probe = _stacked_power_at(data) or (lambda mu: _power_at(data, mu))
     lo, hi = 0.0, 1.0
     p_hi = probe(hi)
     while p_hi > p_total:
@@ -216,14 +204,14 @@ class MMReport:
 
 
 def _mm_loop(evaluate, update, x, iters, obj_tol):
-    """The MM ascent under mm_full, mm_shared and beam_power_allocation.
+    """The ascent of mm_full, mm_shared, beam_power_allocation and wmmse.
 
     evaluate(x, states) scores the iterate x, warm-starting from the
-    previous evaluation's per-user solver states (None at first), and
-    returns (objective, states, aux); update(x, states, aux) takes one
-    surrogate step and returns (mu, x).  Stops after iters updates or when
-    the relative objective change falls below obj_tol.  The report's
-    precoders field holds the final iterate.
+    previous evaluation's per-user solver states (None at first; empty
+    when it solves no fixed point), and returns (objective, states, aux);
+    update(x, states, aux) takes one surrogate step and returns (mu, x).
+    Stops after iters updates or when the relative objective change falls
+    below obj_tol.  The report's precoders field holds the final iterate.
     """
     objective, mu_trace, power_trace, de_trace = [], [], [], []
     states = None

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 
+from robustprec.baselines import perfect_csi_rate, rzf, wmmse_step
 from robustprec.channel import (
     BeamProfile,
     crandn,
@@ -153,10 +154,23 @@ def same_bits(a, b):
                                                  b.view(np.uint64))
 
 
+def power_oracle(data, mu):
+    """The total power at mu with a Python loop over the users' (spectrum,
+    row weights): each user masks its zero denominators (a masked positive
+    weight makes the power infinite) and sums on its own, and the users'
+    sums add in order."""
+    total = 0.0
+    for lam, row in data:
+        den = (lam + mu) ** 2
+        live = den > 0
+        if np.any(row[~live] > 0):
+            return np.inf
+        total += float(np.sum(row[live] / den[live]))
+    return total
+
+
 def mu_bisection_oracle(rhs_list, shaping_list, p_total, tol_power=1e-6):
-    """mu_bisection with a Python loop over the users at every probe: each
-    user's power masks the zero denominators and sums on its own, and the
-    users' sums add in order."""
+    """mu_bisection with power_oracle's per-user loop at every probe."""
     specs, data, basis = {}, [], []
     for rhs, shaping in zip(rhs_list, shaping_list):
         if id(shaping) not in specs:
@@ -168,14 +182,7 @@ def mu_bisection_oracle(rhs_list, shaping_list, p_total, tol_power=1e-6):
         basis.append((lam, q, coef))
 
     def power(mu):
-        total = 0.0
-        for lam, row in data:
-            den = (lam + mu) ** 2
-            live = den > 0
-            if np.any(row[~live] > 0):
-                return np.inf
-            total += float(np.sum(row[live] / den[live]))
-        return total
+        return power_oracle(data, mu)
 
     def build(mu):
         out = []
@@ -205,3 +212,21 @@ def mu_bisection_oracle(rhs_list, shaping_list, p_total, tol_power=1e-6):
         else:
             hi, p_hi = mid, p_mid
     raise BisectionError("no convergence")
+
+
+def wmmse_oracle(channels, p_total, sigma2_z, weights, iters=100,
+                 tol_power=1e-6):
+    """baselines.wmmse as its own loop: rzf start, wmmse_step updates, stop
+    at iters updates or a known-channel rate change below 1e-8 (relative).
+    Returns (precoders, rates, mus)."""
+    precoders = rzf(channels, p_total, sigma2_z)
+    rates = [perfect_csi_rate(channels, precoders, weights, sigma2_z)]
+    mus = []
+    for _ in range(iters):
+        precoders, mu = wmmse_step(channels, precoders, weights, sigma2_z,
+                                   p_total, tol_power=tol_power)
+        mus.append(mu)
+        rates.append(perfect_csi_rate(channels, precoders, weights, sigma2_z))
+        if abs(rates[-1] - rates[-2]) <= 1e-8 * (1 + abs(rates[-1])):
+            break
+    return precoders, rates, mus

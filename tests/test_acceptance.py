@@ -482,8 +482,7 @@ def test_10_power_budget_feasibility_across_algorithms():
     )
     prof = BeamProfile(band_width=8, lognorm_sigma=0.4, alphas=0.9)
     stats = experiment_statistics(cfg, prof)
-    blocks, post = prepare_slot(cfg, stats, 0)
-    first = [b[0] for b in blocks]
+    first, post = prepare_slot(cfg, stats, 0)
     p = cfg.p_total
 
     init = canonical_allocation(stats, cfg).precoders
@@ -504,7 +503,7 @@ def test_10_power_budget_feasibility_across_algorithms():
         assert abs(power - p) <= 1e-9 * p, f"{name}: normalized power {power}"
         checked[name] = True
 
-    wp, _ = wmmse(first, p, cfg.sigma2_z, weights=cfg.weights, iters=50)
+    wp = wmmse(first, p, cfg.sigma2_z, weights=cfg.weights, iters=50).precoders
     _assert_budget(wp, p)
     stepped, mu = wmmse_step(first, wp, cfg.weights, cfg.sigma2_z, p)
     power = _assert_budget(stepped, p)

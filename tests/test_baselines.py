@@ -12,7 +12,9 @@ from numpy.random import default_rng
 from helpers import (
     make_instance,
     random_precoder_set,
+    same_bits,
     small_cfg,
+    wmmse_oracle,
     zero_mean_posterior,
 )
 from robustprec.baselines import (
@@ -93,11 +95,29 @@ def test_wmmse_ascends_known_channel_rate_and_beats_inversion():
     weights = [1.0, 1.5, 0.7]
     # tol_power below the ascent slack so the inner bisection's budget
     # shortfall cannot mask the monotonicity guarantee
-    pre, rates = wmmse(chans, 1.0, 0.1, weights, iters=60, tol_power=1e-11)
-    r = np.array(rates)
+    rep = wmmse(chans, 1.0, 0.1, weights, iters=60, tol_power=1e-11)
+    r = np.array(rep.objective)
     assert np.all(np.diff(r) >= -1e-8 * (1 + np.abs(r[1:])))
     assert r[-1] > r[0] + 1e-3
-    assert abs(total_power(pre) - 1.0) <= 1e-6
+    assert abs(total_power(rep.precoders) - 1.0) <= 1e-6
+
+
+@pytest.mark.parametrize("iters, converged", [(0, False), (500, True),
+                                               (3, False)])
+def test_wmmse_runs_the_ascent_loop_as_its_own_loop_did(iters, converged):
+    # iters 0 returns the rzf start, 500 stops on the rate tolerance and
+    # 3 stops at the update cap
+    chans = _channels(4)
+    weights = [1.0, 1.5, 0.7]
+    rep = wmmse(chans, 1.0, 0.1, weights, iters=iters)
+    pre, rates, mus = wmmse_oracle(chans, 1.0, 0.1, weights, iters=iters)
+    assert rep.converged is converged
+    assert rep.updates == len(mus) == len(rates) - 1
+    assert rep.updates < iters if converged else rep.updates == iters
+    assert rep.objective == rates
+    assert rep.mu_trace == mus
+    assert all(same_bits(p, q) for p, q in zip(rep.precoders, pre))
+    assert rep.de_trace == []
 
 
 def test_wmmse_step_matches_posterior_update_at_exact_csi():

@@ -1,5 +1,6 @@
 """CLI tests: config validation, file contracts, determinism, exit codes."""
 import json
+import math
 import os
 import subprocess
 import sys
@@ -157,6 +158,38 @@ def test_config_without_a_profile_is_a_config_error(tmp_path, capsys):
     assert "'profile'" in record["message"]
 
 
+def test_config_path_that_is_a_directory_is_a_config_error(tmp_path, capsys):
+    assert cli.main(["validate-config", "-c", str(tmp_path)]) == 2
+    assert "cannot be read" in capsys.readouterr().err
+
+
+def test_unreadable_config_is_a_config_error(tmp_path, capsys, monkeypatch):
+    # a chmod 000 file stays readable to root, so open itself refuses
+    def refuse(path, *args, **kwargs):
+        raise PermissionError(13, "Permission denied", str(path))
+    monkeypatch.setattr(cli, "open", refuse, raising=False)
+    cfgfile = _write_config(tmp_path, BASE)
+    assert cli.main(["validate-config", "-c", cfgfile]) == 2
+    assert "cannot be read: Permission denied" in capsys.readouterr().err
+
+
+def test_config_that_is_not_utf8_is_a_config_error(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes('{"system": {"m_t": 8, "m_k": [2]}, "note": "\u00e9"}'
+                     .encode("latin-1"))
+    assert cli.main(["validate-config", "-c", str(path)]) == 2
+    assert "is not UTF-8" in capsys.readouterr().err
+
+
+def test_out_dir_that_is_a_file_is_a_config_error(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    cfgfile = _write_config(tmp_path, BASE)
+    assert cli.main(["sweep", "-c", cfgfile, "--out-dir", str(taken)]) == 2
+    assert "--out-dir" in capsys.readouterr().err
+    assert taken.read_text() == ""
+
+
 def test_seed_above_2_53_keeps_its_value(tmp_path, capsys):
     seed = 2 ** 53 + 1
     data = dict(BASE, system=dict(BASE["system"], seed=seed))
@@ -275,6 +308,28 @@ def test_slnr_at_300_db_exits_3_with_error_record(tmp_path):
     assert ("NumericalError: slnr: user 0's leakage matrix is not positive "
             "definite" in record["message"])
     assert sorted(p.name for p in out.iterdir()) == ["error.json"]
+
+
+def test_unscalable_power_exits_3_and_keeps_the_other_rows(tmp_path):
+    # at p_total 1e200 the uplink noise tracks the budget, the estimated
+    # means are about 1e-99, and robust-rzf's power before scaling
+    # (~4e-199) cannot be scaled to the budget: an error, not NaN rates
+    data = {"system": {"m_t": 8, "m_k": [2, 2], "n_b": 2, "seed": 0,
+                       "snr_db": [10], "p_total": 1e200},
+            "profile": {"band_width": 4},
+            "experiment": {"algorithms": ["robust-rzf"], "n_slots": 1,
+                           "n_mc": 32}}
+    cfgfile = _write_config(tmp_path, data)
+    out = tmp_path / "alone"
+    assert cli.main(["sweep", "-c", cfgfile, "--out-dir", str(out)]) == 3
+    record = json.loads((out / "error.json").read_text())
+    assert "NumericalError: cannot scale precoder power" in record["message"]
+    both = tmp_path / "both"
+    assert cli.main(["sweep", "-c", cfgfile, "--out-dir", str(both),
+                     "--algorithms", "robust-rzf,rzf"]) == 0
+    assert _read_rows(both / "sweep_robust_rzf.csv")[1] == []
+    _, rows = _read_rows(both / "sweep_rzf.csv")
+    assert len(rows) == 1 and all(math.isfinite(float(v)) for v in rows[0][4:6])
 
 
 def test_failing_baseline_keeps_the_mm_design_rows(tmp_path):

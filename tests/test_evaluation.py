@@ -160,8 +160,8 @@ def test_mismatch_points_equal_one_point_runs():
 
 
 def _slot(cfg, profile, plan, alpha):
-    blocks, post = prepare_slot(cfg, experiment_statistics(cfg, profile), 0)
-    return Slot(cfg, [b[0] for b in blocks], post.assuming(alpha), plan)
+    first, post = prepare_slot(cfg, experiment_statistics(cfg, profile), 0)
+    return Slot(cfg, first, post.assuming(alpha), plan)
 
 
 def test_reads_alpha_matches_what_each_design_reads():

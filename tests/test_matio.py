@@ -33,6 +33,16 @@ def test_rewrite_is_byte_identical(tmp_path):
     assert b"\r" not in a.read_bytes()
 
 
+@pytest.mark.parametrize("row", ["p,0,0,1.0", "p,0,0,1.0,2.0,3.0",
+                                 "p,0,0,x,2.0", "p,zero,0,1.0,2.0",
+                                 "p,-1,0,1.0,2.0"])
+def test_bad_row_is_a_config_error_naming_file_and_line(tmp_path, row):
+    path = tmp_path / "mats.csv"
+    path.write_text("name,row,col,re,im\np,0,1,1.0,2.0\n" + row + "\n")
+    with pytest.raises(ConfigError, match=r"mats\.csv line 3: bad row"):
+        read_complex_csv(path)
+
+
 def test_rejects_non_matrices_and_bad_header(tmp_path):
     with pytest.raises(ConfigError, match="not a matrix"):
         write_complex_csv(tmp_path / "x.csv", {"v": np.zeros(3)})

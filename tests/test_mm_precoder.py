@@ -15,6 +15,7 @@ from numpy.random import default_rng
 from helpers import (
     make_instance,
     mu_bisection_oracle,
+    power_oracle,
     random_precoder_set,
     relerr,
     same_bits,
@@ -31,7 +32,7 @@ from robustprec.channel import (
     uplink_observation,
 )
 from robustprec.det_equiv import solve_fixed_point
-from robustprec.errors import BisectionError
+from robustprec.errors import BisectionError, NumericalError
 from robustprec.mm_precoder import (
     leakage_penalty,
     mm_full,
@@ -302,19 +303,38 @@ def test_mu_bisection_matches_the_per_user_loop_bit_for_bit(
     assert max(mus) > 0  # the budget binds, so probes at mu > 0 ran
 
 
-@pytest.mark.parametrize("k_users, m", [(3, 8), (4, 32), (16, 128)])
-def test_stacked_probe_has_the_per_user_sums_bits(k_users, m):
+# the equal-length spectra of the MM designs, and unequal rows shorter than
+# 8 (alg3's active beams), whose padding cannot regroup a row sum
+@pytest.mark.parametrize("sizes", [(8,) * 3, (32,) * 4, (128,) * 16,
+                                   (7, 1, 4, 2, 5)],
+                         ids=["3-8", "4-32", "16-128", "unequal"])
+def test_power_probe_matches_the_per_user_oracle(sizes):
     # the power at mu > 0 decides every bracket step, so it must not move
-    rng = default_rng(m)
+    rng = default_rng(sum(sizes))
     data = []
-    for _ in range(k_users):
+    for m in sizes:
         lam = np.maximum(rng.standard_normal(m), 0.0)  # about half are 0
         data.append((lam, rng.exponential(size=m) * rng.uniform(1e-3, 1e3)))
-    probe = mm_precoder._stacked_power_at(data)
+    probe = mm_precoder._power_probe(data)
     for mu in np.geomspace(1e-9, 1e9, 61):
-        assert probe(mu) == mm_precoder._power_at(data, mu)
-    assert mm_precoder._stacked_power_at(data[:1] + [(
-        np.zeros(m - 1), np.ones(m - 1))]) is None  # unequal lengths
+        assert probe(mu) == power_oracle(data, mu)
+    # at mu = 0 a zero eigenvalue under a positive weight makes the power
+    # infinite, and one under a zero weight adds nothing
+    assert probe(0.0) == power_oracle(data, 0.0) == np.inf
+    for k in range(len(sizes)):
+        cut = [(lam, np.where(lam > 0, row, 0.0)) if l >= k else (lam, row)
+               for l, (lam, row) in enumerate(data)]
+        got, want = mm_precoder._power_probe(cut)(0.0), power_oracle(cut, 0.0)
+        assert (got == np.inf) == (want == np.inf) == (k > 0)
+        assert got == want or abs(got - want) <= 1e-13 * want
+
+
+def test_normalize_power_refuses_a_scale_that_overflows():
+    # a 1e200 budget over a power of 2e-200 overflows the scale, which turns
+    # every entry into inf or NaN
+    with pytest.raises(NumericalError, match="cannot scale"):
+        normalize_power([np.full((2, 1), 1e-100)], 1e200)
+    assert total_power(normalize_power([np.full((2, 1), 1e-100)], 1e100)) > 0
 
 
 def test_mu_bisection_all_zero_rhs():
