@@ -10,12 +10,14 @@ byte-identical.
 Config file: JSON with sections "system" (SystemConfig fields), "profile"
 (BeamProfile fields) and "experiment" (ExperimentPlan fields).  A previously
 written run_manifest.json is also accepted; its resolved config is reused.
-Exit codes: 0 success, 2 config error, 3 numerical failure (an error.json
-is left in the output directory when one is known).
+Exit codes: 0 success, 2 config error (an output file that cannot be
+written is one), 3 numerical failure (an error.json is left in the output
+directory when one is known and it can be written).
 """
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import json
@@ -114,14 +116,25 @@ def _resolved_config(cfg, profile, plan):
             "experiment": dataclasses.asdict(plan)}
 
 
+@contextlib.contextmanager
+def _writing(path):
+    """An OSError while writing the output file path is a ConfigError
+    naming it."""
+    try:
+        yield
+    except OSError as e:
+        raise ConfigError(f"output file {path} cannot be written: "
+                          f"{e.strerror or e}") from None
+
+
 def _write_json(path, payload):
-    with open(path, "w", newline="") as f:
+    with _writing(path), open(path, "w", newline="") as f:
         json.dump(payload, f, indent=2, sort_keys=True)
         f.write("\n")
 
 
 def _write_csv(path, header, rows):
-    with open(path, "w", newline="") as f:
+    with _writing(path), open(path, "w", newline="") as f:
         w = csv.writer(f, lineterminator="\n")
         w.writerow(header)
         w.writerows(rows)
@@ -197,9 +210,10 @@ def _run_converge(cfg, profile, plan, out_dir, args):
                                     "power"], rows)
         outputs.append(name)
         pname = f"precoders_{alg}.csv"
-        write_complex_csv(out_dir / pname,
-                          {f"user{k}": p for k, p in
-                           enumerate(report.precoders)})
+        with _writing(out_dir / pname):
+            write_complex_csv(out_dir / pname,
+                              {f"user{k}": p for k, p in
+                               enumerate(report.precoders)})
         outputs.append(pname)
         if alloc is not None:
             arows = []
@@ -299,8 +313,11 @@ def main(argv=None):
 def _report_error(out_dir, kind, exc):
     print(f"error: {exc}", file=sys.stderr)
     if out_dir is not None and out_dir.is_dir():
-        _write_json(out_dir / "error.json",
-                    {"error": kind, "message": str(exc)})
+        try:
+            _write_json(out_dir / "error.json",
+                        {"error": kind, "message": str(exc)})
+        except ConfigError:
+            pass  # the message is on stderr already
 
 
 if __name__ == "__main__":

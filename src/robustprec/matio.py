@@ -33,8 +33,11 @@ def write_complex_csv(path, named):
 
 
 def read_complex_csv(path):
-    """Read back {name: complex ndarray}; shapes come from the max indices."""
-    entries = {}
+    """Read back {name: complex ndarray}; shapes come from the max indices.
+
+    A malformed row, a negative index or a repeated (name, row, col) entry
+    is a ConfigError naming the file and line."""
+    entries, first_line = {}, {}
     with open(path, newline="") as f:
         r = csv.reader(f)
         header = next(r, None)
@@ -52,6 +55,12 @@ def read_complex_csv(path):
             if min(entry[:2]) < 0:  # would wrap onto another entry
                 raise ConfigError(f"{path} line {r.line_num}: bad row "
                                   f"{line!r} (negative index)")
+            key = (name, *entry[:2])
+            if key in first_line:
+                raise ConfigError(f"{path} line {r.line_num}: repeated entry "
+                                  f"{line!r} (first on line "
+                                  f"{first_line[key]})")
+            first_line[key] = r.line_num
             entries.setdefault(name, []).append(entry)
     out = {}
     for name, items in entries.items():

@@ -12,6 +12,12 @@ multiplier found by bisection on the sum power.  mm_full shapes the update
 per user; mm_shared replaces the per-user shaping with one shared matrix
 (plus a PSD gap correction), cutting the large-matrix work per iteration to
 a single eigendecomposition.
+
+Memory: an mm_full update holds the users' DE states, all K leakage
+penalties (every shaping reads them) and the K shapings the multiplier
+search reads; an mm_shared update holds the states and the one shared
+shaping.  Signal gains and self penalties (in mm_shared the leakage
+penalties too) live one user at a time.
 """
 from __future__ import annotations
 
@@ -90,12 +96,13 @@ def leakage_penalty(posterior, state, r, k, n):
     return hermitize(expected_gram(posterior, k, n, diff))
 
 
-def update_shaping(weights, self_pens, leak_pens, k):
-    """Per-user quadratic shaping: own self penalty plus others' leakage."""
-    d = weights[k] * self_pens[k]
+def update_shaping(weights, self_pen, leak_pens, k):
+    """Per-user quadratic shaping: user k's own self penalty plus the
+    others' leakage penalties (leak_pens lists all K)."""
+    d = weights[k] * self_pen
     for l in range(len(weights)):
         if l != k:
-            d = d + weights[l] * leak_pens[l]
+            d += weights[l] * leak_pens[l]
     return d
 
 
@@ -259,11 +266,13 @@ def mm_full(posterior, cfg, n, init, iters=30, obj_tol=1e-8, tol_power=1e-6):
     k_users = posterior.n_users
 
     def step(precoders, states, covs):
-        gains = [signal_gain(posterior, covs[k], k, n) for k in range(k_users)]
-        selfs = [self_penalty(gains[k], states[k], precoders[k]) for k in range(k_users)]
         leaks = [leakage_penalty(posterior, states[k], covs[k], k, n) for k in range(k_users)]
-        shapings = [update_shaping(weights, selfs, leaks, k) for k in range(k_users)]
-        rhs = [weights[k] * gains[k] @ precoders[k] for k in range(k_users)]
+        shapings, rhs = [], []
+        for k in range(k_users):
+            gain = signal_gain(posterior, covs[k], k, n)
+            shapings.append(update_shaping(
+                weights, self_penalty(gain, states[k], precoders[k]), leaks, k))
+            rhs.append(weights[k] * gain @ precoders[k])
         return mu_bisection(rhs, shapings, cfg.p_total, tol_power=tol_power)
 
     return _de_ascent(posterior, cfg, n, init, iters, step, obj_tol)
@@ -281,16 +290,17 @@ def mm_shared(posterior, cfg, n, init, iters=30, obj_tol=1e-8, tol_power=1e-6):
     k_users = posterior.n_users
 
     def step(precoders, states, covs):
-        gains = [signal_gain(posterior, covs[k], k, n) for k in range(k_users)]
-        selfs = [self_penalty_lowrank(gains[k], states[k], precoders[k])
-                 for k in range(k_users)]
-        leaks = [leakage_penalty(posterior, states[k], covs[k], k, n) for k in range(k_users)]
-        shared = None
+        shared, rhs = None, []
         for k in range(k_users):
-            term = weights[k] * leaks[k]
-            shared = term if shared is None else shared + term
-        rhs = [(weights[k] * gains[k] + penalty_gap(weights[k], selfs[k], leaks[k]))
-               @ precoders[k] for k in range(k_users)]
+            gain = signal_gain(posterior, covs[k], k, n)
+            self_pen = self_penalty_lowrank(gain, states[k], precoders[k])
+            leak = leakage_penalty(posterior, states[k], covs[k], k, n)
+            if shared is None:
+                shared = weights[k] * leak
+            else:
+                shared += weights[k] * leak
+            rhs.append((weights[k] * gain + penalty_gap(weights[k], self_pen, leak))
+                       @ precoders[k])
         return mu_bisection(rhs, [shared] * k_users, cfg.p_total,
                             tol_power=tol_power)
 

@@ -15,7 +15,17 @@ from robustprec.channel import (
 from robustprec.config import SystemConfig
 from robustprec.errors import BisectionError
 from robustprec.evaluation import MCRate
-from robustprec.mm_precoder import _BISECT_CAP, _MU_BRACKET_CAP
+from robustprec.mm_precoder import (
+    _BISECT_CAP,
+    _MU_BRACKET_CAP,
+    _de_ascent,
+    leakage_penalty,
+    mu_bisection,
+    penalty_gap,
+    self_penalty,
+    self_penalty_lowrank,
+    signal_gain,
+)
 from robustprec.operators import interference_covariance
 from robustprec.posterior import PosteriorModel, build_posterior
 
@@ -230,3 +240,41 @@ def wmmse_oracle(channels, p_total, sigma2_z, weights, iters=100,
         if abs(rates[-1] - rates[-2]) <= 1e-8 * (1 + abs(rates[-1])):
             break
     return precoders, rates, mus
+
+
+def mm_ascent_oracle(posterior, cfg, n, init, iters, shared, obj_tol=1e-8,
+                     tol_power=1e-6):
+    """mm_full (shared=False) or mm_shared (shared=True) with an update that
+    lists all K signal gains, self penalties and leakage penalties at once,
+    then forms every shaping (or the one shared shaping) and right-hand
+    side from those lists."""
+    weights = cfg.weights
+    users = range(posterior.n_users)
+
+    def step(precoders, states, covs):
+        gains = [signal_gain(posterior, covs[k], k, n) for k in users]
+        penalty = self_penalty_lowrank if shared else self_penalty
+        selfs = [penalty(gains[k], states[k], precoders[k]) for k in users]
+        leaks = [leakage_penalty(posterior, states[k], covs[k], k, n)
+                 for k in users]
+        if not shared:
+            shapings = []
+            for k in users:
+                d = weights[k] * selfs[k]
+                for l in users:
+                    if l != k:
+                        d = d + weights[l] * leaks[l]
+                shapings.append(d)
+            rhs = [weights[k] * gains[k] @ precoders[k] for k in users]
+            return mu_bisection(rhs, shapings, cfg.p_total,
+                                tol_power=tol_power)
+        total = weights[0] * leaks[0]
+        for k in users[1:]:
+            total = total + weights[k] * leaks[k]
+        rhs = [(weights[k] * gains[k] + penalty_gap(weights[k], selfs[k],
+                                                    leaks[k])) @ precoders[k]
+               for k in users]
+        return mu_bisection(rhs, [total] * len(users), cfg.p_total,
+                            tol_power=tol_power)
+
+    return _de_ascent(posterior, cfg, n, init, iters, step, obj_tol)

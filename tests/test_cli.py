@@ -190,6 +190,36 @@ def test_out_dir_that_is_a_file_is_a_config_error(tmp_path, capsys):
     assert taken.read_text() == ""
 
 
+@pytest.mark.parametrize("subcommand, algorithm, taken", [
+    ("sweep", "rzf", "sweep_rzf.csv"),
+    ("sweep", "rzf", "run_manifest.json"),
+    ("converge", "alg3", "converge_alg3.csv"),
+    ("converge", "alg3", "precoders_alg3.csv"),
+])
+def test_unwritable_output_file_is_a_config_error_naming_it(
+        tmp_path, capsys, subcommand, algorithm, taken):
+    # a directory where an output file goes cannot be opened for writing
+    out = tmp_path / "out"
+    (out / taken).mkdir(parents=True)
+    assert cli.main([subcommand, "-c", _write_config(tmp_path, BASE),
+                     "--out-dir", str(out), "--algorithms", algorithm]) == 2
+    assert f"output file {out / taken} cannot be written" in (
+        capsys.readouterr().err)
+    record = json.loads((out / "error.json").read_text())
+    assert record["error"] == "ConfigError"
+    assert taken in record["message"]
+
+
+def test_unwritable_error_record_leaves_the_message_on_stderr(tmp_path,
+                                                             capsys):
+    out = tmp_path / "out"
+    (out / "sweep_rzf.csv").mkdir(parents=True)
+    (out / "error.json").mkdir()
+    assert cli.main(["sweep", "-c", _write_config(tmp_path, BASE),
+                     "--out-dir", str(out), "--algorithms", "rzf"]) == 2
+    assert "sweep_rzf.csv cannot be written" in capsys.readouterr().err
+
+
 def test_seed_above_2_53_keeps_its_value(tmp_path, capsys):
     seed = 2 ** 53 + 1
     data = dict(BASE, system=dict(BASE["system"], seed=seed))

@@ -43,6 +43,16 @@ def test_bad_row_is_a_config_error_naming_file_and_line(tmp_path, row):
         read_complex_csv(path)
 
 
+def test_repeated_entry_is_a_config_error_naming_file_and_line(tmp_path):
+    # the second row would overwrite the first without a word
+    path = tmp_path / "mats.csv"
+    path.write_text("name,row,col,re,im\np,0,0,1.0,2.0\nq,0,0,5.0,6.0\n"
+                    "p,0,0,3.0,4.0\n")
+    with pytest.raises(ConfigError, match=r"mats\.csv line 4: repeated entry"
+                                          r".*first on line 2"):
+        read_complex_csv(path)
+
+
 def test_rejects_non_matrices_and_bad_header(tmp_path):
     with pytest.raises(ConfigError, match="not a matrix"):
         write_complex_csv(tmp_path / "x.csv", {"v": np.zeros(3)})

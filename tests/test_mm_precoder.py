@@ -6,6 +6,7 @@ the expansion point), closed-form waterfilling for the single-user
 perfect-CSI case, and a scalar closed form for the power multiplier.
 """
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -14,6 +15,7 @@ from numpy.random import default_rng
 
 from helpers import (
     make_instance,
+    mm_ascent_oracle,
     mu_bisection_oracle,
     power_oracle,
     random_precoder_set,
@@ -104,7 +106,7 @@ def test_penalty_matrices_are_psd_and_ordered():
             gap = penalty_gap(w[k], selfs[k], leaks[k])
             assert relerr(gap, gap.conj().T) < 1e-10
             assert _min_eig(w[k] * gains[k] + gap) > -1e-10 * scale
-            shaping = update_shaping(w, selfs, leaks, k)
+            shaping = update_shaping(w, selfs[k], leaks, k)
             assert _min_eig(shaping) > -1e-10 * scale
 
 
@@ -397,6 +399,46 @@ def test_mm_de_trace_records_sweeps():
     assert 0 in iters_seen
     for row in trace:
         assert row[3] < 1e-9  # every recorded solve hit the requested tol
+
+
+@pytest.mark.parametrize("algorithm", [mm_full, mm_shared])
+def test_mm_matches_the_all_users_update_bit_for_bit(algorithm):
+    # one user at a time holds its gain and self penalty; the sums, and so
+    # every bit of the report, are those of the update that lists all K
+    cfg = replace(small_cfg(m_t=8, m_k=(3, 2, 2), d_k=(3, 1, 2), n_b=3),
+                  weights=(1.0, 0.4, 2.5))
+    rng = default_rng(21)
+    stats, slot, pilots, post = make_instance(cfg, rng, alphas=0.85)
+    init = random_precoder_set(rng, cfg.m_t, cfg.d_k, cfg.p_total)
+    got = algorithm(post, cfg, 2, init, iters=5, obj_tol=0.0)
+    want = mm_ascent_oracle(post, cfg, 2, init, 5, algorithm is mm_shared,
+                            obj_tol=0.0)
+    assert got.updates == want.updates == 5
+    assert all(same_bits(a, b) for a, b in zip(got.precoders, want.precoders))
+    for field in ("objective", "mu_trace", "power_trace"):
+        assert (np.array(getattr(got, field)).view(np.uint64).tolist()
+                == np.array(getattr(want, field)).view(np.uint64).tolist())
+
+
+@pytest.mark.parametrize("algorithm, units", [(mm_full, 5.0), (mm_shared, 3.5)])
+def test_mm_update_holds_one_users_gain_and_self_penalty(algorithm, units):
+    # peak heap of a whole ascent in K m_t^2 complex entries: an update that
+    # lists every user's gain, self penalty and leakage penalty at once
+    # peaks at 6.3 (mm_full) and 4.7 (mm_shared); one user at a time, at
+    # 4.4 and 2.7
+    cfg = small_cfg(m_t=64, m_k=(2,) * 8, n_b=3)
+    rng = default_rng(0)
+    stats, slot, pilots, post = make_instance(cfg, rng)
+    init = random_precoder_set(rng, cfg.m_t, cfg.d_k, cfg.p_total)
+    algorithm(post, cfg, 2, init, iters=2, obj_tol=0.0)  # warm-up
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        algorithm(post, cfg, 2, init, iters=2, obj_tol=0.0)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < units * post.n_users * cfg.m_t ** 2 * 16
 
 
 def test_single_user_perfect_csi_reaches_waterfilling():
