@@ -97,12 +97,15 @@ def _damped_sweeps(sweep, carry, tol, max_iter, gains=None, trace=None):
     one (negative real inner product) while the residual fell by less than
     10%, which is how a slowly shrinking two-cycle shows.  trace: list
     collecting (sweep, residual) rows.  Raises FixedPointError if tol is not
-    reached within max_iter sweeps.
+    reached within max_iter sweeps, or if a sweep meets a singular matrix.
     """
     res = res_prev = np.inf
     step_prev = None
     for it in range(1, max_iter + 1):
-        tx_gain, rx_gain, *proposed = sweep(*carry)
+        try:
+            tx_gain, rx_gain, *proposed = sweep(*carry)
+        except np.linalg.LinAlgError as e:
+            raise FixedPointError(f"DE fixed point: sweep {it} failed: {e}") from None
         if gains is not None:
             res = max(_rel_change(tx_gain, gains[0]), _rel_change(rx_gain, gains[1]))
         gains = tx_gain, rx_gain
@@ -132,7 +135,8 @@ def solve_fixed_point(posterior, p, r, k, n, tol=1e-9, max_iter=500, init=None,
 
     init: warm start from a previous DEState of the same shapes.  trace:
     list collecting (sweep, residual) rows.  Raises FixedPointError if tol
-    is not reached within max_iter sweeps.
+    is not reached within max_iter sweeps, or if a sweep meets a singular
+    matrix.
     """
     kern = posterior.kernel(k, n)
     mean = posterior.mean(k, n)

@@ -13,6 +13,7 @@ from global state, which makes every run reproducible bit for bit.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -172,6 +173,13 @@ class MCRate(NamedTuple):
     stderr: float
 
 
+# slogdet's sign is exactly 1 for a Hermitian positive-definite matrix, and
+# its computed distance from 1 tracks the determinant's round-off: at most
+# 6e-4 where rates are sound (120 dB with d_k < m_k), 0.93 or more where
+# the log-determinant has lost all precision (150 dB with d_k < m_k).
+_SIGN_TOL = 1e-3
+
+
 @dataclass(frozen=True)
 class RateRecord:
     algorithm: str
@@ -206,14 +214,19 @@ def monte_carlo_rate(posterior, designs, weights, sigma2_z, n, rng,
     Draws are batched; matrices stay (batch, m_k, m_k).  Each batch is
     drawn once and scores every design, so all designs see the same draws,
     and each design's result is the one it would get scored alone.
+
+    A set whose base or draw log-determinant is not finite, or whose
+    determinant sign is off 1 by more than _SIGN_TOL (the logdet has lost
+    its precision), scores MCRate(nan, nan).
     """
     n_samples = int(n_samples)
     per_user = [[] for _ in designs]
     variances = [[] for _ in designs]
+    valid = [True] * len(designs)
     for k in range(posterior.n_users):
         covs = [interference_covariance(posterior, pre, k, n, sigma2_z)
                 for pre in designs]
-        bases = [float(np.linalg.slogdet(r)[1]) for r in covs]
+        bases = [np.linalg.slogdet(r) for r in covs]
         acc, acc_sq = [0.0] * len(designs), [0.0] * len(designs)
         left = n_samples
         while left > 0:
@@ -223,12 +236,17 @@ def monte_carlo_rate(posterior, designs, weights, sigma2_z, n, rng,
                 hp = _stack_matmul(draws, pre[k])
                 full = hp @ hp.conj().transpose(0, 2, 1)
                 full += covs[i]
-                vals = np.linalg.slogdet(full)[1]
-                vals -= bases[i]
+                signs, vals = np.linalg.slogdet(full)
+                # |sign - 1| <= _SIGN_TOL for a sign of modulus 1 (or 0),
+                # read off the real part: no batch-sized temporaries
+                valid[i] &= bool(np.all(signs.real >= 1 - _SIGN_TOL**2 / 2))
+                vals -= bases[i].logabsdet
                 acc[i] += float(np.sum(vals))
                 acc_sq[i] += float(np.sum(vals * vals))
             left -= b
         for i in range(len(designs)):
+            valid[i] &= (bool(abs(bases[i].sign - 1) <= _SIGN_TOL)
+                         and math.isfinite(acc[i]))
             mean = acc[i] / n_samples
             per_user[i].append(mean)
             if n_samples > 1:
@@ -239,7 +257,8 @@ def monte_carlo_rate(posterior, designs, weights, sigma2_z, n, rng,
     # users are sampled independently, so weighted variances add
     return [MCRate(float(np.dot(weights, means)),
                    float(np.sqrt(np.dot(np.square(weights), var) / n_samples)))
-            for means, var in zip(per_user, variances)]
+            if ok else MCRate(math.nan, math.nan)
+            for means, var, ok in zip(per_user, variances, valid)]
 
 
 def _algorithm_designs(alg, inputs):
@@ -283,7 +302,8 @@ def _run_points(cfg, profile, plan, assumed_alphas):
     then each block's designs are scored together on one pass of that
     block's draws.  An algorithm that does not read alpha is designed and
     scored once per slot, and its records are copied to every point.  A
-    NumericalError drops the rates of that algorithm for the slot at the
+    NumericalError, or a Monte Carlo score that is not valid at any block
+    of the slot, drops the rates of that algorithm for the slot at the
     points its design serves, lists the slot once in each such point's
     failed_slots, and is kept as a point's first_error if it is the first.
     """
@@ -311,15 +331,24 @@ def _run_points(cfg, profile, plan, assumed_alphas):
                         failed[i] = failed[i] or exc
             if not designs:
                 continue
+            rows = [[] for _ in designs]
             for j, n in enumerate(range(2, cfg.n_b + 1)):
                 rng_mc = default_rng(SeedSequence([cfg.seed, 2, slot, n]))
                 rates = monte_carlo_rate(
                     score_post, [d[j] for _, d in designs], cfg.weights,
                     cfg.sigma2_z, n, rng_mc, plan.n_mc, batch=plan.mc_batch)
-                for (group, _), mc in zip(designs, rates):
+                for row, mc in zip(rows, rates):
+                    row.append(RateRecord(alg, slot, n, mc.total, mc.stderr))
+            for (group, _), row in zip(designs, rows):
+                if any(math.isnan(rec.rate) for rec in row):
+                    exc = NumericalError(
+                        f"{alg}: the Monte Carlo score of slot {slot} is not "
+                        "valid (a log-determinant lost its precision)")
                     for i in group:
-                        results[i].records.append(
-                            RateRecord(alg, slot, n, mc.total, mc.stderr))
+                        failed[i] = failed[i] or exc
+                else:
+                    for i in group:
+                        results[i].records.extend(row)
         for result, exc in zip(results, failed):
             if exc is not None:
                 result.failed_slots.append(slot)

@@ -4,14 +4,20 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import robustprec
-from robustprec import cli
-from robustprec.errors import NumericalError
+from robustprec import cli, errors
+from robustprec.errors import ConfigError, NumericalError
+from robustprec.evaluation import ALGORITHM_TABLE, ALGORITHMS
 from robustprec.matio import read_complex_csv
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads"
 
 BASE = {
     "system": {"m_t": 8, "m_k": [2, 2], "n_b": 2, "sigma2_z": 0.1,
@@ -40,6 +46,13 @@ def test_validate_config_echoes_resolution(tmp_path, capsys):
     assert echoed["system"]["m_t"] == 8
     assert echoed["system"]["d_k"] == [2, 2]  # defaults resolved
     assert echoed["experiment"]["algorithms"] == ["alg3", "rzf"]
+
+
+@pytest.mark.parametrize("workload", sorted(p.name for p in
+                                             WORKLOADS.glob("*.json")))
+def test_benchmark_workloads_validate(workload, capsys):
+    assert cli.main(["validate-config", "-c", str(WORKLOADS / workload)]) == 0
+    assert json.loads(capsys.readouterr().out)["system"]
 
 
 def test_validate_config_applies_the_full_rank_rule(tmp_path, capsys):
@@ -312,6 +325,25 @@ def test_mismatch_needs_and_uses_assumed_alphas(tmp_path, capsys):
     assert {r[0] for r in rows} == {"1.0", "0.9"}
 
 
+def test_seven_algorithm_mismatch_writes_every_csv(tmp_path):
+    # the designs that do not read the assumed aging coefficient score the
+    # same at every point
+    data = {"system": {"m_t": 8, "m_k": [2, 2], "n_b": 3, "seed": 0},
+            "profile": {"band_width": 4},
+            "experiment": {"algorithms": list(ALGORITHMS), "n_slots": 1,
+                           "n_mc": 32, "mm_iters": 4,
+                           "assumed_alphas": [1.0, 0.5]}}
+    out = tmp_path / "mm"
+    assert cli.main(["mismatch", "-c", _write_config(tmp_path, data),
+                     "--out-dir", str(out)]) == 0
+    assert len(list(out.glob("mismatch_*.csv"))) == 7
+    for alg in ("alg3", "rzf", "slnr", "wmmse"):
+        _, rows = _read_rows(out / f"mismatch_{alg}.csv")
+        at = {point: [r[2:6] for r in rows if r[0] == point]
+              for point in ("1.0", "0.5")}
+        assert at["1.0"] and at["1.0"] == at["0.5"], alg
+
+
 def test_zero_mean_inversion_baseline_exits_3_with_error_record(tmp_path):
     data = dict(BASE, profile=dict(BASE["profile"], alphas=0.0),
                 experiment=dict(BASE["experiment"], algorithms=["robust-rzf"]))
@@ -428,3 +460,106 @@ def test_importing_the_cli_leaves_scipy_unloaded():
                          text=True, check=True,
                          env=dict(os.environ, PYTHONPATH=src))
     assert out.stdout.strip() == "[]"
+
+
+# 150 dB with m_k > d_k: at p_total 38 an MM design meets a singular matrix
+# in a DE sweep (it was a LinAlgError traceback, exit 1); at p_total 1 the
+# Monte Carlo log-determinants lose their precision (it wrote -inf and
+# garbage rates at exit 0)
+SINGULAR_SWEEP = {
+    "system": {"m_t": 6, "m_k": [3, 1], "d_k": [1, 1], "n_b": 3, "seed": 468,
+               "snr_db": [150], "p_total": 38, "weights": [1, 3]},
+    "profile": {"band_width": 2, "lognorm_sigma": 3.0, "alphas": 0.99},
+    "experiment": {"algorithms": ["alg1", "alg2"], "n_slots": 1, "n_mc": 8,
+                   "mm_iters": 3},
+}
+LOST_PRECISION = dict(SINGULAR_SWEEP, system={
+    k: v for k, v in SINGULAR_SWEEP["system"].items() if k != "p_total"})
+
+
+@pytest.mark.parametrize("data, cause", [
+    (SINGULAR_SWEEP, "FixedPointError: DE fixed point: sweep"),
+    (LOST_PRECISION, "alg1: the Monte Carlo score of slot 0 is not valid"),
+], ids=["singular-sweep", "lost-precision"])
+def test_150_db_with_fewer_streams_than_antennas_exits_3(tmp_path, data,
+                                                         cause):
+    out = tmp_path / "out"
+    assert cli.main(["sweep", "-c", _write_config(tmp_path, data),
+                     "--out-dir", str(out)]) == 3
+    record = json.loads((out / "error.json").read_text())
+    assert record["error"] == "NumericalError"
+    assert cause in record["message"]
+    assert sorted(p.name for p in out.iterdir()) == ["error.json"]
+
+
+_ALPHAS = [0.0, 0.5, 0.99, 1.0]
+
+
+@st.composite
+def _cli_runs(draw):
+    """(subcommand, config) over the validated config space."""
+    m_t = draw(st.integers(1, 8))
+    m_k = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    d_k = [draw(st.integers(1, min(m, m_t))) for m in m_k]
+    subcommand = draw(st.sampled_from(["sweep", "mismatch", "converge"]))
+    offered = [a for a in ALGORITHMS
+               if (d_k == m_k or not ALGORITHM_TABLE[a].full_rank)
+               and (subcommand != "converge" or ALGORITHM_TABLE[a].ascent)]
+    system = {
+        "m_t": m_t, "m_k": m_k, "d_k": d_k, "n_b": draw(st.integers(2, 3)),
+        "seed": draw(st.integers(0, 999)),
+        "snr_db": [draw(st.sampled_from([-30, 0, 10, 40, 80, 150]))],
+        "p_total": draw(st.sampled_from([1e-3, 1.0, 38.0, 1e3])),
+        "weights": draw(st.lists(st.sampled_from([0.0, 1.0, 3.0]),
+                                 min_size=len(m_k), max_size=len(m_k))),
+    }
+    sigma2_bs = draw(st.sampled_from([None, 0.0, 1e-6]))
+    if sigma2_bs is not None:
+        system["sigma2_bs"] = sigma2_bs
+    profile = {"band_width": draw(st.integers(1, m_t)),
+               "lognorm_sigma": draw(st.sampled_from([0.0, 3.0])),
+               "decay": draw(st.sampled_from([0.0, 5.0])),
+               "alphas": draw(st.sampled_from(_ALPHAS))}
+    experiment = {"algorithms": draw(st.lists(st.sampled_from(offered),
+                                              min_size=1, max_size=3,
+                                              unique=True)),
+                  "n_slots": 1, "n_mc": 8, "mm_iters": 3}
+    if subcommand == "mismatch":
+        experiment["assumed_alphas"] = draw(st.lists(
+            st.sampled_from(_ALPHAS), min_size=1, max_size=2, unique=True))
+    return subcommand, {"system": system, "profile": profile,
+                        "experiment": experiment}
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(run=_cli_runs())
+@example(run=("sweep", SINGULAR_SWEEP))
+@example(run=("sweep", LOST_PRECISION))
+def test_every_validated_config_ends_in_rates_or_a_typed_error(run):
+    # exit 0 with finite, budget-feasible numbers, or exit 2/3 with an
+    # error.json naming a ConfigError or NumericalError type
+    subcommand, data = run
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        out = tmp / "out"
+        code = cli.main([subcommand, "-c", _write_config(tmp, data),
+                         "--out-dir", str(out)])
+        assert code in (0, 2, 3)
+        if code:
+            kind = json.loads((out / "error.json").read_text())["error"]
+            assert issubclass(getattr(errors, kind),
+                              ConfigError if code == 2 else NumericalError)
+            return
+        for csv in out.glob("*.csv"):
+            for line in csv.read_text().splitlines()[1:]:
+                for cell in line.split(","):
+                    try:
+                        value = float(cell)
+                    except ValueError:
+                        continue  # a name or an empty cell
+                    assert math.isfinite(value), (csv.name, line)
+        budget = data["system"]["p_total"] * (1 + 1e-9)
+        for csv in out.glob("precoders_*.csv"):
+            power = sum(np.linalg.norm(p) ** 2
+                        for p in read_complex_csv(csv).values())
+            assert power <= budget, csv.name

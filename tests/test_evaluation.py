@@ -12,8 +12,9 @@ from helpers import (
     small_cfg,
 )
 from robustprec.baselines import perfect_csi_rate
+from robustprec.beam_domain import canonical_allocation
 from robustprec.channel import BeamProfile
-from robustprec.config import SystemConfig
+from robustprec.config import SystemConfig, at_noise, noise_from_snr
 from robustprec.errors import ConfigError, NumericalError
 from robustprec.det_equiv import de_weighted_sum_rate
 from robustprec import evaluation
@@ -84,6 +85,28 @@ def test_designs_scored_together_keep_their_solo_bits():
                                        n_samples=600, batch=256)
         assert got.total == solo.total == want.total
         assert got.stderr == solo.stderr == want.stderr
+
+
+def test_a_score_that_lost_its_precision_is_nan_beside_a_valid_one():
+    # 150 dB with m_k > d_k: the canonical start's log-determinants lose
+    # all precision (determinant signs far from 1; it scored a finite 147
+    # nats before the check), while a random set in the same call stays
+    # valid and keeps the bits it gets scored alone
+    cfg = SystemConfig(m_t=6, m_k=(3, 1), d_k=(1, 1), n_b=3, seed=468,
+                       weights=(1, 3))
+    cfg = at_noise(cfg, noise_from_snr(150, cfg.p_total))
+    stats = experiment_statistics(cfg, BeamProfile(
+        band_width=2, lognorm_sigma=3.0, alphas=0.99))
+    _, post = prepare_slot(cfg, stats, 0)
+    lost = canonical_allocation(stats, cfg).precoders
+    kept = random_precoder_set(default_rng(3), cfg.m_t, cfg.d_k, cfg.p_total)
+    args = (cfg.weights, cfg.sigma2_z, 2)
+    bad, good = monte_carlo_rate(post, [lost, kept], *args, default_rng(0),
+                                 n_samples=8)
+    assert np.isnan(bad.total) and np.isnan(bad.stderr)
+    solo, = monte_carlo_rate(post, [kept], *args, default_rng(0), n_samples=8)
+    assert np.isfinite(good.total)
+    assert (good.total, good.stderr) == (solo.total, solo.stderr)
 
 
 def test_monte_carlo_tracks_deterministic_equivalent():
