@@ -36,13 +36,10 @@ from .evaluation import (
     alpha_mismatch_study,
     experiment_statistics,
     prepare_slot,
+    sweep_points,
     sweep_snr,
 )
 from .matio import write_complex_csv
-
-_SYSTEM_KEYS = {f.name for f in dataclasses.fields(SystemConfig)}
-_PROFILE_KEYS = {f.name for f in dataclasses.fields(BeamProfile)}
-_PLAN_KEYS = {f.name for f in dataclasses.fields(ExperimentPlan)}
 
 
 def _reject_duplicates(pairs):
@@ -77,6 +74,17 @@ def _check_keys(section, data, allowed, required=()):
             raise ConfigError(f"missing key {key!r} in section {section!r}")
 
 
+def _section(name, data, cls, lead=""):
+    """cls built from the config section data; its keys are cls's fields,
+    and a field without a default is required."""
+    if not isinstance(data, dict):
+        raise ConfigError(f"{lead}section {name!r} must be an object")
+    fields = dataclasses.fields(cls)
+    _check_keys(name, data, [f.name for f in fields],
+                [f.name for f in fields if f.default is dataclasses.MISSING])
+    return cls(**data)
+
+
 def parse_config(path):
     """Read and validate a config (or manifest) file.
 
@@ -89,23 +97,11 @@ def parse_config(path):
         data = data["config"]  # a run manifest wraps the resolved config
     _check_keys("<root>", data, ("system", "profile", "experiment"),
                 required=("system",))
-    system = data["system"]
-    if not isinstance(system, dict):
-        raise ConfigError("section 'system' must be an object")
-    _check_keys("system", system, _SYSTEM_KEYS, required=("m_t", "m_k"))
-    cfg = SystemConfig(**system)
-    exp = data.get("experiment", {})
-    if not isinstance(exp, dict):
-        raise ConfigError("section 'experiment' must be an object")
-    _check_keys("experiment", exp, _PLAN_KEYS)
-    plan = ExperimentPlan(**exp)
+    cfg = _section("system", data["system"], SystemConfig)
+    plan = _section("experiment", data.get("experiment", {}), ExperimentPlan)
     # read last, so an error in another section is the one reported
-    prof = data.get("profile")
-    if not isinstance(prof, dict):
-        raise ConfigError("a beam profile is required: section 'profile' "
-                          "must be an object")
-    _check_keys("profile", prof, _PROFILE_KEYS, required=("band_width",))
-    profile = BeamProfile(**prof)
+    profile = _section("profile", data.get("profile"), BeamProfile,
+                       lead="a beam profile is required: ")
     profile.resolve(cfg)  # raises what drawing the statistics would
     return cfg, profile, plan
 
@@ -289,6 +285,7 @@ def main(argv=None):
                 a.strip() for a in args.algorithms.split(",") if a.strip()))
         plan.check(cfg)
         if args.subcommand == "validate-config":
+            sweep_points(cfg, plan)
             json.dump(_resolved_config(cfg, profile, plan), sys.stdout,
                       indent=2, sort_keys=True)
             sys.stdout.write("\n")

@@ -85,7 +85,7 @@ class DEState:
     whitener: np.ndarray = None
 
 
-def _damped_sweeps(sweep, carry, tol, max_iter, gains=None, trace=None):
+def _damped_sweeps(sweep, carry, tol, max_iter, gains=None):
     """The sweep loop and damping rule of both DE solvers.
 
     sweep(stream_mse, rx_mse) maps the carried resolvents to fresh
@@ -95,9 +95,9 @@ def _damped_sweeps(sweep, carry, tol, max_iter, gains=None, trace=None):
     carry is the proposed one blended halfway with the current one (damping
     0.5) when the residual grew, or when the proposed step reverses the last
     one (negative real inner product) while the residual fell by less than
-    10%, which is how a slowly shrinking two-cycle shows.  trace: list
-    collecting (sweep, residual) rows.  Raises FixedPointError if tol is not
-    reached within max_iter sweeps, or if a sweep meets a singular matrix.
+    10%, which is how a slowly shrinking two-cycle shows.  Raises
+    FixedPointError if tol is not reached within max_iter sweeps, or if a
+    sweep meets a singular matrix.
     """
     res = res_prev = np.inf
     step_prev = None
@@ -109,8 +109,6 @@ def _damped_sweeps(sweep, carry, tol, max_iter, gains=None, trace=None):
         if gains is not None:
             res = max(_rel_change(tx_gain, gains[0]), _rel_change(rx_gain, gains[1]))
         gains = tx_gain, rx_gain
-        if trace is not None:
-            trace.append((it, res))
         if res <= tol:
             return DEState(tx_gain, rx_gain, *proposed, it, res)
         step = [new - old for new, old in zip(proposed, carry)]
@@ -125,18 +123,16 @@ def _damped_sweeps(sweep, carry, tol, max_iter, gains=None, trace=None):
         f"DE fixed point: residual {res:.3e} > tol {tol:.1e} after {max_iter} sweeps")
 
 
-def solve_fixed_point(posterior, p, r, k, n, tol=1e-9, max_iter=500, init=None,
-                      trace=None):
+def solve_fixed_point(posterior, p, r, k, n, tol=1e-9, max_iter=500, init=None):
     """Solve the per-user DE fixed point by damped sweeps.
 
     One sweep maps the carried resolvents (stream_mse, rx_mse) through the
     correction factors to fresh gain matrices and back; the loop and its
     damping are _damped_sweeps'.
 
-    init: warm start from a previous DEState of the same shapes.  trace:
-    list collecting (sweep, residual) rows.  Raises FixedPointError if tol
-    is not reached within max_iter sweeps, or if a sweep meets a singular
-    matrix.
+    init: warm start from a previous DEState of the same shapes.  Raises
+    FixedPointError if tol is not reached within max_iter sweeps, or if a
+    sweep meets a singular matrix.
     """
     kern = posterior.kernel(k, n)
     mean = posterior.mean(k, n)
@@ -157,7 +153,7 @@ def solve_fixed_point(posterior, p, r, k, n, tol=1e-9, max_iter=500, init=None,
                 np.linalg.inv(eye_m + l @ rx_gain @ l))
 
     carry = (eye_d, eye_m) if init is None else (init.stream_mse, init.rx_mse)
-    state = _damped_sweeps(sweep, carry, tol, max_iter, trace=trace)
+    state = _damped_sweeps(sweep, carry, tol, max_iter)
     state.whitener = l
     return state
 

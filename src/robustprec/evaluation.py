@@ -39,9 +39,9 @@ class Algorithm(NamedTuple):
     """What the harness and the CLI need to know about one design."""
 
     full_rank: bool   # one stream per receive antenna, so d_k must equal m_k
-    slot_wide: bool   # one design serves every data block of a slot
-    # the design reads the design-side aging coefficient; one that does not
-    # is the same at every point of a mismatch study
+    # the design reads the block-n design-side posterior, so it is made per
+    # point of a mismatch study and per data block; one that does not is
+    # made once per slot for every point and block
     reads_alpha: bool
     design: object    # design(slot, n, warm) -> precoders for data block n
     # an MM ascent, which `converge` can trace: ascent(slot, n, warm) ->
@@ -66,8 +66,8 @@ def _mm_ascent(runner, s, n, warm):
     return None, runner(s.post, s.cfg, n, warm, iters=s.plan.mm_iters)
 
 
-def _ascent_entry(slot_wide, reads_alpha, ascent):
-    return Algorithm(False, slot_wide, reads_alpha,
+def _ascent_entry(reads_alpha, ascent):
+    return Algorithm(False, reads_alpha,
                      lambda s, n, warm: ascent(s, n, warm)[1].precoders,
                      ascent)
 
@@ -77,22 +77,22 @@ def _ascent_entry(slot_wide, reads_alpha, ascent):
 # the call.  warm is the same algorithm's design for the previous block,
 # or None.
 ALGORITHM_TABLE = {
-    "alg1": _ascent_entry(False, True, lambda s, n, warm: _mm_ascent(
+    "alg1": _ascent_entry(True, lambda s, n, warm: _mm_ascent(
         mm_full, s, n, warm)),
-    "alg2": _ascent_entry(False, True, lambda s, n, warm: _mm_ascent(
+    "alg2": _ascent_entry(True, lambda s, n, warm: _mm_ascent(
         mm_shared, s, n, warm)),
     # alg3 reads only the coupling profile omega; the inversion baselines
     # read only the true block-1 channels
-    "alg3": _ascent_entry(True, False, lambda s, n, warm:
+    "alg3": _ascent_entry(False, lambda s, n, warm:
                           beam_power_allocation(s.post.stats, s.cfg,
                                                 iters=s.plan.mm_iters)),
-    "rzf": Algorithm(True, True, False, lambda s, n, warm: rzf(
+    "rzf": Algorithm(True, False, lambda s, n, warm: rzf(
         s.first, s.cfg.p_total, s.cfg.sigma2_z)),
-    "slnr": Algorithm(True, True, False, lambda s, n, warm: slnr(
+    "slnr": Algorithm(True, False, lambda s, n, warm: slnr(
         s.first, s.cfg.p_total, s.cfg.sigma2_z)),
-    "wmmse": Algorithm(True, True, False, lambda s, n, warm: wmmse(
+    "wmmse": Algorithm(True, False, lambda s, n, warm: wmmse(
         s.first, s.cfg.p_total, s.cfg.sigma2_z, s.cfg.weights).precoders),
-    "robust-rzf": Algorithm(True, False, True, lambda s, n, warm: robust_rzf(
+    "robust-rzf": Algorithm(True, True, lambda s, n, warm: robust_rzf(
         s.post, n, s.cfg.p_total, s.cfg.sigma2_z,
         load_scale=s.plan.load_scale)),
 }
@@ -104,13 +104,14 @@ class ExperimentPlan:
     """What an experiment runs: the "experiment" section of a config.
 
     algorithms are ALGORITHM_TABLE names, each at most once, run over
-    n_slots independent slots; mm_iters is the update budget of the
-    iterative designs; n_mc is the Monte Carlo draws per score, mc_batch at
-    a time; snr_db overrides the system's sweep points; assumed_alphas are a
-    mismatch study's design-side aging coefficients; trace makes converge
-    write DE traces; load_scale scales the error load of robust-rzf.  The
-    point lists are checked, not converted, so a manifest echoes them as
-    written.
+    n_slots independent slots; mm_iters is the update budget of the MM
+    designs alg1, alg2 and alg3 (wmmse keeps its own); n_mc is the Monte
+    Carlo draws per score, mc_batch at a time; snr_db overrides the
+    system's sweep points (sweep_points, which only sweep_snr and
+    validate-config read); assumed_alphas are a mismatch study's
+    design-side aging coefficients; trace makes converge write DE traces;
+    load_scale scales the error load of robust-rzf.  The point lists are
+    checked, not converted, so a manifest echoes them as written.
     """
 
     algorithms: tuple = ("alg1",)
@@ -157,12 +158,9 @@ class ExperimentPlan:
 
     def check(self, cfg):
         """Raise ConfigError for what this plan cannot run on cfg: n_b < 2,
-        an SNR point (the plan's, or else the system's) with no usable noise
-        variance, or a full-rank design with d_k != m_k."""
+        or a full-rank design with d_k != m_k."""
         if cfg.n_b < 2:
             raise ConfigError("experiments need n_b >= 2 (block 1 is pilots)")
-        for snr in cfg.snr_db if self.snr_db is None else self.snr_db:
-            noise_from_snr(snr, cfg.p_total)
         for a in self.algorithms:
             if ALGORITHM_TABLE[a].full_rank and cfg.d_k != cfg.m_k:
                 raise ConfigError(f"{a} requires d_k == m_k")
@@ -262,10 +260,11 @@ def monte_carlo_rate(posterior, designs, weights, sigma2_z, n, rng,
 
 
 def _algorithm_designs(alg, inputs):
-    """One algorithm's precoders for every data block of a slot."""
+    """One algorithm's precoders for every data block of a slot: one design
+    per block if it reads alpha, else one design for them all."""
     entry, prev, out = ALGORITHM_TABLE[alg], None, []
     for n in range(2, inputs.cfg.n_b + 1):
-        if prev is None or not entry.slot_wide:
+        if prev is None or entry.reads_alpha:
             prev = entry.design(inputs, n, prev)
         out.append(prev)
     return out
@@ -368,22 +367,27 @@ def run_slot_experiment(cfg, profile, plan):
     return _run_points(cfg, profile, plan, [None])[0]
 
 
-def sweep_snr(cfg, profile, plan):
-    """run_slot_experiment at each SNR point of the plan (or, when it sets
-    none, of the system); returns [(snr, result)].
+def sweep_points(cfg, plan):
+    """[(snr, sigma2_z)] for each SNR point of the plan (or, when it sets
+    none, of the system), with SNR = p_total / sigma2_z; a point with no
+    usable noise variance is a ConfigError."""
+    return [(float(snr), noise_from_snr(snr, cfg.p_total))
+            for snr in (cfg.snr_db if plan.snr_db is None else plan.snr_db)]
 
-    The noise follows SNR = p_total / sigma2_z; the uplink noise tracks it
-    unless the config pins sigma2_bs.  Slot seeds repeat across points, so
-    curves share channel realizations.
+
+def sweep_snr(cfg, profile, plan):
+    """run_slot_experiment at each of the sweep_points; returns
+    [(snr, result)].
+
+    Every point is checked before any runs.  The uplink noise tracks the
+    downlink noise unless the config pins sigma2_bs.  Slot seeds repeat
+    across points, so curves share channel realizations.
     """
-    points = tuple(cfg.snr_db if plan.snr_db is None else plan.snr_db)
+    points = sweep_points(cfg, plan)
     if not points:
         raise ConfigError("no SNR points given (set snr_db)")
-    out = []
-    for snr in points:
-        sub = at_noise(cfg, noise_from_snr(snr, cfg.p_total))
-        out.append((float(snr), run_slot_experiment(sub, profile, plan)))
-    return out
+    return [(snr, run_slot_experiment(at_noise(cfg, noise), profile, plan))
+            for snr, noise in points]
 
 
 def alpha_mismatch_study(cfg, profile, plan):

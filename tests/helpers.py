@@ -2,6 +2,7 @@
 import math
 
 import numpy as np
+from hypothesis import strategies as st
 
 from robustprec.baselines import perfect_csi_rate, rzf, wmmse_step
 from robustprec.channel import (
@@ -12,7 +13,7 @@ from robustprec.channel import (
     orthogonal_pilots,
     uplink_observation,
 )
-from robustprec.config import SystemConfig
+from robustprec.config import SystemConfig, noise_from_snr
 from robustprec.errors import BisectionError
 from robustprec.evaluation import MCRate
 from robustprec.mm_precoder import (
@@ -76,6 +77,33 @@ def make_instance(cfg, rng, alphas=0.9, band_width=None, lognorm_sigma=0.4, deca
     y = uplink_observation([blocks[0] for blocks in slot], pilots, cfg.uplink_noise, rng)
     post = build_posterior(y, pilots, stats, cfg.uplink_noise)
     return stats, slot, pilots, post
+
+
+@st.composite
+def small_scenarios(draw):
+    """Parameters of a small random scenario: m_t 1-8, 1-3 users with 1-3
+    receive antennas, d_k <= min(m_k, m_t), an SNR in {-30, 0, 10, 40, 80}
+    dB, an aging coefficient in {0, 0.5, 0.9, 1}, a band width and a seed."""
+    m_t = draw(st.integers(1, 8))
+    m_k = tuple(draw(st.lists(st.integers(1, 3), min_size=1, max_size=3)))
+    return dict(m_t=m_t, m_k=m_k,
+                d_k=tuple(draw(st.integers(1, min(m, m_t))) for m in m_k),
+                snr_db=draw(st.sampled_from([-30, 0, 10, 40, 80])),
+                alphas=draw(st.sampled_from([0.0, 0.5, 0.9, 1.0])),
+                band_width=draw(st.integers(1, m_t)),
+                seed=draw(st.integers(0, 2**32 - 1)))
+
+
+def scenario_instance(s):
+    """(cfg, stats, posterior, random precoder set spending p_total) of one
+    small_scenarios draw; block 2 is its only data block."""
+    cfg = SystemConfig(m_t=s["m_t"], m_k=s["m_k"], d_k=s["d_k"], n_b=2,
+                       sigma2_z=noise_from_snr(s["snr_db"]))
+    rng = np.random.default_rng(s["seed"])
+    stats, _, _, post = make_instance(cfg, rng, alphas=s["alphas"],
+                                      band_width=s["band_width"])
+    return cfg, stats, post, random_precoder_set(rng, cfg.m_t, cfg.d_k,
+                                                 cfg.p_total)
 
 
 def zero_mean_posterior(stats):

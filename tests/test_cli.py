@@ -75,6 +75,29 @@ def test_unknown_key_is_rejected_by_name(tmp_path, capsys):
     assert "'bogus'" in capsys.readouterr().err
 
 
+# a section's keys are its dataclass's fields, and a field without a
+# default is required
+@pytest.mark.parametrize("section, value, message", [
+    ("system", [8], "section 'system' must be an object"),
+    ("experiment", 3, "section 'experiment' must be an object"),
+    ("profile", [4], "a beam profile is required: section 'profile' must "
+                     "be an object"),
+    ("system", {"m_k": [2, 2]}, "missing key 'm_t' in section 'system'"),
+    ("system", {"m_t": 8}, "missing key 'm_k' in section 'system'"),
+    ("profile", {"alphas": 0.9},
+     "missing key 'band_width' in section 'profile'"),
+    ("profile", dict(BASE["profile"], m_t=8),
+     "unknown key 'm_t' in section 'profile'"),
+    ("experiment", dict(BASE["experiment"], seed=1),
+     "unknown key 'seed' in section 'experiment'"),
+])
+def test_section_keys_follow_its_fields(tmp_path, capsys, section, value,
+                                        message):
+    data = dict(BASE, **{section: value})
+    assert cli.main(["validate-config", "-c", _write_config(tmp_path, data)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_pilot_capacity_error(tmp_path, capsys):
     bad = {"system": dict(BASE["system"], block_len=3)}
     assert cli.main(["validate-config", "-c", _write_config(tmp_path, bad)]) == 2
@@ -157,6 +180,23 @@ def test_strict_value_is_a_config_error_naming_the_key(
     assert record["error"] == "ConfigError"
     assert key in record["message"]
     assert sorted(p.name for p in out.iterdir()) == ["error.json"]
+
+
+@pytest.mark.parametrize("section", ["system", "experiment"])
+@pytest.mark.parametrize("subcommand", ["converge", "mismatch"])
+def test_snr_points_are_read_only_by_sweep(tmp_path, section, subcommand):
+    # converge and mismatch run at system.sigma2_z, so an SNR point with no
+    # usable noise variance leaves their CSVs as they are
+    csvs = []
+    for snr in (10, 1e6):
+        data = dict(BASE, **{section: dict(BASE[section], snr_db=[snr])})
+        data["experiment"] = dict(data["experiment"], algorithms=["alg1"],
+                                  assumed_alphas=[1.0, 0.8])
+        out = tmp_path / f"out{snr}"
+        assert cli.main([subcommand, "-c", _write_config(
+            tmp_path, data, f"config{snr}.json"), "--out-dir", str(out)]) == 0
+        csvs.append({p.name: p.read_bytes() for p in out.glob("*.csv")})
+    assert csvs[0] and csvs[0] == csvs[1]
 
 
 def test_config_without_a_profile_is_a_config_error(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from robustprec.beam_domain import canonical_allocation
 from robustprec.channel import BeamProfile, generate_synthetic_stats
@@ -11,7 +12,7 @@ from robustprec.det_equiv import (
     inverse_sqrt_psd,
     solve_fixed_point,
 )
-from robustprec.errors import FixedPointError
+from robustprec.errors import FixedPointError, NumericalError
 from robustprec.evaluation import experiment_statistics, prepare_slot
 from robustprec.operators import (
     hermitize,
@@ -26,7 +27,9 @@ from helpers import (
     rand_hermitian_psd,
     random_precoder_set,
     relerr,
+    scenario_instance,
     small_cfg,
+    small_scenarios,
     zero_mean_posterior,
 )
 
@@ -231,13 +234,17 @@ def test_solver_raises_on_max_iter():
         solve_fixed_point(post, precoders[0], r, 0, 2, max_iter=1)
 
 
-def test_solver_trace_records_residuals():
-    rng = np.random.default_rng(9)
-    cfg, post, precoders = _instance(rng)
-    r = interference_covariance(post, precoders, 0, 2, cfg.sigma2_z)
-    rows = []
-    state = solve_fixed_point(post, precoders[0], r, 0, 2, trace=rows)
-    assert len(rows) == state.iterations
-    assert rows[-1][1] == state.residual
-    # residuals eventually decrease below tolerance
-    assert rows[-1][1] <= 1e-9
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(s=small_scenarios())
+def test_de_forms_agree_at_convergence(s):
+    # every converged solve's two rate forms agree; a solve that does not
+    # converge is a typed error
+    cfg, _, post, precoders = scenario_instance(s)
+    try:
+        res = de_weighted_sum_rate(post, precoders, cfg.weights, cfg.sigma2_z,
+                                   2)
+    except NumericalError:
+        return
+    for k, (state, form1) in enumerate(zip(res.states, res.rates)):
+        form2 = de_rate_form2(state, post, precoders[k], k, 2)
+        assert abs(form1 - form2) <= 1e-7 * (1 + form1), (k, form1, form2)

@@ -188,8 +188,9 @@ def _slot(cfg, profile, plan, alpha):
 
 
 def test_reads_alpha_matches_what_each_design_reads():
-    # the harness designs an entry once for every point unless it reads
-    # alpha, so the table's fact must match what the design does
+    # the harness designs an entry once for every point and every block
+    # unless it reads alpha, so the table's fact must match what the design
+    # does
     cfg = SystemConfig(m_t=8, m_k=(2, 2), n_b=3, sigma2_z=0.1, seed=3)
     plan = ExperimentPlan(mm_iters=4)
     for alg, entry in ALGORITHM_TABLE.items():
@@ -198,6 +199,7 @@ def test_reads_alpha_matches_what_each_design_reads():
         same = [same_bits(p, q) for ps, qs in zip(one, half)
                 for p, q in zip(ps, qs)]
         assert all(same) == (not entry.reads_alpha), alg
+        assert (one[0] is one[1]) == (not entry.reads_alpha), alg
     assert {a for a, e in ALGORITHM_TABLE.items() if not e.reads_alpha} == {
         "alg3", "rzf", "slnr", "wmmse"}
 

@@ -11,6 +11,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 from numpy.random import default_rng
 
 from helpers import (
@@ -21,7 +22,9 @@ from helpers import (
     random_precoder_set,
     relerr,
     same_bits,
+    scenario_instance,
     small_cfg,
+    small_scenarios,
 )
 from robustprec import baselines, beam_domain, mm_precoder
 from robustprec.beam_domain import beam_power_allocation, canonical_allocation
@@ -504,3 +507,25 @@ def test_zero_aging_decouples_blocks():
     assert np.allclose(r2.objective, r3.objective, rtol=1e-10, atol=1e-12)
     for a, b in zip(r2.precoders, r3.precoders):
         assert np.allclose(a, b)
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(s=small_scenarios())
+def test_mm_objective_falls_no_more_than_the_budget_slack(s):
+    # the matrix ascents at tol_power 1e-9 keep test_04's slack; alg3's
+    # bisection runs at the default tol_power 1e-6, so its slack is wider
+    cfg, stats, post, precoders = scenario_instance(s)
+    runs = [(lambda: mm_full(post, cfg, 2, precoders, iters=6, obj_tol=0.0,
+                             tol_power=1e-9), 1e-8),
+            (lambda: mm_shared(post, cfg, 2, precoders, iters=6, obj_tol=0.0,
+                               tol_power=1e-9), 1e-8),
+            (lambda: beam_power_allocation(stats, cfg, iters=6,
+                                           obj_tol=0.0)[1], 1e-6)]
+    for run, slack in runs:
+        try:
+            obj = run().objective
+        except NumericalError:
+            continue
+        for i in range(1, len(obj)):
+            assert obj[i] >= obj[i - 1] - slack * (1 + abs(obj[i - 1])), (
+                slack, i, obj)
