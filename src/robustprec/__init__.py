@@ -39,6 +39,7 @@ from .evaluation import (
     ExperimentResult,
     RateRecord,
     alpha_mismatch_study,
+    convergence_study,
     experiment_statistics,
     monte_carlo_rate,
     prepare_slot,
@@ -71,6 +72,7 @@ __all__ = [
     "beam_power_allocation",
     "build_posterior",
     "canonical_allocation",
+    "convergence_study",
     "de_weighted_sum_rate",
     "dft_matrix",
     "draw_slot",

@@ -2,10 +2,10 @@
 
 Subcommands: sweep (rate vs SNR), converge (per-iteration optimizer trace),
 mismatch (design under an assumed aging coefficient, score under the truth),
-validate-config.  The CLI holds no numerical logic — every number in an
-output file comes from a library call.  All CSV output uses '.' decimals,
-LF line endings, a header row, and repr() floats, so reruns are
-byte-identical.
+validate-config.  The CLI parses, dispatches, builds rows and maps errors
+to exit codes: every number in an output file comes from a library call,
+floats are written as repr(), and every file is written by `matio`, so
+reruns are byte-identical.
 
 Config file: JSON with sections "system" (SystemConfig fields), "profile"
 (BeamProfile fields) and "experiment" (ExperimentPlan fields).  A previously
@@ -17,8 +17,6 @@ directory when one is known and it can be written).
 from __future__ import annotations
 
 import argparse
-import contextlib
-import csv
 import dataclasses
 import json
 import sys
@@ -29,17 +27,14 @@ from .channel import BeamProfile
 from .config import SystemConfig
 from .errors import ConfigError, NumericalError
 from .evaluation import (
-    ALGORITHM_TABLE,
     ALGORITHMS,
     ExperimentPlan,
-    Slot,
     alpha_mismatch_study,
-    experiment_statistics,
-    prepare_slot,
+    convergence_study,
     sweep_points,
     sweep_snr,
 )
-from .matio import write_complex_csv
+from .matio import write_complex_csv, write_csv, write_json
 
 
 def _reject_duplicates(pairs):
@@ -112,37 +107,13 @@ def _resolved_config(cfg, profile, plan):
             "experiment": dataclasses.asdict(plan)}
 
 
-@contextlib.contextmanager
-def _writing(path):
-    """An OSError while writing the output file path is a ConfigError
-    naming it."""
-    try:
-        yield
-    except OSError as e:
-        raise ConfigError(f"output file {path} cannot be written: "
-                          f"{e.strerror or e}") from None
-
-
-def _write_json(path, payload):
-    with _writing(path), open(path, "w", newline="") as f:
-        json.dump(payload, f, indent=2, sort_keys=True)
-        f.write("\n")
-
-
-def _write_csv(path, header, rows):
-    with _writing(path), open(path, "w", newline="") as f:
-        w = csv.writer(f, lineterminator="\n")
-        w.writerow(header)
-        w.writerows(rows)
-
-
 def _fmt(x):
     return repr(float(x))
 
 
 def _write_manifest(out_dir, subcommand, cfg, profile, plan, outputs):
     path = out_dir / "run_manifest.json"
-    _write_json(path, {
+    write_json(path, {
         "tool": "robustprec",
         "version": __version__,
         "subcommand": subcommand,
@@ -179,53 +150,39 @@ def _run_study(cfg, profile, plan, out_dir, args):
     outputs = []
     for alg in plan.algorithms:
         name = f"{args.subcommand}_{alg.replace('-', '_')}.csv"
-        _write_csv(out_dir / name, header, per_alg[alg])
+        write_csv(out_dir / name, header, per_alg[alg])
         outputs.append(name)
     return outputs
 
 
 def _run_converge(cfg, profile, plan, out_dir, args):
-    bad = [a for a in plan.algorithms if ALGORITHM_TABLE[a].ascent is None]
-    if bad:
-        supported = [a for a in ALGORITHMS
-                     if ALGORITHM_TABLE[a].ascent is not None]
-        raise ConfigError(f"converge supports {', '.join(supported)}; "
-                          f"got {bad[0]!r}")
-    stats = experiment_statistics(cfg, profile)
-    first, posterior = prepare_slot(cfg, stats, 0)
-    slot = Slot(cfg, first, posterior, plan)
+    """converge: per MM ascent, its objective trace, its precoders, its
+    beam allocation if it has one, and with --trace its DE diagnostics."""
     outputs = []
-    for alg in plan.algorithms:
-        alloc, report = ALGORITHM_TABLE[alg].ascent(slot, 2, None)
+
+    def emit(name, header, rows):
+        write_csv(out_dir / name, header, rows)
+        outputs.append(name)
+
+    for alg, alloc, report in convergence_study(cfg, profile, plan):
         rows = [[0, _fmt(report.objective[0]), "", ""]]
         for i in range(report.updates):
             rows.append([i + 1, _fmt(report.objective[i + 1]),
                          _fmt(report.mu_trace[i]), _fmt(report.power_trace[i])])
-        name = f"converge_{alg}.csv"
-        _write_csv(out_dir / name, ["iteration", "de_objective", "mu",
-                                    "power"], rows)
+        emit(f"converge_{alg}.csv", ["iteration", "de_objective", "mu",
+                                     "power"], rows)
+        name = f"precoders_{alg}.csv"
+        write_complex_csv(out_dir / name, {f"user{k}": p for k, p in
+                                           enumerate(report.precoders)})
         outputs.append(name)
-        pname = f"precoders_{alg}.csv"
-        with _writing(out_dir / pname):
-            write_complex_csv(out_dir / pname,
-                              {f"user{k}": p for k, p in
-                               enumerate(report.precoders)})
-        outputs.append(pname)
         if alloc is not None:
-            arows = []
-            for k in range(len(alloc.gains)):
-                beams = alloc.active_beams(k)
-                for b, g in zip(beams, alloc.gains[k]):
-                    arows.append([k, int(b), _fmt(g * g)])
-            _write_csv(out_dir / "allocation_alg3.csv",
-                       ["user", "beam", "power"], arows)
-            outputs.append("allocation_alg3.csv")
+            emit(f"allocation_{alg}.csv", ["user", "beam", "power"],
+                 [[k, int(b), _fmt(g * g)] for k in range(len(alloc.gains))
+                  for b, g in zip(alloc.active_beams(k), alloc.gains[k])])
         if plan.trace:
-            tname = f"de_trace_{alg}.csv"
-            _write_csv(out_dir / tname,
-                       ["update", "user", "sweeps", "residual"],
-                       [[u, k, s, _fmt(r)] for u, k, s, r in report.de_trace])
-            outputs.append(tname)
+            emit(f"de_trace_{alg}.csv", ["update", "user", "sweeps",
+                                         "residual"],
+                 [[u, k, s, _fmt(r)] for u, k, s, r in report.de_trace])
     return outputs
 
 
@@ -311,8 +268,8 @@ def _report_error(out_dir, kind, exc):
     print(f"error: {exc}", file=sys.stderr)
     if out_dir is not None and out_dir.is_dir():
         try:
-            _write_json(out_dir / "error.json",
-                        {"error": kind, "message": str(exc)})
+            write_json(out_dir / "error.json",
+                       {"error": kind, "message": str(exc)})
         except ConfigError:
             pass  # the message is on stderr already
 

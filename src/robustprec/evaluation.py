@@ -401,3 +401,20 @@ def alpha_mismatch_study(cfg, profile, plan):
         raise ConfigError("mismatch needs experiment.assumed_alphas")
     alphas = [float(a) for a in plan.assumed_alphas]
     return list(zip(alphas, _run_points(cfg, profile, plan, alphas)))
+
+
+def convergence_study(cfg, profile, plan):
+    """Each of the plan's MM ascents (an algorithm without one is a
+    ConfigError) on slot 0's posterior, designing block 2 from its canonical
+    start; returns [(algorithm, beam allocation or None, MMReport)]."""
+    plan.check(cfg)
+    supported = [a for a in ALGORITHMS if ALGORITHM_TABLE[a].ascent]
+    bad = [a for a in plan.algorithms if a not in supported]
+    if bad:
+        raise ConfigError(f"converge supports {', '.join(supported)}; "
+                          f"got {bad[0]!r}")
+    stats = experiment_statistics(cfg, profile)
+    first, posterior = prepare_slot(cfg, stats, 0)
+    slot = Slot(cfg, first, posterior, plan)
+    return [(alg, *ALGORITHM_TABLE[alg].ascent(slot, 2, None))
+            for alg in plan.algorithms]

@@ -1,13 +1,17 @@
-"""Text round-trip for named complex matrices.
+"""Byte-stable writers of every output file; the complex-matrix reader.
 
-Long CSV: one entry per line as name,row,col,re,im with a fixed header.
-Floats are written with repr (shortest exact decimal), line ends are LF,
-and rows stream in row-major order — so writing the same data twice gives
-byte-identical files and reading recovers the exact values.
+CSVs have a header row and LF line ends; JSON is indented, key-sorted and
+ends in LF; an OSError while writing a file is a ConfigError naming it.
+Complex matrices are a long CSV, one entry per line as name,row,col,re,im,
+with repr floats (shortest exact decimal) in row-major order — so writing
+the same data twice gives byte-identical files and reading recovers the
+exact values.
 """
 from __future__ import annotations
 
+import contextlib
 import csv
+import json
 
 import numpy as np
 
@@ -16,20 +20,45 @@ from .errors import ConfigError
 _HEADER = ["name", "row", "col", "re", "im"]
 
 
+@contextlib.contextmanager
+def _writing(path):
+    try:
+        yield
+    except OSError as e:
+        raise ConfigError(f"output file {path} cannot be written: "
+                          f"{e.strerror or e}") from None
+
+
+def write_csv(path, header, rows):
+    """Write the header row, then rows."""
+    with _writing(path), open(path, "w", newline="") as f:
+        w = csv.writer(f, lineterminator="\n")
+        w.writerow(header)
+        w.writerows(rows)
+
+
+def write_json(path, payload):
+    """Write payload as indented JSON with sorted keys."""
+    with _writing(path), open(path, "w", newline="") as f:
+        json.dump(payload, f, indent=2, sort_keys=True)
+        f.write("\n")
+
+
+def _complex_rows(named):
+    for name, mat in named.items():
+        a = np.asarray(mat, dtype=complex)
+        if a.ndim != 2:
+            raise ConfigError(f"{name!r} is not a matrix (ndim={a.ndim})")
+        for i in range(a.shape[0]):
+            for j in range(a.shape[1]):
+                # builtin floats: repr is the shortest exact decimal
+                yield [name, i, j, repr(float(a[i, j].real)),
+                       repr(float(a[i, j].imag))]
+
+
 def write_complex_csv(path, named):
     """Write {name: 2-D array} in insertion order."""
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f, lineterminator="\n")
-        w.writerow(_HEADER)
-        for name, mat in named.items():
-            a = np.asarray(mat, dtype=complex)
-            if a.ndim != 2:
-                raise ConfigError(f"{name!r} is not a matrix (ndim={a.ndim})")
-            for i in range(a.shape[0]):
-                for j in range(a.shape[1]):
-                    # builtin floats: repr is the shortest exact decimal
-                    w.writerow([name, i, j, repr(float(a[i, j].real)),
-                                repr(float(a[i, j].imag))])
+    write_csv(path, _HEADER, _complex_rows(named))
 
 
 def read_complex_csv(path):

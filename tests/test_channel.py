@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -165,6 +167,24 @@ def test_orthogonal_pilots_properties():
                 assert np.max(np.abs(x @ x2.conj().T)) < 1e-12
     with pytest.raises(ConfigError):
         orthogonal_pilots((4, 5), 8)
+
+
+@pytest.mark.parametrize("m, m_list", [(4, (4,)), (7, (2, 1)), (64, (8,)),
+                                       (257, (5, 7)), (1000, (40,))])
+def test_orthogonal_pilots_are_the_dft_rows_bit_for_bit(m, m_list):
+    rows = dft_matrix(m)[:sum(m_list)]
+    assert same_bits(np.vstack(orthogonal_pilots(m_list, m)), rows)
+
+
+def test_orthogonal_pilots_build_only_the_rows_they_hand_out():
+    # a 2003-point DFT matrix alone is 64 MB; no other test uses this length
+    tracemalloc.start()
+    try:
+        orthogonal_pilots((2, 2), 2003)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_uplink_observation_noiseless_despread():

@@ -12,9 +12,14 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import robustprec
-from robustprec import cli, errors
+from robustprec import cli, errors, evaluation
 from robustprec.errors import ConfigError, NumericalError
-from robustprec.evaluation import ALGORITHM_TABLE, ALGORITHMS
+from robustprec.evaluation import (
+    ALGORITHM_TABLE,
+    ALGORITHMS,
+    ExperimentPlan,
+    convergence_study,
+)
 from robustprec.matio import read_complex_csv
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads"
@@ -347,6 +352,52 @@ def test_converge_rejects_one_shot_designs(tmp_path, capsys):
                      str(tmp_path / "x")])
     assert code == 2
     assert "converge supports" in capsys.readouterr().err
+
+
+def test_convergence_study_is_what_converge_writes(tmp_path):
+    data = dict(BASE, experiment={"algorithms": ["alg1", "alg2", "alg3"],
+                                  "mm_iters": 4})
+    cfgfile = _write_config(tmp_path, data)
+    out = tmp_path / "out"
+    assert cli.main(["converge", "-c", cfgfile, "--out-dir", str(out)]) == 0
+    cfg, profile, plan = cli.parse_config(cfgfile)
+    study = convergence_study(cfg, profile, plan)
+    assert [alg for alg, _, _ in study] == ["alg1", "alg2", "alg3"]
+    for alg, alloc, report in study:
+        _, rows = _read_rows(out / f"converge_{alg}.csv")
+        assert len(rows) == report.updates + 1
+        assert [float(r[1]) for r in rows] == list(report.objective)
+        assert [float(r[2]) for r in rows[1:]] == list(report.mu_trace)
+        assert [float(r[3]) for r in rows[1:]] == list(report.power_trace)
+        written = read_complex_csv(out / f"precoders_{alg}.csv")
+        assert list(written) == [f"user{k}" for k in
+                                 range(len(report.precoders))]
+        for k, p in enumerate(report.precoders):
+            assert np.array_equal(written[f"user{k}"], p)
+        assert (alloc is not None) == (alg == "alg3")
+    alloc = study[2][1]
+    _, rows = _read_rows(out / "allocation_alg3.csv")
+    assert [(int(k), int(b), float(p)) for k, b, p in rows] == [
+        (k, int(b), g * g) for k in range(len(alloc.gains))
+        for b, g in zip(alloc.active_beams(k), alloc.gains[k])]
+    with pytest.raises(ConfigError, match=r"^converge supports alg1, alg2, "
+                                          r"alg3; got 'rzf'$"):
+        convergence_study(cfg, profile,
+                          ExperimentPlan(algorithms=("alg1", "rzf")))
+
+
+def test_converge_whose_later_ascent_fails_writes_only_the_error_record(
+        tmp_path, monkeypatch):
+    # every ascent runs before any file is written, as in sweep and mismatch
+    def stall(*a, **k):
+        raise errors.FixedPointError("synthetic stall")
+
+    monkeypatch.setattr(evaluation, "beam_power_allocation", stall)
+    out = tmp_path / "out"
+    assert cli.main(["converge", "-c", _write_config(tmp_path, BASE),
+                     "--out-dir", str(out), "--algorithms", "alg1,alg3"]) == 3
+    assert sorted(p.name for p in out.iterdir()) == ["error.json"]
+    assert "synthetic stall" in (out / "error.json").read_text()
 
 
 def test_mismatch_needs_and_uses_assumed_alphas(tmp_path, capsys):

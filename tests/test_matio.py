@@ -1,10 +1,18 @@
-"""Round-trip and determinism checks for the complex-matrix CSV format."""
+"""The output writers and the complex-matrix CSV format: round trip,
+determinism, and the typed error of an unwritable file."""
+import re
+
 import numpy as np
 import pytest
 from numpy.random import default_rng
 
 from robustprec.errors import ConfigError
-from robustprec.matio import read_complex_csv, write_complex_csv
+from robustprec.matio import (
+    read_complex_csv,
+    write_complex_csv,
+    write_csv,
+    write_json,
+)
 
 
 def test_round_trip_is_exact(tmp_path):
@@ -60,3 +68,16 @@ def test_rejects_non_matrices_and_bad_header(tmp_path):
     bad.write_text("wrong,header\n1,2\n")
     with pytest.raises(ConfigError, match="header"):
         read_complex_csv(bad)
+
+
+@pytest.mark.parametrize("write", [
+    lambda path: write_csv(path, ["a"], [[1]]),
+    lambda path: write_json(path, {"a": 1}),
+    lambda path: write_complex_csv(path, {"p": np.eye(2)}),
+], ids=["csv", "json", "complex_csv"])
+def test_unwritable_file_is_a_config_error_naming_it(tmp_path, write):
+    path = tmp_path / "taken"
+    path.mkdir()
+    with pytest.raises(ConfigError, match=re.escape(
+            f"output file {path} cannot be written")):
+        write(path)
