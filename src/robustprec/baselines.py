@@ -14,14 +14,6 @@ from .mm_precoder import _mm_loop, mu_bisection, normalize_power
 from .operators import hermitize, mean_quadratic_tx
 
 
-def _split_columns(g, sizes):
-    out, start = [], 0
-    for s in sizes:
-        out.append(g[:, start:start + s])
-        start += s
-    return out
-
-
 def perfect_csi_rate(channels, precoders, weights, sigma2_z):
     """Weighted sum rate (nats) for known channels and linear precoding."""
     total = 0.0
@@ -51,8 +43,8 @@ def rzf(channels, p_total, sigma2_z):
     reg = k_users * sigma2_z / p_total
     gram = h @ h.conj().T + reg * np.eye(h.shape[0])
     g = np.linalg.solve(gram, h).conj().T
-    return normalize_power(_split_columns(g, [c.shape[0] for c in channels]),
-                           p_total)
+    sizes = [c.shape[0] for c in channels]
+    return normalize_power(np.split(g, np.cumsum(sizes)[:-1], axis=1), p_total)
 
 
 def slnr(channels, p_total, sigma2_z):
@@ -156,5 +148,5 @@ def robust_rzf(posterior, n, p_total, sigma2_z, load_scale=1.0):
         gram = gram + load_scale * mean_quadratic_tx(
             posterior.kernel(k, n), np.eye(m_k, dtype=complex))
     g = np.linalg.solve(hermitize(gram), h.conj().T)
-    return normalize_power(_split_columns(g, [m.shape[0] for m in means]),
-                           p_total)
+    sizes = [m.shape[0] for m in means]
+    return normalize_power(np.split(g, np.cumsum(sizes)[:-1], axis=1), p_total)

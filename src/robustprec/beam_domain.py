@@ -16,16 +16,6 @@ import numpy as np
 from .det_equiv import _damped_sweeps
 from .mm_precoder import _mm_loop, mu_bisection
 
-__all__ = [
-    "beam_order",
-    "beam_fixed_point",
-    "beam_rate",
-    "BeamAllocation",
-    "canonical_allocation",
-    "beam_surrogate_diagonals",
-    "beam_power_allocation",
-]
-
 
 def beam_order(omega):
     """Beams sorted by total coupled power (column sums), strongest first.
@@ -52,9 +42,7 @@ def beam_fixed_point(omega, q_own, r, tol=1e-9, init=None):
         rx_gain = omega @ (q_own * stream_mse)
         return tx_gain, rx_gain, stream_mse, 1.0 / (1.0 + rx_gain / r)
 
-    carry = ((np.ones(m_t), np.ones(m_k)) if init is None
-             else (init.stream_mse, init.rx_mse))
-    return _damped_sweeps(sweep, carry, tol, 500,
+    return _damped_sweeps(sweep, (np.ones(m_t), np.ones(m_k)), init, tol, 500,
                           gains=(np.zeros(m_t), np.zeros(m_k)))
 
 

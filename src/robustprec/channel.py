@@ -18,21 +18,6 @@ import numpy as np
 from .config import _cast, _values
 from .errors import ConfigError
 
-__all__ = [
-    "SPEED_OF_LIGHT",
-    "dft_matrix",
-    "crandn",
-    "jakes_correlation",
-    "UserStatistics",
-    "BeamProfile",
-    "generate_synthetic_stats",
-    "sample_channel",
-    "evolve_slot",
-    "draw_slot",
-    "orthogonal_pilots",
-    "uplink_observation",
-]
-
 SPEED_OF_LIGHT = 299_792_458.0
 
 _DFT_CACHE = {}

@@ -12,8 +12,6 @@ from dataclasses import dataclass
 
 from .errors import ConfigError
 
-__all__ = ["SystemConfig", "noise_from_snr", "at_noise"]
-
 
 def _cast(value, cast, name):
     """value as cast (int or float), never rounded; a bool, a string, a

@@ -25,16 +25,6 @@ from .operators import (
     mean_quadratic_tx,
 )
 
-__all__ = [
-    "DEState",
-    "inverse_sqrt_psd",
-    "solve_fixed_point",
-    "de_rate_form1",
-    "de_rate_form2",
-    "de_weighted_sum_rate",
-    "DESumRate",
-]
-
 
 def inverse_sqrt_psd(r):
     """Hermitian inverse square root of a Hermitian PSD matrix.
@@ -85,11 +75,13 @@ class DEState:
     whitener: np.ndarray = None
 
 
-def _damped_sweeps(sweep, carry, tol, max_iter, gains=None):
+def _damped_sweeps(sweep, cold, init, tol, max_iter, gains=None):
     """The sweep loop and damping rule of both DE solvers.
 
     sweep(stream_mse, rx_mse) maps the carried resolvents to fresh
-    (tx_gain, rx_gain, stream_mse, rx_mse).  The residual is the relative
+    (tx_gain, rx_gain, stream_mse, rx_mse).  Sweep 1 starts from the
+    resolvents of the DEState init when given (a warm start), else from
+    cold, a (stream_mse, rx_mse) pair.  The residual is the relative
     Frobenius change of the gains between sweeps; sweep 1 is measured
     against gains when given, else its residual is infinite.  The next
     carry is the proposed one blended halfway with the current one (damping
@@ -99,6 +91,7 @@ def _damped_sweeps(sweep, carry, tol, max_iter, gains=None):
     FixedPointError if tol is not reached within max_iter sweeps, or if a
     sweep meets a singular matrix.
     """
+    carry = cold if init is None else (init.stream_mse, init.rx_mse)
     res = res_prev = np.inf
     step_prev = None
     for it in range(1, max_iter + 1):
@@ -152,8 +145,7 @@ def solve_fixed_point(posterior, p, r, k, n, tol=1e-9, max_iter=500, init=None):
         return (tx_gain, rx_gain, np.linalg.inv(eye_d + p.conj().T @ tx_gain @ p),
                 np.linalg.inv(eye_m + l @ rx_gain @ l))
 
-    carry = (eye_d, eye_m) if init is None else (init.stream_mse, init.rx_mse)
-    state = _damped_sweeps(sweep, carry, tol, max_iter)
+    state = _damped_sweeps(sweep, (eye_d, eye_m), init, tol, max_iter)
     state.whitener = l
     return state
 

@@ -65,7 +65,9 @@ def read_complex_csv(path):
     """Read back {name: complex ndarray}; shapes come from the max indices.
 
     A malformed row, a negative index or a repeated (name, row, col) entry
-    is a ConfigError naming the file and line."""
+    is a ConfigError naming the file and line; a matrix whose entries do not
+    fill its (1 + max row) x (1 + max col) grid is one naming the file and
+    the matrix, raised before anything is allocated."""
     entries, first_line = {}, {}
     with open(path, newline="") as f:
         r = csv.reader(f)
@@ -95,6 +97,10 @@ def read_complex_csv(path):
     for name, items in entries.items():
         rows = 1 + max(i for i, _, _, _ in items)
         cols = 1 + max(j for _, j, _, _ in items)
+        if len(items) != rows * cols:
+            raise ConfigError(f"{path}: matrix {name!r} fills {len(items)} "
+                              f"of the {rows} x {cols} entries its indices "
+                              f"span")
         a = np.zeros((rows, cols), dtype=complex)
         for i, j, re_part, im_part in items:
             a[i, j] = re_part + 1j * im_part

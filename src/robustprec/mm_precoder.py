@@ -30,21 +30,6 @@ from .det_equiv import de_weighted_sum_rate
 from .errors import BisectionError, NumericalError
 from .operators import expected_gram, hermitize
 
-__all__ = [
-    "total_power",
-    "normalize_power",
-    "signal_gain",
-    "self_penalty",
-    "self_penalty_lowrank",
-    "leakage_penalty",
-    "update_shaping",
-    "penalty_gap",
-    "mu_bisection",
-    "MMReport",
-    "mm_full",
-    "mm_shared",
-]
-
 _MU_BRACKET_CAP = 2.0 ** 60
 _BISECT_CAP = 500
 

@@ -15,19 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = [
-    "OperatorKernel",
-    "hermitize",
-    "basis_diag",
-    "rx_gain_diag",
-    "tx_gain_diag",
-    "mean_quadratic_rx",
-    "mean_quadratic_tx",
-    "expected_gram",
-    "expected_outer",
-    "interference_covariance",
-]
-
 
 def hermitize(c):
     """(C + C^H)/2, the Hermitian part of a square matrix.

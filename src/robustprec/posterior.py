@@ -16,14 +16,6 @@ from .channel import crandn
 from .errors import ConfigError
 from .operators import OperatorKernel
 
-__all__ = [
-    "delta_profile",
-    "xi2_profile",
-    "mmse_estimate",
-    "build_posterior",
-    "PosteriorModel",
-]
-
 
 def _stack_matmul(a, b, out=None):
     """a @ b for a C-contiguous (n, r, c) stack and one (c, d) matrix,

@@ -67,6 +67,27 @@ def test_validate_config_applies_the_full_rank_rule(tmp_path, capsys):
     assert "rzf requires d_k == m_k" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("subcommand, message", [
+    ("sweep", "no SNR points given (set snr_db)"),
+    ("mismatch", "mismatch needs experiment.assumed_alphas"),
+    ("converge", "converge supports alg1, alg2, alg3; got 'rzf'"),
+])
+def test_per_subcommand_rules_are_not_checked_by_validate_config(
+        tmp_path, capsys, subcommand, message):
+    # validate-config takes no subcommand, so it cannot apply these rules
+    data = {"system": {"m_t": 8, "m_k": [2, 2], "n_b": 2},
+            "profile": {"band_width": 4},
+            "experiment": {"algorithms": ["rzf"], "n_slots": 1, "n_mc": 10}}
+    cfgfile = _write_config(tmp_path, data)
+    assert cli.main(["validate-config", "-c", cfgfile]) == 0
+    out = tmp_path / "out"
+    assert cli.main([subcommand, "-c", cfgfile, "--out-dir", str(out)]) == 2
+    record = json.loads((out / "error.json").read_text())
+    assert record["error"] == "ConfigError"
+    assert record["message"] == message
+    assert sorted(p.name for p in out.iterdir()) == ["error.json"]
+
+
 def test_duplicate_key_is_rejected_by_name(tmp_path, capsys):
     path = tmp_path / "dup.json"
     path.write_text('{"system": {"m_t": 8, "m_t": 16, "m_k": [2]}}')

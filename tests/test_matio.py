@@ -61,6 +61,25 @@ def test_repeated_entry_is_a_config_error_naming_file_and_line(tmp_path):
         read_complex_csv(path)
 
 
+def test_incomplete_matrix_is_a_config_error_naming_file_and_matrix(tmp_path):
+    # the seven missing entries would read back as silent zeros
+    path = tmp_path / "mats.csv"
+    path.write_text("name,row,col,re,im\nq,0,0,5.0,6.0\np,0,0,1.0,2.0\n"
+                    "p,2,2,3.0,4.0\n")
+    with pytest.raises(ConfigError, match=r"mats\.csv: matrix 'p' fills 2 of "
+                                          r"the 3 x 3 entries"):
+        read_complex_csv(path)
+
+
+def test_huge_index_is_a_config_error_before_any_allocation(tmp_path):
+    # a 10^12-row grid would be a MemoryError of many TiB
+    path = tmp_path / "mats.csv"
+    path.write_text("name,row,col,re,im\np,1000000000000,0,1.0,0.0\n")
+    with pytest.raises(ConfigError, match=r"mats\.csv: matrix 'p' fills 1 of "
+                                          r"the 1000000000001 x 1 entries"):
+        read_complex_csv(path)
+
+
 def test_rejects_non_matrices_and_bad_header(tmp_path):
     with pytest.raises(ConfigError, match="not a matrix"):
         write_complex_csv(tmp_path / "x.csv", {"v": np.zeros(3)})

@@ -3,6 +3,7 @@
 Every name a README Python block imports from robustprec, and every
 backticked dotted name under robustprec (`robustprec.<module>.<name>`),
 must exist.  The examples themselves are not run: they take seconds.
+The star import binds exactly the package's export list.
 """
 import ast
 import importlib
@@ -10,6 +11,8 @@ import re
 from pathlib import Path
 
 import pytest
+
+import robustprec
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
 
@@ -50,3 +53,11 @@ def test_readme_names_were_found():
                                               + _backticked_names())))
 def test_readme_name_resolves(dotted):
     _resolve(dotted)
+
+
+def test_star_import_binds_exactly_the_export_list():
+    namespace = {}
+    exec("from robustprec import *", namespace)
+    namespace.pop("__builtins__")
+    assert sorted(namespace) == sorted(robustprec.__all__)
+    assert len(set(robustprec.__all__)) == len(robustprec.__all__)
