@@ -111,13 +111,15 @@ def canonical_allocation(stats, cfg):
                           [scale * np.ones(d) for d in cfg.d_k])
 
 
-def beam_power_allocation(stats, cfg, iters=50, obj_tol=1e-8):
+def beam_power_allocation(stats, cfg, iters=50, obj_tol=1e-8,
+                          score_last=True):
     """Statistics-only precoder design: power allocation over ordered beams.
 
     Uses each user's coupling profile directly (posterior mean treated as
     zero), so one run serves every data block.  Starts from
     canonical_allocation.  Returns the allocation and an MMReport whose
-    precoders are the exported beam-aligned matrices.
+    precoders are the exported beam-aligned matrices.  score_last False
+    stops right after the last update, without scoring the final iterate.
     """
     k_users = len(stats)
     omegas = [np.asarray(s.omega, dtype=float) for s in stats]
@@ -144,7 +146,8 @@ def beam_power_allocation(stats, cfg, iters=50, obj_tol=1e-8):
             omegas, weights, alloc, states, q_full, r), cfg.p_total)
         return mu, [np.abs(c[:, 0]) for c in cols]
 
-    report = _mm_loop(evaluate, update, start.gains, iters, obj_tol)
+    report = _mm_loop(evaluate, update, start.gains, iters, obj_tol,
+                      score_last=score_last)
     alloc = BeamAllocation(start.v, start.orders, report.precoders)
     report.precoders = alloc.precoders
     return alloc, report

@@ -44,32 +44,60 @@ class Algorithm(NamedTuple):
     # made once per slot for every point and block
     reads_alpha: bool
     design: object    # design(slot, n, warm) -> precoders for data block n
-    # an MM ascent, which `converge` can trace: ascent(slot, n, warm) ->
-    # (beam allocation or None, MMReport); None otherwise
+    # an MM ascent, which `converge` can trace: ascent(slot, n, warm,
+    # score_last=True) -> (beam allocation or None, MMReport); None otherwise
     ascent: object = None
+    # with warm None the ascent begins from the slot's shared canonical start
+    shares_start: bool = False
 
 
 class Slot(NamedTuple):
     """Design inputs of one slot: first = true block-1 channels, post = the
     design-side posterior (post.stats its statistics), plan = the
-    ExperimentPlan being run."""
+    ExperimentPlan being run.
+
+    The design of an MM ascent stops after its last update: it does not
+    score the final iterate, which only `converge` (the ascent) reads.
+    starts (None: share nothing) holds, per data block n, [ascents yet to
+    read it, the cold DE evaluation of the canonical start or None] for the
+    plan's shares_start ascents: the first of them fills it and the last
+    one drops it; an evaluation that raised is never held.
+    """
 
     cfg: object
     first: list
     post: object
     plan: object
+    starts: dict = None
 
 
-def _mm_ascent(runner, s, n, warm):
+def _shared_start(s, n):
+    """The _mm_loop start by which the ascents from s's canonical start at
+    block n share its cold evaluation through s.starts."""
+    entry = s.starts.setdefault(n, [sum(
+        ALGORITHM_TABLE[a].shares_start for a in s.plan.algorithms), None])
+
+    def start(cold):
+        entry[0] -= 1
+        held = entry[1] or cold()
+        entry[1] = held if entry[0] > 0 else None
+        return held
+    return start
+
+
+def _mm_ascent(runner, s, n, warm, score_last):
+    start = None
     if warm is None:
         warm = canonical_allocation(s.post.stats, s.cfg).precoders
-    return None, runner(s.post, s.cfg, n, warm, iters=s.plan.mm_iters)
+        start = None if s.starts is None else _shared_start(s, n)
+    return None, runner(s.post, s.cfg, n, warm, iters=s.plan.mm_iters,
+                        start=start, score_last=score_last)
 
 
-def _ascent_entry(reads_alpha, ascent):
+def _ascent_entry(reads_alpha, ascent, shares_start=False):
     return Algorithm(False, reads_alpha,
-                     lambda s, n, warm: ascent(s, n, warm)[1].precoders,
-                     ascent)
+                     lambda s, n, warm: ascent(s, n, warm, False)[1].precoders,
+                     ascent, shares_start)
 
 
 # Each design or ascent call names its function as a module global at call
@@ -77,15 +105,16 @@ def _ascent_entry(reads_alpha, ascent):
 # the call.  warm is the same algorithm's design for the previous block,
 # or None.
 ALGORITHM_TABLE = {
-    "alg1": _ascent_entry(True, lambda s, n, warm: _mm_ascent(
-        mm_full, s, n, warm)),
-    "alg2": _ascent_entry(True, lambda s, n, warm: _mm_ascent(
-        mm_shared, s, n, warm)),
+    "alg1": _ascent_entry(True, lambda s, n, warm, score_last=True:
+                          _mm_ascent(mm_full, s, n, warm, score_last), True),
+    "alg2": _ascent_entry(True, lambda s, n, warm, score_last=True:
+                          _mm_ascent(mm_shared, s, n, warm, score_last), True),
     # alg3 reads only the coupling profile omega; the inversion baselines
     # read only the true block-1 channels
-    "alg3": _ascent_entry(False, lambda s, n, warm:
+    "alg3": _ascent_entry(False, lambda s, n, warm, score_last=True:
                           beam_power_allocation(s.post.stats, s.cfg,
-                                                iters=s.plan.mm_iters)),
+                                                iters=s.plan.mm_iters,
+                                                score_last=score_last)),
     "rzf": Algorithm(True, False, lambda s, n, warm: rzf(
         s.first, s.cfg.p_total, s.cfg.sigma2_z)),
     "slnr": Algorithm(True, False, lambda s, n, warm: slnr(
@@ -312,7 +341,7 @@ def _run_points(cfg, profile, plan, assumed_alphas):
     for slot in range(plan.n_slots):
         first, score_post = prepare_slot(cfg, stats, slot)
         points = [Slot(cfg, first, score_post if a is None
-                       else score_post.assuming(a), plan)
+                       else score_post.assuming(a), plan, {})
                   for a in assumed_alphas]
         failed = [None] * len(points)
         for alg in plan.algorithms:
@@ -415,6 +444,6 @@ def convergence_study(cfg, profile, plan):
                           f"got {bad[0]!r}")
     stats = experiment_statistics(cfg, profile)
     first, posterior = prepare_slot(cfg, stats, 0)
-    slot = Slot(cfg, first, posterior, plan)
+    slot = Slot(cfg, first, posterior, plan, {})
     return [(alg, *ALGORITHM_TABLE[alg].ascent(slot, 2, None))
             for alg in plan.algorithms]

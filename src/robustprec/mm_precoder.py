@@ -13,11 +13,11 @@ per user; mm_shared replaces the per-user shaping with one shared matrix
 (plus a PSD gap correction), cutting the large-matrix work per iteration to
 a single eigendecomposition.
 
-Memory: an mm_full update holds the users' DE states, all K leakage
-penalties (every shaping reads them) and the K shapings the multiplier
-search reads; an mm_shared update holds the states and the one shared
-shaping.  Signal gains and self penalties (in mm_shared the leakage
-penalties too) live one user at a time.
+Memory: an mm_full update holds the users' DE states and the K shapings
+the multiplier search reads, and all K leakage penalties (every shaping
+reads them) only while it forms the shapings; an mm_shared update holds the
+states and the one shared shaping.  Signal gains and self penalties (in
+mm_shared the leakage penalties too) live one user at a time.
 """
 from __future__ import annotations
 
@@ -181,9 +181,12 @@ class MMReport:
     """Trace of one MM run.
 
     objective[i] is the DE weighted sum rate of the precoders after i
-    updates (index 0 is the initial set), so it has updates + 1 entries.
-    mu_trace/power_trace align with the updates.  de_trace has one
-    (update, user, sweeps, residual) row per fixed-point solve.
+    updates (index 0 is the initial set), so it has updates + 1 entries;
+    a run told not to score its last iterate (score_last=False, as the
+    experiment designs run) stops after its last update and has updates
+    entries unless it converged first.  mu_trace/power_trace align with
+    the updates.  de_trace has one (update, user, sweeps, residual) row per
+    fixed-point solve.
     """
 
     precoders: list
@@ -195,22 +198,28 @@ class MMReport:
     de_trace: list
 
 
-def _mm_loop(evaluate, update, x, iters, obj_tol):
+def _mm_loop(evaluate, update, x, iters, obj_tol, start=None,
+             score_last=True):
     """The ascent of mm_full, mm_shared, beam_power_allocation and wmmse.
 
     evaluate(x, states) scores the iterate x, warm-starting from the
     previous evaluation's per-user solver states (None at first; empty
     when it solves no fixed point), and returns (objective, states, aux);
     update(x, states, aux) takes one surrogate step and returns (mu, x).
-    Stops after iters updates or when the relative objective change falls
-    below obj_tol.  The report's precoders field holds the final iterate.
+    start, when given, stands in for the first evaluate(x, None):
+    start(cold) returns that evaluation, calling cold() if it holds none,
+    so ascents from one start can share it.  Stops after iters updates or
+    when the relative objective change falls below obj_tol; with
+    score_last False it stops right after the last update, without scoring
+    the final iterate.  The report's precoders field holds the final
+    iterate.
     """
     objective, mu_trace, power_trace, de_trace = [], [], [], []
-    states = None
+    cold = lambda: evaluate(x, None)
+    total, states, aux = cold() if start is None else start(cold)
     converged = False
     updates = 0
     while True:
-        total, states, aux = evaluate(x, states)
         objective.append(total)
         de_trace.extend((updates, k, s.iterations, s.residual)
                         for k, s in enumerate(states))
@@ -223,21 +232,26 @@ def _mm_loop(evaluate, update, x, iters, obj_tol):
         updates += 1
         mu_trace.append(mu)
         power_trace.append(total_power(x))
+        if updates >= iters and not score_last:
+            break
+        total, states, aux = evaluate(x, states)
     return MMReport(x, objective, mu_trace, power_trace, updates, converged,
                     de_trace)
 
 
-def _de_ascent(posterior, cfg, n, init, iters, step_fn, obj_tol):
+def _de_ascent(posterior, cfg, n, init, iters, step_fn, obj_tol, start=None,
+               score_last=True):
     def evaluate(precoders, states):
         res = de_weighted_sum_rate(posterior, precoders, cfg.weights, cfg.sigma2_z, n,
                                    init_states=states)
         return res.total, res.states, res.covariances
 
     return _mm_loop(evaluate, step_fn, [np.array(p, dtype=complex) for p in init],
-                    iters, obj_tol)
+                    iters, obj_tol, start, score_last)
 
 
-def mm_full(posterior, cfg, n, init, iters=30, obj_tol=1e-8, tol_power=1e-6):
+def mm_full(posterior, cfg, n, init, iters=30, obj_tol=1e-8, tol_power=1e-6,
+            start=None, score_last=True):
     """MM ascent with per-user update shaping.
 
     init: starting precoder set (e.g. canonical_allocation's precoders or a
@@ -246,6 +260,8 @@ def mm_full(posterior, cfg, n, init, iters=30, obj_tol=1e-8, tol_power=1e-6):
     tolerance of the inner multiplier bisection; it bounds how far each
     update can fall short of the exact constrained maximizer, so runs that
     must certify ascent to a slack tighter than ~tol_power should lower it.
+    start (which supplies init's first DE evaluation) and score_last (False:
+    do not score the final iterate) are _mm_loop's.
     """
     weights = cfg.weights
     k_users = posterior.n_users
@@ -258,18 +274,21 @@ def mm_full(posterior, cfg, n, init, iters=30, obj_tol=1e-8, tol_power=1e-6):
             shapings.append(update_shaping(
                 weights, self_penalty(gain, states[k], precoders[k]), leaks, k))
             rhs.append(weights[k] * gain @ precoders[k])
+        del leaks  # only the shapings read them
         return mu_bisection(rhs, shapings, cfg.p_total, tol_power=tol_power)
 
-    return _de_ascent(posterior, cfg, n, init, iters, step, obj_tol)
+    return _de_ascent(posterior, cfg, n, init, iters, step, obj_tol, start,
+                      score_last)
 
 
-def mm_shared(posterior, cfg, n, init, iters=30, obj_tol=1e-8, tol_power=1e-6):
+def mm_shared(posterior, cfg, n, init, iters=30, obj_tol=1e-8, tol_power=1e-6,
+              start=None, score_last=True):
     """MM ascent with one shared shaping matrix per iteration.
 
     The per-user shaping is replaced by the weighted sum of all leakage
     penalties, compensated by a gap term on the numerator side, so a single
     m_t x m_t eigendecomposition (and only d x d solves per user) serves the
-    whole update.
+    whole update.  Arguments as in mm_full.
     """
     weights = cfg.weights
     k_users = posterior.n_users
@@ -289,4 +308,5 @@ def mm_shared(posterior, cfg, n, init, iters=30, obj_tol=1e-8, tol_power=1e-6):
         return mu_bisection(rhs, [shared] * k_users, cfg.p_total,
                             tol_power=tol_power)
 
-    return _de_ascent(posterior, cfg, n, init, iters, step, obj_tol)
+    return _de_ascent(posterior, cfg, n, init, iters, step, obj_tol, start,
+                      score_last)

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import robustprec
-from robustprec import cli, errors, evaluation
+from robustprec import cli, errors, evaluation, mm_precoder
 from robustprec.errors import ConfigError, NumericalError
 from robustprec.evaluation import (
     ALGORITHM_TABLE,
@@ -602,6 +602,51 @@ def test_150_db_with_fewer_streams_than_antennas_exits_3(tmp_path, data,
     assert record["error"] == "NumericalError"
     assert cause in record["message"]
     assert sorted(p.name for p in out.iterdir()) == ["error.json"]
+
+
+# alg1 and alg2 begin from one shared cold DE evaluation of the canonical
+# start, which is held for alg2 only if it did not raise.  Whether a later
+# evaluation of alg1 fails (SINGULAR_SWEEP; alg2 then fails its Monte Carlo
+# score) or the start itself does (seed 20, after 500 sweeps), both designs
+# go, and the failed slots, the first error and the bytes of error.json are
+# those of two unshared ascents.
+SINGULAR_START = dict(SINGULAR_SWEEP, system=dict(SINGULAR_SWEEP["system"],
+                                                  seed=20, n_b=2))
+
+
+@pytest.mark.parametrize("data, cause, colds", [
+    # alg1: the start, then update 1 fails; alg2: the held start, updates
+    # 1 and 2 (update 3 is not scored), then block 3 from a cold evaluation
+    # of its block-2 design
+    (SINGULAR_SWEEP, "DE fixed point: sweep 10 failed: Singular matrix",
+     [True, False, False, False, True, False, False]),
+    # the start raises for alg1, is not held, and raises again for alg2
+    (SINGULAR_START, "DE fixed point: residual 2.550e-07 > tol 1.0e-09 "
+                     "after 500 sweeps", [True, True]),
+], ids=["later-evaluation", "cold-start"])
+def test_a_failed_mm_ascent_drops_both_designs_as_before(
+        tmp_path, monkeypatch, data, cause, colds):
+    out = tmp_path / "out"
+    assert cli.main(["sweep", "-c", _write_config(tmp_path, data),
+                     "--out-dir", str(out)]) == 3
+    assert sorted(p.name for p in out.iterdir()) == ["error.json"]
+    assert (out / "error.json").read_text() == (
+        '{\n  "error": "NumericalError",\n  "message": "every slot failed; '
+        'no rates were produced; first failure: FixedPointError: '
+        f'{cause}"\n}}\n')
+    cfg, profile, plan = cli.parse_config(_write_config(tmp_path, data))
+    real, seen = mm_precoder.de_weighted_sum_rate, []
+
+    def record(*args, init_states=None, **kwargs):
+        seen.append(init_states is None)
+        return real(*args, init_states=init_states, **kwargs)
+
+    monkeypatch.setattr(mm_precoder, "de_weighted_sum_rate", record)
+    (_, result), = evaluation.sweep_snr(cfg, profile, plan)
+    assert (result.records, result.failed_slots) == ([], [0])
+    assert isinstance(result.first_error, errors.FixedPointError)
+    assert str(result.first_error) == cause
+    assert seen == colds
 
 
 _ALPHAS = [0.0, 0.5, 0.99, 1.0]

@@ -1,5 +1,7 @@
 """Experiment-harness tests: sampling estimator, seeding discipline,
 record bookkeeping, and the mismatch/sweep wrappers."""
+import weakref
+
 import numpy as np
 import pytest
 from numpy.random import default_rng
@@ -17,13 +19,14 @@ from robustprec.channel import BeamProfile
 from robustprec.config import SystemConfig, at_noise, noise_from_snr
 from robustprec.errors import ConfigError, NumericalError
 from robustprec.det_equiv import de_weighted_sum_rate
-from robustprec import evaluation
+from robustprec import evaluation, mm_precoder
 from robustprec.evaluation import (
     ALGORITHM_TABLE,
     ALGORITHMS,
     ExperimentPlan,
     Slot,
     alpha_mismatch_study,
+    convergence_study,
     experiment_statistics,
     monte_carlo_rate,
     prepare_slot,
@@ -202,6 +205,73 @@ def test_reads_alpha_matches_what_each_design_reads():
         assert (one[0] is one[1]) == (not entry.reads_alpha), alg
     assert {a for a, e in ALGORITHM_TABLE.items() if not e.reads_alpha} == {
         "alg3", "rzf", "slnr", "wmmse"}
+
+
+# the budget binds here (two updates, not converged), so the ascent scores
+# a final iterate that the design does not
+_BINDING = dict(cfg=SystemConfig(m_t=8, m_k=(2, 2), n_b=2, sigma2_z=0.1,
+                                 seed=3),
+                plan=ExperimentPlan(algorithms=("alg1", "alg2"), mm_iters=2))
+
+
+@pytest.mark.parametrize("alg", ["alg1", "alg2"])
+@pytest.mark.parametrize("starts", [None, {}], ids=["own", "shared"])
+def test_mm_design_is_the_ascent_without_its_final_score(alg, starts):
+    cfg, plan = _BINDING["cfg"], _BINDING["plan"]
+    slot = _slot(cfg, _profile(), plan, 0.9)._replace(starts=starts)
+    entry = ALGORITHM_TABLE[alg]
+    design = entry.design(slot, 2, None)
+    _, report = entry.ascent(slot, 2, None)
+    assert (report.updates, report.converged) == (plan.mm_iters, False)
+    assert len(report.objective) == report.updates + 1
+    assert all(same_bits(p, q) for p, q in zip(design, report.precoders))
+    for name, _, traced in convergence_study(cfg, _profile(), plan):
+        assert (traced.updates, traced.converged) == (plan.mm_iters, False)
+        assert len(traced.objective) == traced.updates + 1, name
+
+
+def _recorded_evaluations(monkeypatch):
+    """Per DE evaluation of an MM ascent: (cold, how many cold evaluations
+    made so far are still alive, seen through their first user's state)."""
+    calls, colds = [], []
+    real = mm_precoder.de_weighted_sum_rate
+
+    def record(*args, init_states=None, **kwargs):
+        calls.append((init_states is None,
+                      sum(ref() is not None for ref in colds)))
+        out = real(*args, init_states=init_states, **kwargs)
+        if init_states is None:
+            colds.append(weakref.ref(out.states[0]))
+        return out
+
+    monkeypatch.setattr(mm_precoder, "de_weighted_sum_rate", record)
+    return calls, colds
+
+
+@pytest.mark.parametrize("algorithms", [("alg1",), ("alg1", "alg3", "rzf"),
+                                        ("alg1", "alg2")])
+def test_mm_designs_share_one_cold_start_and_skip_the_final_score(
+        monkeypatch, algorithms):
+    cfg = _BINDING["cfg"]
+    kw = dict(n_slots=2, n_mc=32, mm_iters=3)
+    key = lambda r: (r.algorithm, r.slot, r.block)
+    alone = sorted((r for a in algorithms for r in run_slot_experiment(
+        cfg, _profile(), ExperimentPlan(algorithms=(a,), **kw)).records),
+        key=key)
+    calls, colds = _recorded_evaluations(monkeypatch)
+    res = run_slot_experiment(cfg, _profile(),
+                              ExperimentPlan(algorithms=algorithms, **kw))
+    assert sorted(res.records, key=key) == alone
+    # per slot: one cold start, then updates 1 and 2 of each ascent are
+    # scored warm and update 3 is not scored at all.  The slot holds the
+    # start until alg2 has read it, so it is released once alg2 moves past
+    # it; a lone ascent holds it no longer than it did unshared.
+    if "alg2" in algorithms:
+        slot = [(True, 0), (False, 1), (False, 1), (False, 1), (False, 0)]
+    else:
+        slot = [(True, 0), (False, 1), (False, 0)]
+    assert calls == slot * 2
+    assert all(ref() is None for ref in colds)
 
 
 def _study(cfg, algorithms, alphas=(1.0, 0.5, 0.9)):

@@ -444,6 +444,35 @@ def test_mm_update_holds_one_users_gain_and_self_penalty(algorithm, units):
     assert peak < units * post.n_users * cfg.m_t ** 2 * 16
 
 
+def test_mm_full_drops_its_leakage_penalties_before_the_multiplier_search(
+        monkeypatch):
+    # heap in K m_t^2 complex entries over one update (iters=1; the
+    # evaluations on either side peak lower).  Through the multiplier
+    # search the update holds the DE states and the shapings (2.2); with
+    # the leakage penalties too it held 3.2 and peaked at 4.4, now 3.6
+    cfg = small_cfg(m_t=64, m_k=(2,) * 8, n_b=2)
+    stats, _, _, post = make_instance(cfg, default_rng(3))
+    init = canonical_allocation(stats, cfg).precoders
+    mm_full(post, cfg, 2, init, iters=1)  # warm-up
+    held = []
+
+    def record(*args, **kwargs):
+        held.append(tracemalloc.get_traced_memory()[0])
+        return mu_bisection(*args, **kwargs)
+
+    monkeypatch.setattr(mm_precoder, "mu_bisection", record)
+    tracemalloc.start()
+    try:
+        mm_full(post, cfg, 2, init, iters=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    unit = post.n_users * cfg.m_t ** 2 * 16
+    assert len(held) == 1
+    assert held[0] < 2.6 * unit
+    assert peak < 4.0 * unit
+
+
 def test_single_user_perfect_csi_reaches_waterfilling():
     # closed-form oracle: SVD power loading with a bisected water level
     cfg = small_cfg(m_t=6, m_k=(3,), n_b=2, sigma2_z=0.1)
