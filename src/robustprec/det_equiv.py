@@ -56,7 +56,8 @@ class DEState:
     per-beam (transmit side) and per-receive-dimension vectors.
 
     tx_gain: m_t x m_t effective transmit-side gain; the DE rate reads
-        logdet(I + tx_gain P P^H) + correction terms.
+        logdet(I + tx_gain P P^H) + correction terms.  A property: it is
+        held_tx_gain while the state holds the matrix, else rebuilt.
     rx_gain: m_k x m_k effective receive-side signal covariance.
     stream_mse: (I + P^H tx_gain P)^-1, the DE of the per-stream MSE matrix
         (per beam, 1 off the active support, in the beam domain).
@@ -64,15 +65,38 @@ class DEState:
     iterations, residual: sweeps taken and the final residual.
     whitener: R^-1/2 of the interference covariance the general solver
         whitened with, read by the rate forms; None in the beam domain.
+    tx_factors: what the general solver's last sweep built tx_gain from
+        (None in the beam domain): (kernel, L G L, L M, F^-1 L M) with L
+        the whitener, G the receive-side resolvent that entered the sweep,
+        M the posterior mean and F the sweep's receive-side factor, so
+        tx_gain = hermitize(E[H~^H L G L H~] + (L M)^H F^-1 L M).  A held
+        state (held_tx_gain None), as de_weighted_sum_rate returns, keeps
+        these O(m_k m_t) factors alone, and each read of tx_gain rebuilds
+        the m_t x m_t matrix by the sweep's own operations, so every bit
+        matches.
     """
 
-    tx_gain: np.ndarray
+    held_tx_gain: np.ndarray
     rx_gain: np.ndarray
     stream_mse: np.ndarray
     rx_mse: np.ndarray
     iterations: int
     residual: float
     whitener: np.ndarray = None
+    tx_factors: tuple = None
+
+    @property
+    def tx_gain(self):
+        if self.held_tx_gain is not None:
+            return self.held_tx_gain
+        kern, c_rx, lm, sol = self.tx_factors
+        return _tx_gain(mean_quadratic_tx(kern, c_rx), lm, sol)
+
+
+def _tx_gain(e_tx, lm, sol):
+    """The transmit-side gain from its remainder term e_tx and the factors
+    of its mean term."""
+    return hermitize(e_tx + lm.conj().T @ sol)
 
 
 def _damped_sweeps(sweep, cold, init, tol, max_iter, gains=None):
@@ -135,18 +159,23 @@ def solve_fixed_point(posterior, p, r, k, n, tol=1e-9, max_iter=500, init=None):
     lm = l @ mean
     mp = mean @ p
 
+    factors = None  # the last sweep's, which built the returned tx_gain
+
     def sweep(g, gt):
-        e_tx = mean_quadratic_tx(kern, l @ gt @ l)
+        nonlocal factors
+        c_rx = l @ gt @ l
+        e_tx = mean_quadratic_tx(kern, c_rx)
         e_rx = mean_quadratic_rx(kern, p @ g @ p.conj().T)
         stream_factor = eye_d + p.conj().T @ e_tx @ p
         rx_factor = eye_m + l @ e_rx @ l
-        tx_gain = hermitize(e_tx + lm.conj().T @ np.linalg.solve(rx_factor, lm))
+        factors = kern, c_rx, lm, np.linalg.solve(rx_factor, lm)
+        tx_gain = _tx_gain(e_tx, lm, factors[3])
         rx_gain = hermitize(e_rx + mp @ np.linalg.solve(stream_factor, mp.conj().T))
         return (tx_gain, rx_gain, np.linalg.inv(eye_d + p.conj().T @ tx_gain @ p),
                 np.linalg.inv(eye_m + l @ rx_gain @ l))
 
     state = _damped_sweeps(sweep, (eye_d, eye_m), init, tol, max_iter)
-    state.whitener = l
+    state.whitener, state.tx_factors = l, factors
     return state
 
 
@@ -189,7 +218,9 @@ def de_weighted_sum_rate(posterior, precoders, weights, sigma2_z, n,
 
     Solves one fixed point per user (optionally warm-started from
     init_states) and sums the form-1 rates.  Also returns the per-user
-    states and interference covariances for reuse by the optimizers.
+    states, held with their transmit gains as factors (form 1 is scored
+    first, from the matrix in hand), and interference covariances for reuse
+    by the optimizers.
     """
     k_users = len(precoders)
     states, rates, covs = [], [], []
@@ -199,6 +230,7 @@ def de_weighted_sum_rate(posterior, precoders, weights, sigma2_z, n,
         init = init_states[k] if init_states is not None else None
         state = solve_fixed_point(posterior, precoders[k], r, k, n, init=init)
         rate = de_rate_form1(state, posterior, precoders[k], k, n)
+        state.held_tx_gain = None  # tx_factors rebuild it
         states.append(state)
         rates.append(rate)
         covs.append(r)

@@ -288,13 +288,24 @@ def monte_carlo_rate(posterior, designs, weights, sigma2_z, n, rng,
             for means, var, ok in zip(per_user, variances, valid)]
 
 
+def _dispatch(alg, n, call, *args):
+    """call(*args) for algorithm alg at block n, with a numpy LinAlgError
+    (a singular matrix no solver types itself) raised as a NumericalError
+    naming both."""
+    try:
+        return call(*args)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"{alg}, block {n}: linear algebra failed: "
+                             f"{exc}") from exc
+
+
 def _algorithm_designs(alg, inputs):
     """One algorithm's precoders for every data block of a slot: one design
     per block if it reads alpha, else one design for them all."""
     entry, prev, out = ALGORITHM_TABLE[alg], None, []
     for n in range(2, inputs.cfg.n_b + 1):
         if prev is None or entry.reads_alpha:
-            prev = entry.design(inputs, n, prev)
+            prev = _dispatch(alg, n, entry.design, inputs, n, prev)
         out.append(prev)
     return out
 
@@ -445,5 +456,6 @@ def convergence_study(cfg, profile, plan):
     stats = experiment_statistics(cfg, profile)
     first, posterior = prepare_slot(cfg, stats, 0)
     slot = Slot(cfg, first, posterior, plan, {})
-    return [(alg, *ALGORITHM_TABLE[alg].ascent(slot, 2, None))
+    return [(alg, *_dispatch(alg, 2, ALGORITHM_TABLE[alg].ascent, slot, 2,
+                             None))
             for alg in plan.algorithms]

@@ -13,11 +13,14 @@ per user; mm_shared replaces the per-user shaping with one shared matrix
 (plus a PSD gap correction), cutting the large-matrix work per iteration to
 a single eigendecomposition.
 
-Memory: an mm_full update holds the users' DE states and the K shapings
-the multiplier search reads, and all K leakage penalties (every shaping
-reads them) only while it forms the shapings; an mm_shared update holds the
-states and the one shared shaping.  Signal gains and self penalties (in
-mm_shared the leakage penalties too) live one user at a time.
+Memory: the users' DE states hold their transmit gains as O(m_k m_t)
+factors (det_equiv.DEState), so an mm_full update holds K m_t x m_t
+matrices, the shapings: each leakage penalty is added into the other
+users' shapings as soon as it is formed, and the shapings are handed to
+the multiplier search one at a time, each released right after its
+eigendecomposition.  An mm_shared update holds the one shared shaping.
+Signal gains, rebuilt transmit gains, self penalties and leakage penalties
+live one user at a time.
 """
 from __future__ import annotations
 
@@ -59,16 +62,18 @@ def signal_gain(posterior, r, k, n):
 def self_penalty(gain, state, p):
     """Own-rate curvature penalty: gain - (I + tx_gain P P^H)^-1 tx_gain."""
     m_t = gain.shape[0]
-    lhs = np.eye(m_t, dtype=complex) + state.tx_gain @ (p @ p.conj().T)
-    return hermitize(gain - np.linalg.solve(lhs, state.tx_gain))
+    tx_gain = state.tx_gain
+    lhs = np.eye(m_t, dtype=complex) + tx_gain @ (p @ p.conj().T)
+    return hermitize(gain - np.linalg.solve(lhs, tx_gain))
 
 
 def self_penalty_lowrank(gain, state, p):
     """self_penalty via the inversion lemma: only a d x d system is solved."""
     d = p.shape[1]
-    gp = state.tx_gain @ p
+    tx_gain = state.tx_gain
+    gp = tx_gain @ p
     core = np.eye(d, dtype=complex) + p.conj().T @ gp
-    return hermitize(gain - state.tx_gain + gp @ np.linalg.solve(core, gp.conj().T))
+    return hermitize(gain - tx_gain + gp @ np.linalg.solve(core, gp.conj().T))
 
 
 def leakage_penalty(posterior, state, r, k, n):
@@ -79,16 +84,6 @@ def leakage_penalty(posterior, state, r, k, n):
     """
     diff = hermitize(np.linalg.inv(r) - np.linalg.inv(r + state.rx_gain))
     return hermitize(expected_gram(posterior, k, n, diff))
-
-
-def update_shaping(weights, self_pen, leak_pens, k):
-    """Per-user quadratic shaping: user k's own self penalty plus the
-    others' leakage penalties (leak_pens lists all K)."""
-    d = weights[k] * self_pen
-    for l in range(len(weights)):
-        if l != k:
-            d += weights[l] * leak_pens[l]
-    return d
 
 
 def penalty_gap(weight, self_pen, leak_pen):
@@ -126,23 +121,37 @@ def _power_probe(data):
     return power
 
 
+def _eigenbases(rhs_list, shaping_list):
+    """Per user (spectrum, eigenvectors, eigenvectors^H rhs) of its shaping.
+
+    Only the last shaping is held, to tell a repeat by identity: an object
+    held can be no other's id, and the one before is let go before the
+    next eigendecomposition.
+    """
+    basis, last = [], None
+    for rhs, shaping in zip(rhs_list, shaping_list):
+        if shaping is not last:
+            last = shaping
+            lam, q = _spectral(shaping)
+        basis.append((lam, q, q.conj().T @ rhs))
+    return basis
+
+
 def mu_bisection(rhs_list, shaping_list, p_total, tol_power=1e-6):
     """Smallest multiplier meeting the sum power budget, and the precoders.
 
     Solves P_k = (D_k + mu I)^-1 rhs_k with mu = 0 if that already fits the
     budget, otherwise the mu making the total power equal p_total to
     tol_power relative.  Shaping matrices must be Hermitian (only their
-    lower triangles are read); each is eigendecomposed once (repeated
-    objects are cached), so each probe is one array expression of
-    O(m_t d) per user.  The returned power never exceeds the budget:
-    bisection keeps the feasible side of the bracket.
+    lower triangles are read); each is eigendecomposed once (one object
+    repeated in a row, a shaping shared by every user, once for the run),
+    so each probe is one array expression of O(m_t d) per user.
+    shaping_list may be an iterator, read once in user order: one that
+    hands each shaping over lets it go right after its eigendecomposition.
+    The returned power never exceeds the budget: bisection keeps the
+    feasible side of the bracket.
     """
-    specs, basis = {}, []
-    for rhs, shaping in zip(rhs_list, shaping_list):
-        if id(shaping) not in specs:
-            specs[id(shaping)] = _spectral(shaping)
-        lam, q = specs[id(shaping)]
-        basis.append((lam, q, q.conj().T @ rhs))
+    basis = _eigenbases(rhs_list, shaping_list)
 
     def build(mu):
         out = []
@@ -267,15 +276,23 @@ def mm_full(posterior, cfg, n, init, iters=30, obj_tol=1e-8, tol_power=1e-6,
     k_users = posterior.n_users
 
     def step(precoders, states, covs):
-        leaks = [leakage_penalty(posterior, states[k], covs[k], k, n) for k in range(k_users)]
+        # user k's shaping: w_k self_k, then + w_l leak_l for l != k in
+        # user order, each leakage penalty added as soon as it is formed
         shapings, rhs = [], []
         for k in range(k_users):
             gain = signal_gain(posterior, covs[k], k, n)
-            shapings.append(update_shaping(
-                weights, self_penalty(gain, states[k], precoders[k]), leaks, k))
+            shapings.append(weights[k] * self_penalty(gain, states[k], precoders[k]))
             rhs.append(weights[k] * gain @ precoders[k])
-        del leaks  # only the shapings read them
-        return mu_bisection(rhs, shapings, cfg.p_total, tol_power=tol_power)
+        for l in range(k_users):
+            leak = weights[l] * leakage_penalty(posterior, states[l], covs[l], l, n)
+            for k in range(k_users):
+                if k != l:
+                    shapings[k] += leak
+        del gain, leak  # the search reads them only through shapings and rhs
+        # handed over one at a time: each shaping goes once the search has
+        # its eigenvectors
+        return mu_bisection(rhs, (shapings.pop(0) for _ in rhs), cfg.p_total,
+                            tol_power=tol_power)
 
     return _de_ascent(posterior, cfg, n, init, iters, step, obj_tol, start,
                       score_last)
@@ -305,6 +322,7 @@ def mm_shared(posterior, cfg, n, init, iters=30, obj_tol=1e-8, tol_power=1e-6,
                 shared += weights[k] * leak
             rhs.append((weights[k] * gain + penalty_gap(weights[k], self_pen, leak))
                        @ precoders[k])
+        del gain, self_pen, leak  # the search reads only shared and rhs
         return mu_bisection(rhs, [shared] * k_users, cfg.p_total,
                             tol_power=tol_power)
 

@@ -32,9 +32,30 @@ def hermitize(c):
     return out
 
 
+_CONJUGATES = {}
+
+
+def _conj(basis):
+    """basis.conj(), kept once per read-only basis.
+
+    The shared DFT basis of each size (channel.dft_matrix) is the only
+    read-only basis; it lives as long as the process, and so does its
+    entry.  The entry holds the basis, so its id cannot be reused while
+    the entry is kept.  A writeable basis is conjugated afresh.
+    """
+    if basis.flags.writeable:
+        return basis.conj()
+    entry = _CONJUGATES.get(id(basis))
+    if entry is None:
+        conj = basis.conj()
+        conj.flags.writeable = False
+        entry = _CONJUGATES[id(basis)] = basis, conj
+    return entry[1]
+
+
 def basis_diag(basis, c):
     """diag(basis^H C basis) without forming the full product."""
-    return np.einsum("ji,ji->i", basis.conj(), c @ basis)
+    return np.einsum("ji,ji->i", _conj(basis), c @ basis)
 
 
 @dataclass(frozen=True)
@@ -82,7 +103,7 @@ def mean_quadratic_rx(kernel, c_tx):
 def mean_quadratic_tx(kernel, c_rx):
     """E[H~^H C H~]: m_t x m_t Hermitian PSD for Hermitian PSD C."""
     g = tx_gain_diag(kernel, c_rx)
-    return (kernel.v * g) @ kernel.v.conj().T
+    return (kernel.v * g) @ _conj(kernel.v).T
 
 
 def expected_gram(posterior, k, n, c_rx):

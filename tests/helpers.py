@@ -1,5 +1,7 @@
 """Shared builders for the test suite."""
 import math
+import tracemalloc
+from contextlib import contextmanager
 
 import numpy as np
 from hypothesis import strategies as st
@@ -183,6 +185,19 @@ def monte_carlo_rate_oracle(posterior, precoders, weights, sigma2_z, n, rng,
     total = float(np.dot(weights, per_user))
     stderr = float(np.sqrt(np.dot(np.square(weights), variances) / n_samples))
     return MCRate(total, stderr)
+
+
+@contextmanager
+def traced_heap():
+    """Trace Python heap allocations over the block (tracemalloc); yields a
+    function that returns the (current, peak) traced bytes, net of what was
+    traced when the block began."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        yield lambda: tuple(b - base for b in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
 
 
 def same_bits(a, b):

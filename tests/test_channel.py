@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -19,7 +17,14 @@ from robustprec.channel import (
 from robustprec.config import SystemConfig
 from robustprec.errors import ConfigError
 
-from helpers import crandn_oracle, j0_series, relerr, same_bits, small_cfg
+from helpers import (
+    crandn_oracle,
+    j0_series,
+    relerr,
+    same_bits,
+    small_cfg,
+    traced_heap,
+)
 
 
 def test_dft_matrix_unitary_and_convention():
@@ -178,12 +183,9 @@ def test_orthogonal_pilots_are_the_dft_rows_bit_for_bit(m, m_list):
 
 def test_orthogonal_pilots_build_only_the_rows_they_hand_out():
     # a 2003-point DFT matrix alone is 64 MB; no other test uses this length
-    tracemalloc.start()
-    try:
+    with traced_heap() as heap:
         orthogonal_pilots((2, 2), 2003)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+        peak = heap()[1]
     assert peak < 1_000_000
 
 

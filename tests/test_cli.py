@@ -649,6 +649,23 @@ def test_a_failed_mm_ascent_drops_both_designs_as_before(
     assert seen == colds
 
 
+# alg1's first update meets a singular matrix in its self penalty, outside
+# any solver (it was a LinAlgError traceback, exit 1, and an empty out-dir)
+SINGULAR_UPDATE = dict(SINGULAR_SWEEP, system=dict(SINGULAR_SWEEP["system"],
+                                                   seed=128, n_b=2))
+
+
+def test_a_singular_mm_update_exits_3_naming_the_algorithm(tmp_path):
+    out = tmp_path / "out"
+    assert cli.main(["sweep", "-c", _write_config(tmp_path, SINGULAR_UPDATE),
+                     "--out-dir", str(out)]) == 3
+    assert sorted(p.name for p in out.iterdir()) == ["error.json"]
+    record = json.loads((out / "error.json").read_text())
+    assert record["error"] == "NumericalError"
+    assert ("first failure: NumericalError: alg1, block 2: linear algebra "
+            "failed: Singular matrix" in record["message"])
+
+
 _ALPHAS = [0.0, 0.5, 0.99, 1.0]
 
 
@@ -692,6 +709,7 @@ def _cli_runs(draw):
 @given(run=_cli_runs())
 @example(run=("sweep", SINGULAR_SWEEP))
 @example(run=("sweep", LOST_PRECISION))
+@example(run=("sweep", SINGULAR_UPDATE))
 def test_every_validated_config_ends_in_rates_or_a_typed_error(run):
     # exit 0 with finite, budget-feasible numbers, or exit 2/3 with an
     # error.json naming a ConfigError or NumericalError type

@@ -27,6 +27,7 @@ from helpers import (
     rand_hermitian_psd,
     random_precoder_set,
     relerr,
+    same_bits,
     scenario_instance,
     small_cfg,
     small_scenarios,
@@ -209,6 +210,28 @@ def test_warm_start_cuts_sweeps():
     assert warm.iterations <= 3
     assert warm.iterations <= cold.iterations
     assert relerr(warm.tx_gain, cold.tx_gain) < 1e-8
+
+
+def test_a_held_state_rebuilds_the_tx_gain_of_a_fresh_solve_bit_for_bit():
+    # de_weighted_sum_rate's states keep the transmit gain as factors; each
+    # read rebuilds the bits a fresh solve at the same inputs returns, cold
+    # and warm-started
+    rng = np.random.default_rng(11)
+    cfg, post, precoders = _instance(rng)
+    moved = random_precoder_set(rng, cfg.m_t, cfg.d_k, cfg.p_total)
+    cold = de_weighted_sum_rate(post, precoders, cfg.weights, cfg.sigma2_z, 2)
+    warm = de_weighted_sum_rate(post, moved, cfg.weights, cfg.sigma2_z, 2,
+                                init_states=cold.states)
+    for res, ps, inits in ((cold, precoders, [None] * len(precoders)),
+                           (warm, moved, cold.states)):
+        for k, state in enumerate(res.states):
+            fresh = solve_fixed_point(post, ps[k], res.covariances[k], k, 2,
+                                      init=inits[k])
+            assert state.held_tx_gain is None
+            assert fresh.held_tx_gain is not None
+            assert same_bits(state.tx_gain, fresh.tx_gain)
+            assert same_bits(state.tx_gain, state.tx_gain)
+            assert de_rate_form1(fresh, post, ps[k], k, 2) == res.rates[k]
 
 
 @pytest.mark.parametrize("snr_db", [40.0, 80.0])

@@ -417,6 +417,31 @@ def test_one_algorithms_failure_keeps_the_others_rates(monkeypatch):
     assert res.records == solo.records
 
 
+def test_a_linalg_error_in_a_design_is_a_numerical_error_naming_it(
+        monkeypatch):
+    # a singular matrix that no solver types itself drops that algorithm's
+    # slot like any NumericalError, in the runner and in convergence_study
+    cfg = SystemConfig(m_t=8, m_k=(2, 2), n_b=3, sigma2_z=0.1, seed=9)
+    kw = dict(n_slots=1, n_mc=50, mm_iters=3)
+    solo = run_slot_experiment(cfg, _profile(), ExperimentPlan(
+        algorithms=("rzf",), **kw))
+
+    def singular(*args, **kwargs):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(evaluation, "mm_full", singular)
+    res = run_slot_experiment(cfg, _profile(), ExperimentPlan(
+        algorithms=("alg1", "rzf"), **kw))
+    assert res.failed_slots == [0]
+    assert type(res.first_error) is NumericalError
+    assert str(res.first_error) == ("alg1, block 2: linear algebra failed: "
+                                    "Singular matrix")
+    assert res.records == solo.records
+    with pytest.raises(NumericalError, match="^alg1, block 2: .*Singular"):
+        convergence_study(cfg, _profile(), ExperimentPlan(
+            algorithms=("alg1",), **kw))
+
+
 # 80 dB with alpha = 1: round-off asymmetry of ill-conditioned covariances
 # once escaped as an untyped ValueError from a Hermitian check
 @pytest.mark.parametrize("m_k, band_width, sigma2_bs, alg", [

@@ -25,6 +25,7 @@ from helpers import (
     scenario_instance,
     small_cfg,
     small_scenarios,
+    traced_heap,
 )
 from robustprec import baselines, beam_domain, mm_precoder
 from robustprec.beam_domain import beam_power_allocation, canonical_allocation
@@ -49,7 +50,6 @@ from robustprec.mm_precoder import (
     self_penalty_lowrank,
     signal_gain,
     total_power,
-    update_shaping,
 )
 from robustprec.operators import interference_covariance
 from robustprec.posterior import build_posterior
@@ -109,7 +109,8 @@ def test_penalty_matrices_are_psd_and_ordered():
             gap = penalty_gap(w[k], selfs[k], leaks[k])
             assert relerr(gap, gap.conj().T) < 1e-10
             assert _min_eig(w[k] * gains[k] + gap) > -1e-10 * scale
-            shaping = update_shaping(w, selfs[k], leaks, k)
+            shaping = w[k] * selfs[k] + sum(w[l] * leaks[l] for l in range(3)
+                                            if l != k)
             assert _min_eig(shaping) > -1e-10 * scale
 
 
@@ -263,10 +264,12 @@ def test_mu_bisection_shared_object_matches_copies():
 
 def _captured_bisections(monkeypatch, module, run):
     """The (args, kwargs) of every mu_bisection call that run() makes
-    through module's global."""
+    through module's global, with the shapings as a list: mm_full hands
+    them over one at a time, which a replay cannot read again."""
     calls = []
 
-    def record(*args, **kwargs):
+    def record(rhs, shapings, *args, **kwargs):
+        args = (rhs, list(shapings), *args)
         calls.append((args, kwargs))
         return mu_bisection(*args, **kwargs)
 
@@ -428,49 +431,105 @@ def test_mm_update_holds_one_users_gain_and_self_penalty(algorithm, units):
     # peak heap of a whole ascent in K m_t^2 complex entries: an update that
     # lists every user's gain, self penalty and leakage penalty at once
     # peaks at 6.3 (mm_full) and 4.7 (mm_shared); one user at a time, at
-    # 4.4 and 2.7
+    # 3.6 and 2.7 while the DE states kept their transmit gains, and at 1.8
+    # and 1.2 with the states held as factors
     cfg = small_cfg(m_t=64, m_k=(2,) * 8, n_b=3)
     rng = default_rng(0)
     stats, slot, pilots, post = make_instance(cfg, rng)
     init = random_precoder_set(rng, cfg.m_t, cfg.d_k, cfg.p_total)
     algorithm(post, cfg, 2, init, iters=2, obj_tol=0.0)  # warm-up
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
+    with traced_heap() as heap:
         algorithm(post, cfg, 2, init, iters=2, obj_tol=0.0)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
+        peak = heap()[1]
     assert peak < units * post.n_users * cfg.m_t ** 2 * 16
+
+
+def _update_memory_instance():
+    """(cfg, posterior, init, unit) of the memory tests: m_t = 64, K = 8
+    users with m_k = 2, block 2, the canonical start, and the
+    unit K m_t^2 complex entries in bytes."""
+    cfg = small_cfg(m_t=64, m_k=(2,) * 8, n_b=2)
+    stats, _, _, post = make_instance(cfg, default_rng(3))
+    init = canonical_allocation(stats, cfg).precoders
+    return cfg, post, init, post.n_users * cfg.m_t ** 2 * 16
 
 
 def test_mm_full_drops_its_leakage_penalties_before_the_multiplier_search(
         monkeypatch):
     # heap in K m_t^2 complex entries over one update (iters=1; the
-    # evaluations on either side peak lower).  Through the multiplier
-    # search the update holds the DE states and the shapings (2.2); with
-    # the leakage penalties too it held 3.2 and peaked at 4.4, now 3.6
-    cfg = small_cfg(m_t=64, m_k=(2,) * 8, n_b=2)
-    stats, _, _, post = make_instance(cfg, default_rng(3))
-    init = canonical_allocation(stats, cfg).precoders
+    # evaluations on either side peak lower).  Into the multiplier search
+    # the update brings the shapings alone (1.2): with the DE states'
+    # transmit gains too it held 2.2 and peaked at 3.4, and with the
+    # leakage penalties as well, 3.2 and 4.4
+    cfg, post, init, unit = _update_memory_instance()
     mm_full(post, cfg, 2, init, iters=1)  # warm-up
     held = []
 
     def record(*args, **kwargs):
-        held.append(tracemalloc.get_traced_memory()[0])
+        held.append(heap()[0])
         return mu_bisection(*args, **kwargs)
 
     monkeypatch.setattr(mm_precoder, "mu_bisection", record)
-    tracemalloc.start()
-    try:
+    with traced_heap() as heap:
         mm_full(post, cfg, 2, init, iters=1)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    unit = post.n_users * cfg.m_t ** 2 * 16
+        peak = heap()[1]
     assert len(held) == 1
     assert held[0] < 2.6 * unit
     assert peak < 4.0 * unit
+
+
+@pytest.mark.parametrize("algorithm", [mm_full, mm_shared])
+def test_mm_ascent_holds_its_de_states_without_m_t_square_matrices(
+        monkeypatch, algorithm):
+    # what each DE evaluation leaves for the next update (the states and
+    # interference covariances) takes 0.09 K m_t^2 complex entries; when
+    # every state kept its m_t x m_t transmit gain it took 1.02
+    cfg, post, init, unit = _update_memory_instance()
+    algorithm(post, cfg, 2, init, iters=2)  # warm-up
+    real, held, states = mm_precoder.de_weighted_sum_rate, [], []
+
+    def record(*args, **kwargs):
+        before = heap()[0]
+        res = real(*args, **kwargs)
+        held.append(heap()[0] - before)
+        states.extend(res.states)
+        return res
+
+    monkeypatch.setattr(mm_precoder, "de_weighted_sum_rate", record)
+    with traced_heap() as heap:
+        algorithm(post, cfg, 2, init, iters=2)
+    assert len(held) == 3 and len(states) == 3 * post.n_users
+    assert max(held) < 0.2 * unit
+    square = (cfg.m_t, cfg.m_t)
+    for state in states:
+        arrays = [*vars(state).values(), *state.tx_factors]
+        assert not any(isinstance(a, np.ndarray) and a.shape == square
+                       for a in arrays)
+
+
+def test_mm_full_multiplier_search_holds_about_k_m_t_square_entries(
+        monkeypatch):
+    # heap in K m_t^2 complex entries: the search begins holding the K
+    # shapings (1.16; 2.22 with the DE states' transmit gains and all
+    # shapings kept through it), and each shaping leaves right after its
+    # eigendecomposition while its eigenvectors stay (peak 1.46; 3.39)
+    cfg, post, init, unit = _update_memory_instance()
+    mm_full(post, cfg, 2, init, iters=1)  # warm-up
+    search = []
+
+    def record(*args, **kwargs):
+        tracemalloc.reset_peak()
+        entry = heap()[0]
+        out = mu_bisection(*args, **kwargs)
+        search.append((entry, heap()[1]))
+        return out
+
+    monkeypatch.setattr(mm_precoder, "mu_bisection", record)
+    with traced_heap() as heap:
+        mm_full(post, cfg, 2, init, iters=1)
+    (entry, peak), = search
+    assert entry < 1.3 * unit
+    assert peak < 1.6 * unit
 
 
 def test_single_user_perfect_csi_reaches_waterfilling():
