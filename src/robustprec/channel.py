@@ -58,8 +58,11 @@ def jakes_correlation(speed_mps, carrier_hz, symbol_time_s):
     """
     from scipy.special import j0
 
-    if carrier_hz <= 0 or symbol_time_s <= 0 or speed_mps < 0:
-        raise ConfigError("jakes_correlation needs carrier_hz > 0, symbol_time_s > 0, speed_mps >= 0")
+    args = (speed_mps, carrier_hz, symbol_time_s)
+    if (not all(map(np.isfinite, args)) or carrier_hz <= 0
+            or symbol_time_s <= 0 or speed_mps < 0):
+        raise ConfigError("jakes_correlation needs finite arguments with "
+                          "carrier_hz > 0, symbol_time_s > 0, speed_mps >= 0")
     x = 2.0 * np.pi * speed_mps * carrier_hz * symbol_time_s / SPEED_OF_LIGHT
     return float(np.clip(j0(x), 0.0, 1.0))
 
@@ -87,6 +90,8 @@ class UserStatistics:
         gram = u.conj().T @ u
         if np.max(np.abs(gram - np.eye(u.shape[0]))) > 1e-10:
             raise ConfigError("u must be unitary (1e-10 tolerance)")
+        if not np.all(np.isfinite(amp)):
+            raise ConfigError("amplitude mask entries must be finite")
         if np.any(amp < 0):
             raise ConfigError("amplitude mask entries must be nonnegative")
         if not 0.0 <= float(self.alpha) <= 1.0:
@@ -185,6 +190,9 @@ def generate_synthetic_stats(cfg, profile, rng):
             block = block * np.exp(lognorm_sigma * rng.standard_normal((m, width)))
         omega[:, cols] = block
         omega *= (m * cfg.m_t) / omega.sum()
+        if not (np.all(np.isfinite(omega)) and omega.any()):
+            raise ConfigError(f"lognorm_sigma = {lognorm_sigma} draws a power "
+                              f"profile for user {k} that is not finite")
         stats.append(UserStatistics.from_profile(q, omega, alphas[k]))
     return stats
 

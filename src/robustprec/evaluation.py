@@ -4,10 +4,11 @@ One experiment draws user statistics once, then per slot: channel blocks,
 an uplink pilot observation, the posterior, one precoder design per
 requested algorithm, and posterior-sampled rate scores.  Scoring reuses the
 same stream seed for every algorithm at a given (slot, block), so designs
-are compared under common random numbers; the designs of one algorithm at
-every point of a mismatch study are scored on one pass of those draws, and
-an algorithm whose design does not read the assumed aging coefficient is
-designed and scored once per slot for all points.
+are compared under common random numbers.  An algorithm whose design does
+not read the assumed aging coefficient is designed once per slot for all
+points of a mismatch study, and the designs of all such algorithms share
+one pass of each block's draws; each algorithm that reads it keeps its own
+pass, which scores its designs at every point.
 Seeds derive from the config seed through SeedSequence spawn keys, never
 from global state, which makes every run reproducible bit for bit.
 """
@@ -332,19 +333,44 @@ def prepare_slot(cfg, stats, slot):
     return first, build_posterior(y, pilots, stats, cfg.uplink_noise)
 
 
+def _score(cfg, plan, post, slot, designed, outcomes):
+    """Score each (alg, group, per-block designs) of designed on one pass of
+    the slot's draws per data block, and append (group, its records, or the
+    NumericalError of a score that is not valid) to outcomes[alg]."""
+    if not designed:
+        return
+    rows = [[] for _ in designed]
+    for j, n in enumerate(range(2, cfg.n_b + 1)):
+        rng_mc = default_rng(SeedSequence([cfg.seed, 2, slot, n]))
+        rates = monte_carlo_rate(
+            post, [d[j] for _, _, d in designed], cfg.weights, cfg.sigma2_z,
+            n, rng_mc, plan.n_mc, batch=plan.mc_batch)
+        for (alg, _, _), row, mc in zip(designed, rows, rates):
+            row.append(RateRecord(alg, slot, n, mc.total, mc.stderr))
+    for (alg, group, _), row in zip(designed, rows):
+        if any(math.isnan(rec.rate) for rec in row):
+            row = NumericalError(
+                f"{alg}: the Monte Carlo score of slot {slot} is not valid "
+                "(a log-determinant lost its precision)")
+        outcomes[alg].append((group, row))
+
+
 def _run_points(cfg, profile, plan, assumed_alphas):
     """The plan's slots, designed once per design-side aging coefficient
     (None: the slot's own posterior) and scored under the truth; one
     ExperimentResult per coefficient.
 
-    Per slot and algorithm, every point designs all its data blocks first;
-    then each block's designs are scored together on one pass of that
-    block's draws.  An algorithm that does not read alpha is designed and
-    scored once per slot, and its records are copied to every point.  A
-    NumericalError, or a Monte Carlo score that is not valid at any block
-    of the slot, drops the rates of that algorithm for the slot at the
-    points its design serves, lists the slot once in each such point's
-    failed_slots, and is kept as a point's first_error if it is the first.
+    Per slot, the algorithms are designed in plan order, each point's
+    design covering all its data blocks.  An algorithm that reads alpha
+    is scored right after its designs, all its points on one pass of each
+    block's draws.  One that does not is designed once per slot, its
+    records copied to every point, and the designs of all such algorithms
+    are scored together on one pass per block after the slot's last
+    design.  Outcomes are then applied in plan order: a NumericalError, or
+    a Monte Carlo score that is not valid at any block of the slot, drops
+    the rates of that algorithm for the slot at the points its design
+    serves, lists the slot once in each such point's failed_slots, and is
+    kept as a point's first_error if it is the first.
     """
     plan.check(cfg)
     stats = experiment_statistics(cfg, profile)
@@ -354,40 +380,33 @@ def _run_points(cfg, profile, plan, assumed_alphas):
         points = [Slot(cfg, first, score_post if a is None
                        else score_post.assuming(a), plan, {})
                   for a in assumed_alphas]
-        failed = [None] * len(points)
+        outcomes = {alg: [] for alg in plan.algorithms}
+        alpha_free = []
         for alg in plan.algorithms:
+            reads_alpha = ALGORITHM_TABLE[alg].reads_alpha
             # the points each design serves: its own, or all of them
-            groups = ([[i] for i in range(len(points))]
-                      if ALGORITHM_TABLE[alg].reads_alpha
+            groups = ([[i] for i in range(len(points))] if reads_alpha
                       else [range(len(points))])
-            designs = []
+            designed = []
             for group in groups:
                 try:
-                    designs.append(
-                        (group, _algorithm_designs(alg, points[group[0]])))
+                    designed.append((alg, group, _algorithm_designs(
+                        alg, points[group[0]])))
                 except NumericalError as exc:
-                    for i in group:
-                        failed[i] = failed[i] or exc
-            if not designs:
-                continue
-            rows = [[] for _ in designs]
-            for j, n in enumerate(range(2, cfg.n_b + 1)):
-                rng_mc = default_rng(SeedSequence([cfg.seed, 2, slot, n]))
-                rates = monte_carlo_rate(
-                    score_post, [d[j] for _, d in designs], cfg.weights,
-                    cfg.sigma2_z, n, rng_mc, plan.n_mc, batch=plan.mc_batch)
-                for row, mc in zip(rows, rates):
-                    row.append(RateRecord(alg, slot, n, mc.total, mc.stderr))
-            for (group, _), row in zip(designs, rows):
-                if any(math.isnan(rec.rate) for rec in row):
-                    exc = NumericalError(
-                        f"{alg}: the Monte Carlo score of slot {slot} is not "
-                        "valid (a log-determinant lost its precision)")
-                    for i in group:
-                        failed[i] = failed[i] or exc
-                else:
-                    for i in group:
-                        results[i].records.extend(row)
+                    outcomes[alg].append((group, exc))
+            if reads_alpha:
+                _score(cfg, plan, score_post, slot, designed, outcomes)
+            else:
+                alpha_free += designed
+        _score(cfg, plan, score_post, slot, alpha_free, outcomes)
+        failed = [None] * len(points)
+        for alg in plan.algorithms:
+            for group, out in outcomes[alg]:
+                for i in group:
+                    if isinstance(out, NumericalError):
+                        failed[i] = failed[i] or out
+                    else:
+                        results[i].records.extend(out)
         for result, exc in zip(results, failed):
             if exc is not None:
                 result.failed_slots.append(slot)

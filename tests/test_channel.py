@@ -61,6 +61,11 @@ def test_jakes_rejects_bad_arguments():
         jakes_correlation(1.0, 0.0, 1.0)
     with pytest.raises(ConfigError):
         jakes_correlation(-1.0, 1e9, 1e-3)
+    # a NaN passes every comparison guard and J0(inf) is NaN
+    for args in [(np.nan, 2e9, 0.5e-3), (30.0, np.nan, 0.5e-3),
+                 (30.0, 2e9, np.inf)]:
+        with pytest.raises(ConfigError):
+            jakes_correlation(*args)
 
 
 def test_user_statistics_validation():
@@ -73,6 +78,9 @@ def test_user_statistics_validation():
         UserStatistics(u=u, amp=-np.ones((2, 4)), alpha=0.5)
     with pytest.raises(ConfigError):
         UserStatistics(u=u, amp=np.ones((2, 4)), alpha=1.5)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ConfigError, match="finite"):
+            UserStatistics(u=u, amp=np.full((2, 4), bad), alpha=0.5)
     # mask squares exactly to the profile
     s = UserStatistics.from_profile(u, rng.random((2, 4)), 0.3)
     assert np.array_equal(s.omega, s.amp * s.amp)
@@ -106,6 +114,15 @@ def test_synthetic_stats_band_width_error():
         generate_synthetic_stats(cfg, BeamProfile(band_width=9), np.random.default_rng(0))
     with pytest.raises(ConfigError):
         generate_synthetic_stats(cfg, BeamProfile(band_width=0), np.random.default_rng(0))
+
+
+def test_synthetic_stats_reject_a_profile_that_overflows():
+    # exp(lognorm_sigma * z) overflows once lognorm_sigma * z > 709.8, and
+    # the normalization then turns the profile into NaN
+    cfg = small_cfg(m_t=8, m_k=(2, 2))
+    with pytest.raises(ConfigError, match="lognorm_sigma = 1000.0 .* user 1"):
+        generate_synthetic_stats(cfg, BeamProfile(
+            band_width=4, lognorm_sigma=1000.0), np.random.default_rng(1))
 
 
 def test_synthetic_stats_deterministic_under_seed():

@@ -666,6 +666,31 @@ def test_a_singular_mm_update_exits_3_naming_the_algorithm(tmp_path):
             "failed: Singular matrix" in record["message"])
 
 
+# exp(lognorm_sigma * z) overflows, and the normalized profile is NaN: slnr
+# ended in an untyped ValueError from eigh (exit 1, no error.json), alg1
+# and alg3 in a NumericalError after 500 sweeps with residual nan
+OVERFLOWING_PROFILE = {
+    "system": {"m_t": 8, "m_k": [2, 2], "n_b": 2, "snr_db": [10], "seed": 1},
+    "profile": {"band_width": 4, "lognorm_sigma": 1000.0},
+    "experiment": {"algorithms": ["slnr"], "n_slots": 1, "n_mc": 8,
+                   "mm_iters": 3},
+}
+
+
+@pytest.mark.parametrize("alg", ["slnr", "alg1", "alg3"])
+def test_a_profile_that_overflows_exits_2_naming_lognorm_sigma(tmp_path, alg):
+    data = dict(OVERFLOWING_PROFILE, experiment=dict(
+        OVERFLOWING_PROFILE["experiment"], algorithms=[alg]))
+    out = tmp_path / "out"
+    assert cli.main(["sweep", "-c", _write_config(tmp_path, data),
+                     "--out-dir", str(out)]) == 2
+    assert sorted(p.name for p in out.iterdir()) == ["error.json"]
+    record = json.loads((out / "error.json").read_text())
+    assert record == {"error": "ConfigError", "message": (
+        "lognorm_sigma = 1000.0 draws a power profile for user 1 that is "
+        "not finite")}
+
+
 _ALPHAS = [0.0, 0.5, 0.99, 1.0]
 
 
@@ -710,6 +735,7 @@ def _cli_runs(draw):
 @example(run=("sweep", SINGULAR_SWEEP))
 @example(run=("sweep", LOST_PRECISION))
 @example(run=("sweep", SINGULAR_UPDATE))
+@example(run=("sweep", OVERFLOWING_PROFILE))
 def test_every_validated_config_ends_in_rates_or_a_typed_error(run):
     # exit 0 with finite, budget-feasible numbers, or exit 2/3 with an
     # error.json naming a ConfigError or NumericalError type
@@ -733,7 +759,9 @@ def test_every_validated_config_ends_in_rates_or_a_typed_error(run):
                     except ValueError:
                         continue  # a name or an empty cell
                     assert math.isfinite(value), (csv.name, line)
-        budget = data["system"]["p_total"] * (1 + 1e-9)
+        # the resolved config: data may leave p_total to its default
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        budget = manifest["config"]["system"]["p_total"] * (1 + 1e-9)
         for csv in out.glob("precoders_*.csv"):
             power = sum(np.linalg.norm(p) ** 2
                         for p in read_complex_csv(csv).values())

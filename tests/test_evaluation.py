@@ -18,6 +18,7 @@ from robustprec.beam_domain import canonical_allocation
 from robustprec.channel import BeamProfile
 from robustprec.config import SystemConfig, at_noise, noise_from_snr
 from robustprec.errors import ConfigError, NumericalError
+from robustprec.posterior import PosteriorModel
 from robustprec.det_equiv import de_weighted_sum_rate
 from robustprec import evaluation, mm_precoder
 from robustprec.evaluation import (
@@ -149,6 +150,63 @@ def test_scoring_streams_do_not_depend_on_algorithm_list():
     both_rates = [(r.slot, r.block, r.rate) for r in both.records
                   if r.algorithm == "rzf"]
     assert solo_rates == both_rates
+
+
+def test_alpha_free_designs_share_one_pass_of_draws(monkeypatch):
+    # per slot and block, alg2 is scored on its own pass and alg3, rzf, slnr
+    # and wmmse on one shared pass; each still gets the records it gets
+    # when it runs alone
+    cfg = SystemConfig(m_t=8, m_k=(2, 2), n_b=3, sigma2_z=0.1, seed=11)
+    kw = dict(n_slots=2, n_mc=96, mc_batch=64, mm_iters=4,
+              assumed_alphas=(1.0, 0.5))
+    free = ("alg3", "rzf", "slnr", "wmmse")
+    alone = {a: alpha_mismatch_study(cfg, _profile(), ExperimentPlan(
+        algorithms=(a,), **kw)) for a in free}
+    calls = []
+    real = PosteriorModel.sample
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(PosteriorModel, "sample", counted)
+    out = alpha_mismatch_study(cfg, _profile(), ExperimentPlan(
+        algorithms=("alg2",) + free, **kw))
+    # passes x slots x blocks x users x batches
+    assert len(calls) == 2 * 2 * 2 * 2 * 2
+    for i, (alpha, result) in enumerate(out):
+        assert result.failed_slots == []
+        for a in free:
+            assert alone[a][i][0] == alpha
+            assert [r for r in result.records
+                    if r.algorithm == a] == alone[a][i][1].records
+
+
+def test_an_alpha_free_score_failure_stays_first_before_a_later_design(
+        monkeypatch):
+    # rzf is scored after the slot's last design, yet its invalid score
+    # (a NaN design) is applied in plan order, before alg1's design failure
+    cfg = SystemConfig(m_t=8, m_k=(2, 2), n_b=3, sigma2_z=0.1, seed=9)
+
+    def nan_rzf(chans, *args, **kwargs):
+        return [np.full((cfg.m_t, 2), np.nan + 0j) for _ in chans]
+
+    def fail(*args, **kwargs):
+        raise NumericalError("injected mm_full failure")
+
+    kw = dict(n_slots=2, n_mc=50, mm_iters=3)
+    solo = run_slot_experiment(cfg, _profile(), ExperimentPlan(
+        algorithms=("alg2",), **kw))
+    monkeypatch.setattr(evaluation, "rzf", nan_rzf)
+    monkeypatch.setattr(evaluation, "mm_full", fail)
+    with np.errstate(invalid="ignore"):
+        res = run_slot_experiment(cfg, _profile(), ExperimentPlan(
+            algorithms=("rzf", "alg1", "alg2"), **kw))
+    assert res.failed_slots == [0, 1]
+    assert str(res.first_error) == ("rzf: the Monte Carlo score of slot 0 is "
+                                    "not valid (a log-determinant lost its "
+                                    "precision)")
+    assert res.records == solo.records
 
 
 def test_mismatch_with_true_aging_reproduces_plain_run():
