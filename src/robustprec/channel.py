@@ -186,10 +186,11 @@ def generate_synthetic_stats(cfg, profile, rng):
         base = np.exp(-decay * np.abs(offsets))
         omega = np.zeros((m, cfg.m_t))
         block = np.tile(base, (m, 1))
-        if lognorm_sigma > 0:
-            block = block * np.exp(lognorm_sigma * rng.standard_normal((m, width)))
-        omega[:, cols] = block
-        omega *= (m * cfg.m_t) / omega.sum()
+        with np.errstate(all="ignore"):  # the check below reports it
+            if lognorm_sigma > 0:
+                block = block * np.exp(lognorm_sigma * rng.standard_normal((m, width)))
+            omega[:, cols] = block
+            omega *= (m * cfg.m_t) / omega.sum()
         if not (np.all(np.isfinite(omega)) and omega.any()):
             raise ConfigError(f"lognorm_sigma = {lognorm_sigma} draws a power "
                               f"profile for user {k} that is not finite")

@@ -31,6 +31,7 @@ from .evaluation import (
     ExperimentPlan,
     alpha_mismatch_study,
     convergence_study,
+    experiment_statistics,
     sweep_points,
     sweep_snr,
 )
@@ -97,7 +98,7 @@ def parse_config(path):
     # read last, so an error in another section is the one reported
     profile = _section("profile", data.get("profile"), BeamProfile,
                        lead="a beam profile is required: ")
-    profile.resolve(cfg)  # raises what drawing the statistics would
+    profile.resolve(cfg)  # the fields; an overflow shows only in a draw
     return cfg, profile, plan
 
 
@@ -243,6 +244,7 @@ def main(argv=None):
         plan.check(cfg)
         if args.subcommand == "validate-config":
             sweep_points(cfg, plan)
+            experiment_statistics(cfg, profile)
             json.dump(_resolved_config(cfg, profile, plan), sys.stdout,
                       indent=2, sort_keys=True)
             sys.stdout.write("\n")

@@ -6,9 +6,8 @@ requested algorithm, and posterior-sampled rate scores.  Scoring reuses the
 same stream seed for every algorithm at a given (slot, block), so designs
 are compared under common random numbers.  An algorithm whose design does
 not read the assumed aging coefficient is designed once per slot for all
-points of a mismatch study, and the designs of all such algorithms share
-one pass of each block's draws; each algorithm that reads it keeps its own
-pass, which scores its designs at every point.
+points of a mismatch study.  One key in _run_points groups designs into
+passes of draws; Slot.starts shares a point's MM cold start.
 Seeds derive from the config seed through SeedSequence spawn keys, never
 from global state, which makes every run reproducible bit for bit.
 """
@@ -48,57 +47,41 @@ class Algorithm(NamedTuple):
     # an MM ascent, which `converge` can trace: ascent(slot, n, warm,
     # score_last=True) -> (beam allocation or None, MMReport); None otherwise
     ascent: object = None
-    # with warm None the ascent begins from the slot's shared canonical start
-    shares_start: bool = False
 
 
 class Slot(NamedTuple):
-    """Design inputs of one slot: first = true block-1 channels, post = the
-    design-side posterior (post.stats its statistics), plan = the
-    ExperimentPlan being run.
+    """Design inputs of one point of one slot: first = true block-1
+    channels, post = the design-side posterior (post.stats its
+    statistics), plan = the ExperimentPlan being run.
 
     The design of an MM ascent stops after its last update: it does not
     score the final iterate, which only `converge` (the ascent) reads.
-    starts (None: share nothing) holds, per data block n, [ascents yet to
-    read it, the cold DE evaluation of the canonical start or None] for the
-    plan's shares_start ascents: the first of them fills it and the last
-    one drops it; an evaluation that raised is never held.
+    starts, a dict that lives as long as the point, holds per data block n
+    the cold DE evaluation of the canonical start that its MM ascents
+    share; an evaluation that raised is never held.
     """
 
     cfg: object
     first: list
     post: object
     plan: object
-    starts: dict = None
-
-
-def _shared_start(s, n):
-    """The _mm_loop start by which the ascents from s's canonical start at
-    block n share its cold evaluation through s.starts."""
-    entry = s.starts.setdefault(n, [sum(
-        ALGORITHM_TABLE[a].shares_start for a in s.plan.algorithms), None])
-
-    def start(cold):
-        entry[0] -= 1
-        held = entry[1] or cold()
-        entry[1] = held if entry[0] > 0 else None
-        return held
-    return start
+    starts: dict
 
 
 def _mm_ascent(runner, s, n, warm, score_last):
     start = None
     if warm is None:
         warm = canonical_allocation(s.post.stats, s.cfg).precoders
-        start = None if s.starts is None else _shared_start(s, n)
+        start = lambda cold: (s.starts[n] if n in s.starts
+                              else s.starts.setdefault(n, cold()))
     return None, runner(s.post, s.cfg, n, warm, iters=s.plan.mm_iters,
                         start=start, score_last=score_last)
 
 
-def _ascent_entry(reads_alpha, ascent, shares_start=False):
+def _ascent_entry(reads_alpha, ascent):
     return Algorithm(False, reads_alpha,
                      lambda s, n, warm: ascent(s, n, warm, False)[1].precoders,
-                     ascent, shares_start)
+                     ascent)
 
 
 # Each design or ascent call names its function as a module global at call
@@ -107,9 +90,9 @@ def _ascent_entry(reads_alpha, ascent, shares_start=False):
 # or None.
 ALGORITHM_TABLE = {
     "alg1": _ascent_entry(True, lambda s, n, warm, score_last=True:
-                          _mm_ascent(mm_full, s, n, warm, score_last), True),
+                          _mm_ascent(mm_full, s, n, warm, score_last)),
     "alg2": _ascent_entry(True, lambda s, n, warm, score_last=True:
-                          _mm_ascent(mm_shared, s, n, warm, score_last), True),
+                          _mm_ascent(mm_shared, s, n, warm, score_last)),
     # alg3 reads only the coupling profile omega; the inversion baselines
     # read only the true block-1 channels
     "alg3": _ascent_entry(False, lambda s, n, warm, score_last=True:
@@ -337,8 +320,6 @@ def _score(cfg, plan, post, slot, designed, outcomes):
     """Score each (alg, group, per-block designs) of designed on one pass of
     the slot's draws per data block, and append (group, its records, or the
     NumericalError of a score that is not valid) to outcomes[alg]."""
-    if not designed:
-        return
     rows = [[] for _ in designed]
     for j, n in enumerate(range(2, cfg.n_b + 1)):
         rng_mc = default_rng(SeedSequence([cfg.seed, 2, slot, n]))
@@ -361,16 +342,15 @@ def _run_points(cfg, profile, plan, assumed_alphas):
     ExperimentResult per coefficient.
 
     Per slot, the algorithms are designed in plan order, each point's
-    design covering all its data blocks.  An algorithm that reads alpha
-    is scored right after its designs, all its points on one pass of each
-    block's draws.  One that does not is designed once per slot, its
-    records copied to every point, and the designs of all such algorithms
-    are scored together on one pass per block after the slot's last
-    design.  Outcomes are then applied in plan order: a NumericalError, or
-    a Monte Carlo score that is not valid at any block of the slot, drops
-    the rates of that algorithm for the slot at the points its design
-    serves, lists the slot once in each such point's failed_slots, and is
-    kept as a point's first_error if it is the first.
+    design covering all its data blocks; one that does not read alpha is
+    designed once for every point.  Each design joins the pass of draws
+    its key names: its algorithm if it reads alpha, else the one pass of
+    all that do not.  Every pass is scored after the slot's last design.
+    Outcomes are then applied in plan order: a NumericalError, or a Monte
+    Carlo score that is not valid at any block of the slot, drops the
+    rates of that algorithm for the slot at the points its design serves,
+    lists the slot once in each such point's failed_slots, and is kept as
+    a point's first_error if it is the first.
     """
     plan.check(cfg)
     stats = experiment_statistics(cfg, profile)
@@ -381,24 +361,22 @@ def _run_points(cfg, profile, plan, assumed_alphas):
                        else score_post.assuming(a), plan, {})
                   for a in assumed_alphas]
         outcomes = {alg: [] for alg in plan.algorithms}
-        alpha_free = []
+        passes = {}
         for alg in plan.algorithms:
             reads_alpha = ALGORITHM_TABLE[alg].reads_alpha
             # the points each design serves: its own, or all of them
             groups = ([[i] for i in range(len(points))] if reads_alpha
                       else [range(len(points))])
-            designed = []
             for group in groups:
                 try:
-                    designed.append((alg, group, _algorithm_designs(
-                        alg, points[group[0]])))
+                    designs = _algorithm_designs(alg, points[group[0]])
                 except NumericalError as exc:
                     outcomes[alg].append((group, exc))
-            if reads_alpha:
-                _score(cfg, plan, score_post, slot, designed, outcomes)
-            else:
-                alpha_free += designed
-        _score(cfg, plan, score_post, slot, alpha_free, outcomes)
+                else:
+                    passes.setdefault(alg if reads_alpha else None, []).append(
+                        (alg, group, designs))
+        for designed in passes.values():
+            _score(cfg, plan, score_post, slot, designed, outcomes)
         failed = [None] * len(points)
         for alg in plan.algorithms:
             for group, out in outcomes[alg]:

@@ -216,12 +216,12 @@ def _mm_loop(evaluate, update, x, iters, obj_tol, start=None,
     when it solves no fixed point), and returns (objective, states, aux);
     update(x, states, aux) takes one surrogate step and returns (mu, x).
     start, when given, stands in for the first evaluate(x, None):
-    start(cold) returns that evaluation, calling cold() if it holds none,
-    so ascents from one start can share it.  Stops after iters updates or
-    when the relative objective change falls below obj_tol; with
-    score_last False it stops right after the last update, without scoring
-    the final iterate.  The report's precoders field holds the final
-    iterate.
+    start(cold) returns the evaluation of x held in a memo (the harness's
+    Slot.starts), making it with cold() inside this call if none is held.
+    Stops after iters updates or when the relative objective change falls
+    below obj_tol; with score_last False it stops right after the last
+    update, without scoring the final iterate.  The report's precoders
+    field holds the final iterate.
     """
     objective, mu_trace, power_trace, de_trace = [], [], [], []
     cold = lambda: evaluate(x, None)

@@ -116,9 +116,11 @@ def test_synthetic_stats_band_width_error():
         generate_synthetic_stats(cfg, BeamProfile(band_width=0), np.random.default_rng(0))
 
 
+@pytest.mark.filterwarnings("error")
 def test_synthetic_stats_reject_a_profile_that_overflows():
     # exp(lognorm_sigma * z) overflows once lognorm_sigma * z > 709.8, and
-    # the normalization then turns the profile into NaN
+    # the normalization then turns the profile into NaN; the ConfigError
+    # alone reports it, with no numpy warning before it
     cfg = small_cfg(m_t=8, m_k=(2, 2))
     with pytest.raises(ConfigError, match="lognorm_sigma = 1000.0 .* user 1"):
         generate_synthetic_stats(cfg, BeamProfile(

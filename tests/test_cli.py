@@ -677,18 +677,27 @@ OVERFLOWING_PROFILE = {
 }
 
 
-@pytest.mark.parametrize("alg", ["slnr", "alg1", "alg3"])
-def test_a_profile_that_overflows_exits_2_naming_lognorm_sigma(tmp_path, alg):
-    data = dict(OVERFLOWING_PROFILE, experiment=dict(
-        OVERFLOWING_PROFILE["experiment"], algorithms=[alg]))
-    out = tmp_path / "out"
-    assert cli.main(["sweep", "-c", _write_config(tmp_path, data),
-                     "--out-dir", str(out)]) == 2
-    assert sorted(p.name for p in out.iterdir()) == ["error.json"]
-    record = json.loads((out / "error.json").read_text())
-    assert record == {"error": "ConfigError", "message": (
-        "lognorm_sigma = 1000.0 draws a power profile for user 1 that is "
-        "not finite")}
+@pytest.mark.parametrize("alg", ["slnr", "alg1", "alg3", None],
+                         ids=["slnr", "alg1", "alg3", "validate-config"])
+def test_a_profile_that_overflows_exits_2_naming_lognorm_sigma(
+        tmp_path, capsys, alg):
+    # sweep with each algorithm, and validate-config, which draws the
+    # statistics too
+    message = ("lognorm_sigma = 1000.0 draws a power profile for user 1 "
+               "that is not finite")
+    if alg is None:
+        assert cli.main(["validate-config", "-c", _write_config(
+            tmp_path, OVERFLOWING_PROFILE)]) == 2
+    else:
+        data = dict(OVERFLOWING_PROFILE, experiment=dict(
+            OVERFLOWING_PROFILE["experiment"], algorithms=[alg]))
+        out = tmp_path / "out"
+        assert cli.main(["sweep", "-c", _write_config(tmp_path, data),
+                         "--out-dir", str(out)]) == 2
+        assert sorted(p.name for p in out.iterdir()) == ["error.json"]
+        record = json.loads((out / "error.json").read_text())
+        assert record == {"error": "ConfigError", "message": message}
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 _ALPHAS = [0.0, 0.5, 0.99, 1.0]

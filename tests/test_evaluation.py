@@ -245,7 +245,7 @@ def test_mismatch_points_equal_one_point_runs():
 
 def _slot(cfg, profile, plan, alpha):
     first, post = prepare_slot(cfg, experiment_statistics(cfg, profile), 0)
-    return Slot(cfg, first, post.assuming(alpha), plan)
+    return Slot(cfg, first, post.assuming(alpha), plan, {})
 
 
 def test_reads_alpha_matches_what_each_design_reads():
@@ -273,10 +273,9 @@ _BINDING = dict(cfg=SystemConfig(m_t=8, m_k=(2, 2), n_b=2, sigma2_z=0.1,
 
 
 @pytest.mark.parametrize("alg", ["alg1", "alg2"])
-@pytest.mark.parametrize("starts", [None, {}], ids=["own", "shared"])
-def test_mm_design_is_the_ascent_without_its_final_score(alg, starts):
+def test_mm_design_is_the_ascent_without_its_final_score(alg):
     cfg, plan = _BINDING["cfg"], _BINDING["plan"]
-    slot = _slot(cfg, _profile(), plan, 0.9)._replace(starts=starts)
+    slot = _slot(cfg, _profile(), plan, 0.9)
     entry = ALGORITHM_TABLE[alg]
     design = entry.design(slot, 2, None)
     _, report = entry.ascent(slot, 2, None)
@@ -321,14 +320,26 @@ def test_mm_designs_share_one_cold_start_and_skip_the_final_score(
                               ExperimentPlan(algorithms=algorithms, **kw))
     assert sorted(res.records, key=key) == alone
     # per slot: one cold start, then updates 1 and 2 of each ascent are
-    # scored warm and update 3 is not scored at all.  The slot holds the
-    # start until alg2 has read it, so it is released once alg2 moves past
-    # it; a lone ascent holds it no longer than it did unshared.
-    if "alg2" in algorithms:
-        slot = [(True, 0), (False, 1), (False, 1), (False, 1), (False, 0)]
-    else:
-        slot = [(True, 0), (False, 1), (False, 0)]
-    assert calls == slot * 2
+    # scored warm and update 3 is not scored at all.  The point holds the
+    # start until the next slot begins, and nothing holds it after the run.
+    warm = 4 if "alg2" in algorithms else 2
+    assert calls == ([(True, 0)] + [(False, 1)] * warm) * 2
+    assert all(ref() is None for ref in colds)
+
+
+def test_mm_designs_share_one_cold_start_per_mismatch_point(monkeypatch):
+    cfg = _BINDING["cfg"]
+    kw = dict(algorithms=("alg1", "alg2"), n_slots=2, n_mc=32, mm_iters=3)
+    alphas = (1.0, 0.5)
+    alone = [alpha_mismatch_study(cfg, _profile(), ExperimentPlan(
+        assumed_alphas=(a,), **kw))[0] for a in alphas]
+    calls, colds = _recorded_evaluations(monkeypatch)
+    out = alpha_mismatch_study(cfg, _profile(), ExperimentPlan(
+        assumed_alphas=alphas, **kw))
+    assert out == alone
+    # per slot: alg1 makes each point's cold start, alg2 reads it
+    point = [True, False, False]
+    assert [cold for cold, _ in calls] == (point * 2 + [False] * 4) * 2
     assert all(ref() is None for ref in colds)
 
 
