@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .channel import dft_matrix
 from .det_equiv import _damped_sweeps
 from .mm_precoder import _mm_loop, mu_bisection
 
@@ -56,18 +57,23 @@ def beam_rate(state, q_own, r):
 
 @dataclass
 class BeamAllocation:
-    """Beam selections and per-beam amplitudes for every user."""
+    """Beam selections and per-beam amplitudes for every user: orders[k]
+    ranks user k's m_t beams, and its precoder puts gains[k] on the leading
+    ones, as columns of the shared basis v = dft_matrix(m_t)."""
 
-    v: np.ndarray
     orders: list
     gains: list
+
+    @property
+    def v(self):
+        return dft_matrix(len(self.orders[0]))
 
     def active_beams(self, k):
         return self.orders[k][: len(self.gains[k])]
 
     def beam_powers(self, k):
         """Own power per beam as a full-length vector."""
-        q = np.zeros(self.v.shape[0])
+        q = np.zeros(len(self.orders[k]))
         q[self.active_beams(k)] = np.abs(self.gains[k]) ** 2
         return q
 
@@ -107,8 +113,7 @@ def canonical_allocation(stats, cfg):
     omegas = [np.asarray(s.omega, dtype=float) for s in stats]
     orders = [beam_order(om) for om in omegas]
     scale = math.sqrt(cfg.p_total / sum(cfg.d_k))
-    return BeamAllocation(stats[0].v, orders,
-                          [scale * np.ones(d) for d in cfg.d_k])
+    return BeamAllocation(orders, [scale * np.ones(d) for d in cfg.d_k])
 
 
 def beam_power_allocation(stats, cfg, iters=50, obj_tol=1e-8,
@@ -128,7 +133,7 @@ def beam_power_allocation(stats, cfg, iters=50, obj_tol=1e-8,
 
     def evaluate(gains, states):
         states = states or [None] * k_users
-        alloc = BeamAllocation(start.v, start.orders, gains)
+        alloc = BeamAllocation(start.orders, gains)
         q_full = [alloc.beam_powers(k) for k in range(k_users)]
         q_sum = np.sum(q_full, axis=0)
         rates, r = [], []
@@ -140,6 +145,7 @@ def beam_power_allocation(stats, cfg, iters=50, obj_tol=1e-8,
         total = float(sum(w * rk for w, rk in zip(weights, rates)))
         return total, states, (alloc, q_full, r)
 
+    @np.errstate(over="ignore", invalid="ignore")  # a bisection error reports it
     def update(gains, states, aux):
         alloc, q_full, r = aux
         mu, cols = mu_bisection(*beam_surrogate_diagonals(
@@ -148,6 +154,6 @@ def beam_power_allocation(stats, cfg, iters=50, obj_tol=1e-8,
 
     report = _mm_loop(evaluate, update, start.gains, iters, obj_tol,
                       score_last=score_last)
-    alloc = BeamAllocation(start.v, start.orders, report.precoders)
+    alloc = BeamAllocation(start.orders, report.precoders)
     report.precoders = alloc.precoders
     return alloc, report

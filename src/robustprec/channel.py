@@ -11,6 +11,7 @@ process with per-user coefficient alpha; block 1 carries uplink pilots.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,21 +21,30 @@ from .errors import ConfigError
 
 SPEED_OF_LIGHT = 299_792_458.0
 
-_DFT_CACHE = {}
+
+def _dft_rows(rows, m):
+    """Rows 0..rows-1 of the unitary m-point DFT, exp(-2i pi p q / m) / sqrt(m)."""
+    return np.exp(-2j * np.pi * np.outer(np.arange(rows), np.arange(m)) / m) / np.sqrt(m)
 
 
+@functools.cache
 def dft_matrix(m):
-    """Unitary m x m DFT matrix, entry (p, q) = exp(-2i pi p q / m) / sqrt(m).
+    """Unitary m x m DFT, the transmit (beam) basis every user shares.
 
-    One read-only array per size is shared by every caller.
+    One read-only array per size serves every caller; _dft_conj keeps its
+    conjugate beside it, so no other module conjugates the basis.
     """
-    mat = _DFT_CACHE.get(m)
-    if mat is None:
-        p = np.arange(m)
-        mat = np.exp(-2j * np.pi * np.outer(p, p) / m) / np.sqrt(m)
-        mat.flags.writeable = False
-        _DFT_CACHE[m] = mat
+    mat = _dft_rows(m, m)
+    mat.flags.writeable = False
     return mat
+
+
+@functools.cache
+def _dft_conj(m):
+    """dft_matrix(m).conj(), read-only, one array per size."""
+    conj = dft_matrix(m).conj()
+    conj.flags.writeable = False
+    return conj
 
 
 def crandn(rng, *shape):
@@ -201,7 +211,7 @@ def generate_synthetic_stats(cfg, profile, rng):
 def sample_channel(stats, rng):
     """One draw H = u (amp o W) v^H with iid CN(0,1) W."""
     w = crandn(rng, *stats.amp.shape)
-    return stats.u @ (stats.amp * w) @ stats.v.conj().T
+    return stats.u @ (stats.amp * w) @ _dft_conj(stats.m_t).T
 
 
 def evolve_slot(stats, n_blocks, rng):
@@ -233,9 +243,7 @@ def orthogonal_pilots(m_list, block_len):
     if total > block_len:
         raise ConfigError(f"pilot length {block_len} cannot fit {total} orthogonal sequences")
     # only the rows handed out: the same bits as dft_matrix(block_len)[:total]
-    f = np.exp(-2j * np.pi * np.outer(np.arange(total), np.arange(block_len))
-               / block_len) / np.sqrt(block_len)
-    return np.split(f, np.cumsum(m_list)[:-1])
+    return np.split(_dft_rows(total, block_len), np.cumsum(m_list)[:-1])
 
 
 def uplink_observation(first_block_channels, pilots, sigma2_bs, rng):

@@ -19,8 +19,11 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__
 from .channel import BeamProfile
@@ -112,6 +115,16 @@ def _fmt(x):
     return repr(float(x))
 
 
+def _environment():
+    """What the output bytes depend on beside the config: numpy, the BLAS
+    it was built with, and the BLAS thread counts as set (None if unset)."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {"numpy": np.__version__,
+            "blas": {"name": blas.get("name"), "version": blas.get("version")},
+            "threads": {var: os.environ.get(var) for var in (
+                "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}}
+
+
 def _write_manifest(out_dir, subcommand, cfg, profile, plan, outputs):
     path = out_dir / "run_manifest.json"
     write_json(path, {
@@ -122,6 +135,7 @@ def _write_manifest(out_dir, subcommand, cfg, profile, plan, outputs):
         "algorithms": list(plan.algorithms),
         "config": _resolved_config(cfg, profile, plan),
         "outputs": sorted(outputs),
+        "environment": _environment(),
     })
     return path
 

@@ -124,7 +124,8 @@ def _damped_sweeps(sweep, cold, init, tol, max_iter, gains=None):
         except np.linalg.LinAlgError as e:
             raise FixedPointError(f"DE fixed point: sweep {it} failed: {e}") from None
         if gains is not None:
-            res = max(_rel_change(tx_gain, gains[0]), _rel_change(rx_gain, gains[1]))
+            with np.errstate(over="ignore", invalid="ignore"):  # FixedPointError reports it
+                res = max(_rel_change(tx_gain, gains[0]), _rel_change(rx_gain, gains[1]))
         gains = tx_gain, rx_gain
         if res <= tol:
             return DEState(tx_gain, rx_gain, *proposed, it, res)

@@ -111,6 +111,7 @@ def _power_probe(data):
         rows[k, :row.size] = row
     positive = rows > 0
 
+    @np.errstate(over="ignore", invalid="ignore")  # a bisection error reports it
     def power(mu):
         den = (lams + mu) ** 2
         live = den > 0

@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .channel import _dft_conj, dft_matrix
+
 
 def hermitize(c):
     """(C + C^H)/2, the Hermitian part of a square matrix.
@@ -32,43 +34,22 @@ def hermitize(c):
     return out
 
 
-_CONJUGATES = {}
-
-
-def _conj(basis):
-    """basis.conj(), kept once per read-only basis.
-
-    The shared DFT basis of each size (channel.dft_matrix) is the only
-    read-only basis; it lives as long as the process, and so does its
-    entry.  The entry holds the basis, so its id cannot be reused while
-    the entry is kept.  A writeable basis is conjugated afresh.
-    """
-    if basis.flags.writeable:
-        return basis.conj()
-    entry = _CONJUGATES.get(id(basis))
-    if entry is None:
-        conj = basis.conj()
-        conj.flags.writeable = False
-        entry = _CONJUGATES[id(basis)] = basis, conj
-    return entry[1]
-
-
 def basis_diag(basis, c):
     """diag(basis^H C basis) without forming the full product."""
-    return np.einsum("ji,ji->i", _conj(basis), c @ basis)
+    return np.einsum("ji,ji->i", basis.conj(), c @ basis)
 
 
 @dataclass(frozen=True)
 class OperatorKernel:
-    """Kernel (u, v, var_profile) of one user/block channel remainder.
+    """Kernel (u, var_profile) of one user/block channel remainder.
 
     var_profile is the m_k x m_t matrix of beam-domain entry variances: the
     posterior profile for conditional moments, or the prior power profile for
-    the statistical-CSI-only case.
+    the statistical-CSI-only case.  The transmit basis is the one every user
+    shares, so the kernel does not carry it: v reads dft_matrix(m_t).
     """
 
     u: np.ndarray
-    v: np.ndarray
     var_profile: np.ndarray
 
     @property
@@ -79,12 +60,16 @@ class OperatorKernel:
     def m_t(self):
         return self.var_profile.shape[1]
 
+    @property
+    def v(self):
+        return dft_matrix(self.m_t)
+
 
 def rx_gain_diag(kernel, c_tx):
     """Receive-basis diagonal of E[H~ C H~^H] for the Hermitian part of
     m_t x m_t C."""
-    d = basis_diag(kernel.v, hermitize(c_tx)).real
-    return kernel.var_profile @ d
+    d = np.einsum("ji,ji->i", _dft_conj(kernel.m_t), hermitize(c_tx) @ kernel.v)
+    return kernel.var_profile @ d.real
 
 
 def tx_gain_diag(kernel, c_rx):
@@ -103,7 +88,7 @@ def mean_quadratic_rx(kernel, c_tx):
 def mean_quadratic_tx(kernel, c_rx):
     """E[H~^H C H~]: m_t x m_t Hermitian PSD for Hermitian PSD C."""
     g = tx_gain_diag(kernel, c_rx)
-    return (kernel.v * g) @ _conj(kernel.v).T
+    return (kernel.v * g) @ _dft_conj(kernel.m_t).T
 
 
 def expected_gram(posterior, k, n, c_rx):

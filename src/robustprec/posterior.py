@@ -12,7 +12,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .channel import crandn
+from .channel import _dft_conj, crandn
 from .errors import ConfigError
 from .operators import OperatorKernel
 
@@ -69,10 +69,9 @@ def mmse_estimate(y, pilot, stats, sigma2_bs):
     The estimate is formed beam-wise after despreading with the user's
     pilot; PosteriorModel.mean shrinks it by alpha^(n-1) for block n.
     """
-    v = stats.v
-    despread = stats.u.conj().T @ pilot.conj() @ y.T @ v
+    despread = stats.u.conj().T @ pilot.conj() @ y.T @ stats.v
     delta = delta_profile(stats.omega, sigma2_bs)
-    return stats.u @ (delta * despread) @ v.conj().T
+    return stats.u @ (delta * despread) @ _dft_conj(stats.m_t).T
 
 
 @dataclass
@@ -115,8 +114,7 @@ class PosteriorModel:
         key = (k, n)
         kern = self._kernels.get(key)
         if kern is None:
-            kern = OperatorKernel(self.stats[k].u, self.stats[k].v,
-                                  self.var_profile(k, n))
+            kern = OperatorKernel(self.stats[k].u, self.var_profile(k, n))
             self._kernels[key] = kern
         return kern
 
@@ -133,7 +131,7 @@ class PosteriorModel:
         beams = self._workspace
         if beams is None or beams.shape != w.shape:
             beams = self._workspace = np.empty_like(w)
-        _stack_matmul(w, self.stats[k].v.conj().T, out=beams)
+        _stack_matmul(w, _dft_conj(self.stats[k].m_t).T, out=beams)
         np.matmul(self.stats[k].u, beams, out=w)
         w += self.mean(k, n)
         return w

@@ -86,7 +86,7 @@ def test_01_quadratic_operators_match_sampling_and_adjoint():
     cfg = SystemConfig(m_t=8, m_k=(2,), n_b=2, sigma2_z=0.1, seed=31)
     prof = BeamProfile(band_width=5, lognorm_sigma=0.4, alphas=0.9)
     stats = experiment_statistics(cfg, prof)[0]
-    kern = OperatorKernel(stats.u, dft_matrix(cfg.m_t), stats.omega)
+    kern = OperatorKernel(stats.u, stats.omega)
     rng = default_rng(SeedSequence([41]))
 
     n_draws = 100_000

@@ -67,8 +67,8 @@ def test_diagonal_fixed_point_matches_general_solver():
     orders = [beam_order(om) for om in omegas]
     rng = default_rng(1)
     gains = [0.2 + 0.6 * rng.random(d) for d in cfg.d_k]
-    alloc = BeamAllocation(v, orders, gains)
-    alloc = BeamAllocation(v, orders, [g * np.sqrt(cfg.p_total / sum(
+    alloc = BeamAllocation(orders, gains)
+    alloc = BeamAllocation(orders, [g * np.sqrt(cfg.p_total / sum(
         float(np.sum(np.square(gg))) for gg in gains)) for g in gains])
     res = de_weighted_sum_rate(zm, alloc.precoders, cfg.weights, cfg.sigma2_z, 2)
     q_full = [alloc.beam_powers(k) for k in range(3)]

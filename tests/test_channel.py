@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+from robustprec.beam_domain import canonical_allocation
 from robustprec.channel import (
     SPEED_OF_LIGHT,
     BeamProfile,
     UserStatistics,
+    _dft_conj,
     crandn,
     dft_matrix,
     evolve_slot,
@@ -20,6 +22,7 @@ from robustprec.errors import ConfigError
 from helpers import (
     crandn_oracle,
     j0_series,
+    make_instance,
     relerr,
     same_bits,
     small_cfg,
@@ -38,6 +41,18 @@ def test_dft_matrix_unitary_and_convention():
         dft_matrix(8)[0, 0] = 0.0
     stats = UserStatistics.from_profile(np.eye(2), np.ones((2, 8)), 1.0)
     assert stats.v is dft_matrix(8)
+
+
+def test_the_transmit_basis_and_its_conjugate_are_kept_once_per_size():
+    for m in (1, 4, 7, 16):
+        conj = _dft_conj(m)
+        assert conj is _dft_conj(m) and not conj.flags.writeable
+        assert same_bits(conj, dft_matrix(m).conj())
+    # no model object carries its own copy: each reads the shared basis
+    cfg = small_cfg(m_t=8, m_k=(2, 1))
+    stats, _, _, post = make_instance(cfg, np.random.default_rng(3))
+    assert post.kernel(1, 2).v is dft_matrix(cfg.m_t)
+    assert canonical_allocation(stats, cfg).v is dft_matrix(cfg.m_t)
 
 
 def test_jakes_against_series_oracle():

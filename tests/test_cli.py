@@ -324,6 +324,24 @@ def test_sweep_writes_per_algorithm_csvs_and_manifest(tmp_path):
     assert manifest["config"]["system"]["m_t"] == 8
 
 
+def test_manifest_records_the_numeric_environment(tmp_path, monkeypatch):
+    # the bytes depend on numpy, its BLAS and the BLAS thread count; no
+    # wall-clock value goes into --out-dir
+    monkeypatch.setenv("OMP_NUM_THREADS", "1")
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    out = tmp_path / "out"
+    assert cli.main(["sweep", "-c", _write_config(tmp_path, BASE),
+                     "--algorithms", "rzf", "--out-dir", str(out)]) == 0
+    env = json.loads((out / "run_manifest.json").read_text())["environment"]
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    assert env["numpy"] == np.__version__
+    assert env["blas"] == {"name": blas["name"], "version": blas["version"]}
+    assert env["threads"]["OMP_NUM_THREADS"] == "1"
+    assert env["threads"]["MKL_NUM_THREADS"] is None
+    assert env["threads"]["OPENBLAS_NUM_THREADS"] == os.environ.get(
+        "OPENBLAS_NUM_THREADS")
+
+
 def test_manifest_rerun_is_byte_identical(tmp_path):
     cfgfile = _write_config(tmp_path, BASE)
     a, b = tmp_path / "a", tmp_path / "b"
@@ -700,6 +718,38 @@ def test_a_profile_that_overflows_exits_2_naming_lognorm_sigma(
     assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
+# a budget of 1e-160 or 1e160 overflows the DE residual and the power
+# probe of the multiplier search: numpy printed RuntimeWarnings before the
+# typed error, or before rzf's rows, and under -W error::RuntimeWarning
+# either run ended in a traceback (exit 1)
+TINY_BUDGET = {
+    "system": {"m_t": 4, "m_k": [1, 1], "n_b": 2, "snr_db": [10],
+               "p_total": 1e-160},
+    "profile": {"band_width": 1},
+    "experiment": {"algorithms": ["alg1", "alg3", "wmmse"], "n_slots": 1,
+                   "n_mc": 4, "mm_iters": 2},
+}
+HUGE_BUDGET = dict(
+    TINY_BUDGET, system=dict(TINY_BUDGET["system"], p_total=1e160),
+    experiment=dict(TINY_BUDGET["experiment"], algorithms=["alg1", "rzf"]))
+
+
+@pytest.mark.parametrize("data, code, err, files", [
+    (TINY_BUDGET, 3, "error: every slot failed; no rates were produced; "
+                     "first failure: BisectionError: power bisection failed "
+                     "to bracket the multiplier\n", ["error.json"]),
+    (HUGE_BUDGET, 0, "", ["run_manifest.json", "sweep_alg1.csv",
+                          "sweep_rzf.csv"]),
+], ids=["1e-160", "1e160"])
+def test_an_extreme_budget_prints_only_the_outcome(tmp_path, capsys, data,
+                                                   code, err, files):
+    out = tmp_path / "out"
+    assert cli.main(["sweep", "-c", _write_config(tmp_path, data),
+                     "--out-dir", str(out)]) == code
+    assert capsys.readouterr().err == err
+    assert sorted(p.name for p in out.iterdir()) == files
+
+
 _ALPHAS = [0.0, 0.5, 0.99, 1.0]
 
 
@@ -745,6 +795,8 @@ def _cli_runs(draw):
 @example(run=("sweep", LOST_PRECISION))
 @example(run=("sweep", SINGULAR_UPDATE))
 @example(run=("sweep", OVERFLOWING_PROFILE))
+@example(run=("sweep", TINY_BUDGET))
+@example(run=("sweep", HUGE_BUDGET))
 def test_every_validated_config_ends_in_rates_or_a_typed_error(run):
     # exit 0 with finite, budget-feasible numbers, or exit 2/3 with an
     # error.json naming a ConfigError or NumericalError type

@@ -33,7 +33,7 @@ def _kernel(rng, m_k=2, m_t=8, band=6):
     cfg = small_cfg(m_t=m_t, m_k=(m_k,))
     s = generate_synthetic_stats(
         cfg, BeamProfile(band_width=band, lognorm_sigma=0.4, alphas=1.0), rng)[0]
-    return OperatorKernel(s.u, dft_matrix(m_t), s.omega), s
+    return OperatorKernel(s.u, s.omega), s
 
 
 def _draws(kernel, rng, n):
@@ -145,7 +145,7 @@ def test_adjoint_trace_identity():
 def test_zero_profile_gives_zero_operator():
     rng = np.random.default_rng(7)
     kern, _ = _kernel(rng)
-    kern0 = OperatorKernel(kern.u, kern.v, np.zeros_like(kern.var_profile))
+    kern0 = OperatorKernel(kern.u, np.zeros_like(kern.var_profile))
     assert np.all(mean_quadratic_rx(kern0, rand_hermitian_psd(rng, kern.m_t)) == 0)
     assert np.all(mean_quadratic_tx(kern0, rand_hermitian_psd(rng, kern.m_k)) == 0)
 
