@@ -191,6 +191,12 @@ class MCRate(NamedTuple):
 _SIGN_TOL = 1e-3
 
 
+def _sign_ok(signs):
+    """|sign - 1| <= _SIGN_TOL for every slogdet sign (of modulus 1, or 0),
+    read off the real part: no batch-sized temporaries."""
+    return bool(np.all(signs.real >= 1 - _SIGN_TOL**2 / 2))
+
+
 @dataclass(frozen=True)
 class RateRecord:
     algorithm: str
@@ -227,49 +233,41 @@ def monte_carlo_rate(posterior, designs, weights, sigma2_z, n, rng,
     and each design's result is the one it would get scored alone.
 
     A set whose base or draw log-determinant is not finite, or whose
-    determinant sign is off 1 by more than _SIGN_TOL (the logdet has lost
-    its precision), scores MCRate(nan, nan).
+    determinant sign fails _sign_ok (the logdet has lost its precision),
+    scores MCRate(nan, nan).  A weighted total or stderr that overflows is
+    returned as computed, not finite, and is not a valid score either.
     """
     n_samples = int(n_samples)
-    per_user = [[] for _ in designs]
-    variances = [[] for _ in designs]
-    valid = [True] * len(designs)
+    acc, acc_sq = np.zeros((2, len(designs), posterior.n_users))
+    valid = np.ones(len(designs), dtype=bool)
     for k in range(posterior.n_users):
         covs = [interference_covariance(posterior, pre, k, n, sigma2_z)
                 for pre in designs]
         bases = [np.linalg.slogdet(r) for r in covs]
-        acc, acc_sq = [0.0] * len(designs), [0.0] * len(designs)
-        left = n_samples
-        while left > 0:
-            b = min(batch, left)
-            draws = posterior.sample(k, n, rng, size=b)
+        valid &= [_sign_ok(b.sign) for b in bases]
+        for start in range(0, n_samples, batch):
+            draws = posterior.sample(k, n, rng,
+                                     size=min(batch, n_samples - start))
             for i, pre in enumerate(designs):
                 hp = _stack_matmul(draws, pre[k])
                 full = hp @ hp.conj().transpose(0, 2, 1)
                 full += covs[i]
                 signs, vals = np.linalg.slogdet(full)
-                # |sign - 1| <= _SIGN_TOL for a sign of modulus 1 (or 0),
-                # read off the real part: no batch-sized temporaries
-                valid[i] &= bool(np.all(signs.real >= 1 - _SIGN_TOL**2 / 2))
+                valid[i] &= _sign_ok(signs)
                 vals -= bases[i].logabsdet
-                acc[i] += float(np.sum(vals))
-                acc_sq[i] += float(np.sum(vals * vals))
-            left -= b
-        for i in range(len(designs)):
-            valid[i] &= (bool(abs(bases[i].sign - 1) <= _SIGN_TOL)
-                         and math.isfinite(acc[i]))
-            mean = acc[i] / n_samples
-            per_user[i].append(mean)
-            if n_samples > 1:
-                variances[i].append(max(acc_sq[i] / n_samples - mean * mean,
-                                        0.0) * n_samples / (n_samples - 1))
-            else:
-                variances[i].append(0.0)
+                acc[i, k] += np.sum(vals)
+                acc_sq[i, k] += np.sum(vals * vals)
+    valid &= np.isfinite(acc).all(axis=1)
     # users are sampled independently, so weighted variances add
-    return [MCRate(float(np.dot(weights, means)),
-                   float(np.sqrt(np.dot(np.square(weights), var) / n_samples)))
-            if ok else MCRate(math.nan, math.nan)
-            for means, var, ok in zip(per_user, variances, valid)]
+    with np.errstate(over="ignore", invalid="ignore"):  # _score rejects inf
+        means = acc / n_samples
+        variances = (np.maximum(acc_sq / n_samples - means * means, 0.0)
+                     * n_samples / max(n_samples - 1, 1))
+        return [MCRate(float(np.dot(weights, m)),
+                       float(np.sqrt(np.dot(np.square(weights), v)
+                                     / n_samples)))
+                if ok else MCRate(math.nan, math.nan)
+                for m, v, ok in zip(means, variances, valid)]
 
 
 def _dispatch(alg, n, call, *args):
@@ -333,6 +331,10 @@ def _score(cfg, plan, post, slot, designed, outcomes):
             row = NumericalError(
                 f"{alg}: the Monte Carlo score of slot {slot} is not valid "
                 "(a log-determinant lost its precision)")
+        elif not np.isfinite([(r.rate, r.stderr) for r in row]).all():
+            row = NumericalError(
+                f"{alg}: the Monte Carlo score of slot {slot} is not valid "
+                "(a weighted sum overflowed)")
         outcomes[alg].append((group, row))
 
 

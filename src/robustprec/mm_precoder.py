@@ -163,8 +163,9 @@ def mu_bisection(rhs_list, shaping_list, p_total, tol_power=1e-6):
             out.append(q @ (scale[:, None] * coef))
         return out
 
-    probe = _power_probe([(lam, np.sum(np.abs(coef) ** 2, axis=1))
-                          for lam, _, coef in basis])
+    with np.errstate(over="ignore"):  # a bisection error reports it
+        probe = _power_probe([(lam, np.sum(np.abs(coef) ** 2, axis=1))
+                              for lam, _, coef in basis])
     if probe(0.0) <= p_total:
         return 0.0, build(0.0)
     lo, hi = 0.0, 1.0

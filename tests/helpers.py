@@ -181,7 +181,7 @@ def monte_carlo_rate_oracle(posterior, precoders, weights, sigma2_z, n, rng,
         mean = acc / n_samples
         per_user.append(mean)
         variances.append(max(acc_sq / n_samples - mean * mean, 0.0)
-                         * n_samples / (n_samples - 1))
+                         * n_samples / max(n_samples - 1, 1))
     total = float(np.dot(weights, per_user))
     stderr = float(np.sqrt(np.dot(np.square(weights), variances) / n_samples))
     return MCRate(total, stderr)

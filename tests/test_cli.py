@@ -1,4 +1,5 @@
 """CLI tests: config validation, file contracts, determinism, exit codes."""
+import importlib.metadata
 import json
 import math
 import os
@@ -335,11 +336,23 @@ def test_manifest_records_the_numeric_environment(tmp_path, monkeypatch):
     env = json.loads((out / "run_manifest.json").read_text())["environment"]
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     assert env["numpy"] == np.__version__
+    assert env["scipy"] == importlib.metadata.version("scipy")
     assert env["blas"] == {"name": blas["name"], "version": blas["version"]}
     assert env["threads"]["OMP_NUM_THREADS"] == "1"
     assert env["threads"]["MKL_NUM_THREADS"] is None
     assert env["threads"]["OPENBLAS_NUM_THREADS"] == os.environ.get(
         "OPENBLAS_NUM_THREADS")
+    # naming scipy does not load it: an rzf run needs neither module
+    src = str(Path(robustprec.__file__).resolve().parents[1])
+    code = ("import sys, robustprec.cli as c; c.main(sys.argv[1:]); print([m "
+            "for m in ('scipy.linalg', 'scipy.special') if m in sys.modules])")
+    run = subprocess.run(
+        [sys.executable, "-c", code, "sweep", "-c",
+         _write_config(tmp_path, BASE), "--algorithms", "rzf", "--out-dir",
+         str(tmp_path / "rzf")],
+        capture_output=True, text=True, check=True,
+        env=dict(os.environ, PYTHONPATH=src))
+    assert run.stdout.splitlines()[-1] == "[]"
 
 
 def test_manifest_rerun_is_byte_identical(tmp_path):
@@ -732,6 +745,21 @@ TINY_BUDGET = {
 HUGE_BUDGET = dict(
     TINY_BUDGET, system=dict(TINY_BUDGET["system"], p_total=1e160),
     experiment=dict(TINY_BUDGET["experiment"], algorithms=["alg1", "rzf"]))
+# 300 dB overflows the row weights of alg2's multiplier search, and weights
+# of 1e200 overflow them too and the Monte Carlo score's weighted sums: a
+# warning came before the BisectionError, or rzf wrote an infinite stderr
+# at exit 0
+HOT_SNR = {
+    "system": {"m_t": 8, "m_k": [2, 1], "d_k": [2, 1], "n_b": 2,
+               "snr_db": [300]},
+    "profile": {"band_width": 4},
+    "experiment": {"algorithms": ["alg2"], "n_slots": 1, "n_mc": 16,
+                   "mm_iters": 3},
+}
+HEAVY_WEIGHTS = dict(
+    HOT_SNR, system={"m_t": 8, "m_k": [2, 2], "n_b": 2, "snr_db": [10],
+                     "weights": [1e200, 1e200]},
+    experiment=dict(HOT_SNR["experiment"], algorithms=["rzf"]))
 
 
 @pytest.mark.parametrize("data, code, err, files", [
@@ -740,7 +768,14 @@ HUGE_BUDGET = dict(
                      "to bracket the multiplier\n", ["error.json"]),
     (HUGE_BUDGET, 0, "", ["run_manifest.json", "sweep_alg1.csv",
                           "sweep_rzf.csv"]),
-], ids=["1e-160", "1e160"])
+    (HOT_SNR, 3, "error: every slot failed; no rates were produced; first "
+                 "failure: BisectionError: power bisection failed to bracket "
+                 "the multiplier\n", ["error.json"]),
+    (HEAVY_WEIGHTS, 3, "error: every slot failed; no rates were produced; "
+                       "first failure: NumericalError: rzf: the Monte Carlo "
+                       "score of slot 0 is not valid (a weighted sum "
+                       "overflowed)\n", ["error.json"]),
+], ids=["1e-160", "1e160", "300dB", "1e200-weights"])
 def test_an_extreme_budget_prints_only_the_outcome(tmp_path, capsys, data,
                                                    code, err, files):
     out = tmp_path / "out"
@@ -797,6 +832,9 @@ def _cli_runs(draw):
 @example(run=("sweep", OVERFLOWING_PROFILE))
 @example(run=("sweep", TINY_BUDGET))
 @example(run=("sweep", HUGE_BUDGET))
+@example(run=("sweep", HOT_SNR))
+@example(run=("sweep", dict(HEAVY_WEIGHTS, experiment=dict(
+    HEAVY_WEIGHTS["experiment"], algorithms=["alg2", "rzf"]))))
 def test_every_validated_config_ends_in_rates_or_a_typed_error(run):
     # exit 0 with finite, budget-feasible numbers, or exit 2/3 with an
     # error.json naming a ConfigError or NumericalError type

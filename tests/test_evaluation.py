@@ -53,21 +53,40 @@ def test_monte_carlo_is_exact_when_posterior_is_a_point_mass():
 
 
 # 600 draws at batch 256 end in a remainder batch of 88; m_k = 1 is the
-# single-row stack that must stay a per-draw vector product
-@pytest.mark.parametrize("m_k, d", [(1, 1), (2, 1), (2, 2), (3, 1), (3, 2)])
-def test_monte_carlo_keeps_the_per_draw_loops_bits(m_k, d):
+# single-row stack that must stay a per-draw vector product; one draw has
+# no sample variance (stderr 0.0), and 100 draws are one short batch
+@pytest.mark.parametrize("m_k, d, n_samples", [
+    (1, 1, 600), (2, 1, 600), (2, 2, 600), (3, 1, 600), (3, 2, 600),
+    (2, 1, 1), (2, 2, 100)],
+    ids=["1-1", "2-1", "2-2", "3-1", "3-2", "one-draw", "one-short-batch"])
+def test_monte_carlo_keeps_the_per_draw_loops_bits(m_k, d, n_samples):
     cfg = small_cfg(m_t=16, m_k=(m_k, m_k, m_k), d_k=(d, d, d), n_b=2,
                     sigma2_z=0.1)
     rng = default_rng(10 * m_k + d)
     _, _, _, post = make_instance(cfg, rng, alphas=0.8)
     pre = random_precoder_set(rng, cfg.m_t, cfg.d_k, cfg.p_total)
     args = (cfg.weights, cfg.sigma2_z, 2)
-    got, = monte_carlo_rate(post, [pre], *args, default_rng(5), n_samples=600,
-                            batch=256)
+    got, = monte_carlo_rate(post, [pre], *args, default_rng(5),
+                            n_samples=n_samples, batch=256)
     want = monte_carlo_rate_oracle(post, pre, *args, default_rng(5),
-                                   n_samples=600, batch=256)
+                                   n_samples=n_samples, batch=256)
     assert got.total == want.total
     assert got.stderr == want.stderr
+    assert n_samples > 1 or got.stderr == 0.0
+
+
+def test_the_sign_test_is_the_distance_from_one():
+    # slogdet's signs have modulus 1 (or are 0), where the real-part test
+    # is |sign - 1| <= _SIGN_TOL: its edge is at angle 2 asin(_SIGN_TOL / 2)
+    tol = evaluation._SIGN_TOL
+    edge = 2 * np.arcsin(tol / 2)
+    for sign, ok in [(0j, False), (0.0, False), (1.0, True), (-1.0, False),
+                     (np.exp(0.99j * edge), True),
+                     (np.exp(-0.99j * edge), True),
+                     (np.exp(1.01j * edge), False),
+                     (np.exp(-1.01j * edge), False)]:
+        assert evaluation._sign_ok(np.array([sign])) == (
+            abs(sign - 1) <= tol) == ok
 
 
 def test_designs_scored_together_keep_their_solo_bits():
