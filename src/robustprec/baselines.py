@@ -9,14 +9,16 @@ from __future__ import annotations
 
 import numpy as np
 
+from .det_equiv import _weighted_total
 from .errors import NumericalError
 from .mm_precoder import _mm_loop, mu_bisection, normalize_power
 from .operators import hermitize, mean_quadratic_tx
 
 
 def perfect_csi_rate(channels, precoders, weights, sigma2_z):
-    """Weighted sum rate (nats) for known channels and linear precoding."""
-    total = 0.0
+    """Weighted sum rate (nats) for known channels and linear precoding;
+    a total that overflows is a NumericalError."""
+    rates = []
     for k, h in enumerate(channels):
         m_k = h.shape[0]
         cov = sigma2_z * np.eye(m_k, dtype=complex)
@@ -26,8 +28,8 @@ def perfect_csi_rate(channels, precoders, weights, sigma2_z):
                 cov = cov + hp @ hp.conj().T
         hp = h @ precoders[k]
         full = cov + hp @ hp.conj().T
-        total += weights[k] * (np.linalg.slogdet(full)[1]
-                               - np.linalg.slogdet(cov)[1])
+        rates.append(np.linalg.slogdet(full)[1] - np.linalg.slogdet(cov)[1])
+    total = _weighted_total(weights, rates, "the known-channel weighted sum rate")
     return float(total.real)
 
 

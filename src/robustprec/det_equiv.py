@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import FixedPointError
+from .errors import FixedPointError, NumericalError
 from .operators import (
     hermitize,
     interference_covariance,
@@ -225,7 +225,6 @@ def de_weighted_sum_rate(posterior, precoders, weights, sigma2_z, n,
     """
     k_users = len(precoders)
     states, rates, covs = [], [], []
-    total = 0.0
     for k in range(k_users):
         r = interference_covariance(posterior, precoders, k, n, sigma2_z)
         init = init_states[k] if init_states is not None else None
@@ -235,5 +234,17 @@ def de_weighted_sum_rate(posterior, precoders, weights, sigma2_z, n,
         states.append(state)
         rates.append(rate)
         covs.append(r)
-        total += weights[k] * rate
+    total = _weighted_total(weights, rates, f"the DE weighted sum rate at block {n}")
     return DESumRate(total, rates, states, covs)
+
+
+def _weighted_total(weights, rates, what):
+    """sum_k weights[k] * rates[k], added in user order.  A total that is
+    not finite is a NumericalError naming what overflowed."""
+    total = 0.0
+    with np.errstate(over="ignore"):  # the NumericalError below reports it
+        for w, rate in zip(weights, rates):
+            total += w * rate
+    if not np.isfinite(total):
+        raise NumericalError(f"{what} is not finite (a weighted sum overflowed)")
+    return total

@@ -8,14 +8,23 @@ beam-domain entries of variance s_ij, the conditional second moments
 are diagonal in the u / v bases with diagonals that are linear images of the
 basis-domain diagonal of C through the variance profile.  These operators
 carry all statistical-CSI terms in the rate expressions and solvers.
+
+v is the unitary DFT, so v diag(g) v^H is circulant and diag(v^H C v) is
+the inverse FFT of C's wrapped-diagonal sums.  From m_t = _FFT_FROM (64)
+on, mean_quadratic_tx and rx_gain_diag use those forms, which cost
+O(m_t^2) where the dense products with v cost O(m_t^3).  Below it the
+dense products are faster, and results there keep their bits.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .channel import _dft_conj, dft_matrix
+
+_FFT_FROM = 64  # the smallest m_t whose v products run by FFT
 
 
 def hermitize(c):
@@ -65,10 +74,34 @@ class OperatorKernel:
         return dft_matrix(self.m_t)
 
 
+def _wrapped_sums(c):
+    """s[δ] = sum of C[a, b] over a − b ≡ δ (mod m), for square m x m C."""
+    m = c.shape[0]
+    doubled = np.concatenate((c, c), axis=1)
+    row, col = doubled.strides
+    # row a of the view is C[a, a], C[a, a+1], ... wrapped: t[j] = s[−j]
+    t = as_strided(doubled, shape=(m, m), strides=(row + col, col)).sum(axis=0)
+    return np.concatenate((t[:1], t[:0:-1]))
+
+
+def _circulant(f):
+    """The m x m matrix with entry (a, b) equal to f[(a − b) mod m]."""
+    m = len(f)
+    rev = f[::-1]
+    doubled = np.concatenate((rev, rev))  # doubled[j] = f[(−1 − j) mod m]
+    step = doubled.strides[0]
+    return as_strided(doubled[m - 1:], shape=(m, m), strides=(-step, step)).copy()
+
+
 def rx_gain_diag(kernel, c_tx):
     """Receive-basis diagonal of E[H~ C H~^H] for the Hermitian part of
     m_t x m_t C."""
-    d = np.einsum("ji,ji->i", _dft_conj(kernel.m_t), hermitize(c_tx) @ kernel.v)
+    m_t = kernel.m_t
+    if m_t >= _FFT_FROM:
+        # diag(v^H C v) is ifft(s); the Hermitian part's is its real part
+        d = np.fft.ifft(_wrapped_sums(c_tx))
+    else:
+        d = np.einsum("ji,ji->i", _dft_conj(m_t), hermitize(c_tx) @ kernel.v)
     return kernel.var_profile @ d.real
 
 
@@ -88,7 +121,10 @@ def mean_quadratic_rx(kernel, c_tx):
 def mean_quadratic_tx(kernel, c_rx):
     """E[H~^H C H~]: m_t x m_t Hermitian PSD for Hermitian PSD C."""
     g = tx_gain_diag(kernel, c_rx)
-    return (kernel.v * g) @ _dft_conj(kernel.m_t).T
+    m_t = kernel.m_t
+    if m_t >= _FFT_FROM:
+        return _circulant(np.fft.fft(g) / m_t)
+    return (kernel.v * g) @ _dft_conj(m_t).T
 
 
 def expected_gram(posterior, k, n, c_rx):

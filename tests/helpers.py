@@ -29,7 +29,7 @@ from robustprec.mm_precoder import (
     self_penalty_lowrank,
     signal_gain,
 )
-from robustprec.operators import interference_covariance
+from robustprec.operators import interference_covariance, tx_gain_diag
 from robustprec.posterior import PosteriorModel, build_posterior
 
 
@@ -55,6 +55,19 @@ def rand_hermitian(rng, m):
 def hermitize_oracle(c):
     """operators.hermitize as one expression, (C + C^H)/2."""
     return 0.5 * (c + c.conj().T)
+
+
+def rx_gain_diag_oracle(kernel, c_tx):
+    """operators.rx_gain_diag by the dense product diag(v^H herm(C) v)."""
+    v = kernel.v
+    d = np.einsum("ji,ji->i", v.conj(), hermitize_oracle(c_tx) @ v)
+    return kernel.var_profile @ d.real
+
+
+def mean_quadratic_tx_oracle(kernel, c_rx):
+    """operators.mean_quadratic_tx by the dense product v diag(g) v^H."""
+    v = kernel.v
+    return (v * tx_gain_diag(kernel, c_rx)) @ v.conj().T
 
 
 def relerr(got, want):

@@ -760,6 +760,20 @@ HEAVY_WEIGHTS = dict(
     HOT_SNR, system={"m_t": 8, "m_k": [2, 2], "n_b": 2, "snr_db": [10],
                      "weights": [1e200, 1e200]},
     experiment=dict(HOT_SNR["experiment"], algorithms=["rzf"]))
+# weights of 1e308 overflow the designs' own weighted totals: the DE sum
+# rate of alg1 and alg2 and wmmse's known-channel rate warned, or ended in
+# a traceback under error::RuntimeWarning
+
+
+def _heaviest_weights(alg):
+    return dict(HEAVY_WEIGHTS,
+                system=dict(HEAVY_WEIGHTS["system"], weights=[1e308, 1e308]),
+                experiment=dict(HEAVY_WEIGHTS["experiment"], algorithms=[alg]))
+
+
+_DE_OVERFLOW = ("error: every slot failed; no rates were produced; first "
+                "failure: NumericalError: the DE weighted sum rate at block 2 "
+                "is not finite (a weighted sum overflowed)\n")
 
 
 @pytest.mark.parametrize("data, code, err, files", [
@@ -775,7 +789,15 @@ HEAVY_WEIGHTS = dict(
                        "first failure: NumericalError: rzf: the Monte Carlo "
                        "score of slot 0 is not valid (a weighted sum "
                        "overflowed)\n", ["error.json"]),
-], ids=["1e-160", "1e160", "300dB", "1e200-weights"])
+    (_heaviest_weights("alg1"), 3, _DE_OVERFLOW, ["error.json"]),
+    (_heaviest_weights("alg2"), 3, _DE_OVERFLOW, ["error.json"]),
+    (_heaviest_weights("wmmse"), 3, "error: every slot failed; no rates were "
+                                    "produced; first failure: NumericalError: "
+                                    "the known-channel weighted sum rate is "
+                                    "not finite (a weighted sum overflowed)\n",
+     ["error.json"]),
+], ids=["1e-160", "1e160", "300dB", "1e200-weights", "1e308-weights-alg1",
+        "1e308-weights-alg2", "1e308-weights-wmmse"])
 def test_an_extreme_budget_prints_only_the_outcome(tmp_path, capsys, data,
                                                    code, err, files):
     out = tmp_path / "out"

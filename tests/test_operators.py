@@ -20,10 +20,12 @@ from robustprec.operators import (
 from helpers import (
     hermitize_oracle,
     make_instance,
+    mean_quadratic_tx_oracle,
     rand_hermitian,
     rand_hermitian_psd,
     random_precoder_set,
     relerr,
+    rx_gain_diag_oracle,
     same_bits,
     small_cfg,
 )
@@ -111,43 +113,69 @@ def test_operator_outputs_diagonal_in_their_bases():
     assert np.max(np.abs(back - np.diag(np.diag(back)))) < 1e-12
 
 
+# below 64 antennas the dense products run, with the oracles' bits; from
+# 64 on the FFT forms, odd sizes included, agree with them to round-off
+@pytest.mark.parametrize("m_t", [8, 63, 64, 65, 128])
+def test_operators_match_the_dense_products(m_t):
+    rng = np.random.default_rng(m_t)
+    kern, _ = _kernel(rng, m_k=3, m_t=m_t, band=min(16, m_t))
+    agree = same_bits if m_t < 64 else lambda a, b: relerr(a, b) < 1e-13
+    # the FFT form drops C's skew-Hermitian part as hermitize does
+    for c_tx in (rand_hermitian_psd(rng, m_t), crandn(rng, m_t, m_t)):
+        assert agree(rx_gain_diag(kern, c_tx), rx_gain_diag_oracle(kern, c_tx))
+    c_rx = rand_hermitian_psd(rng, kern.m_k)
+    mq = mean_quadratic_tx(kern, c_rx)
+    assert agree(mq, mean_quadratic_tx_oracle(kern, c_rx))
+    assert np.max(np.abs(mq - mq.conj().T)) <= 1e-14 * np.max(np.abs(mq))
+
+
+# the identities below hold for the dense products (m_t 8) and for the FFT
+# forms (m_t 65, an odd size)
+_SIZES = (8, 65)
+
+
 def test_identity_input_gives_profile_sums():
     rng = np.random.default_rng(4)
-    kern, s = _kernel(rng)
-    assert np.allclose(rx_gain_diag(kern, np.eye(kern.m_t)), s.omega.sum(axis=1))
-    assert np.allclose(tx_gain_diag(kern, np.eye(kern.m_k)), s.omega.sum(axis=0))
+    for m_t in _SIZES:
+        kern, s = _kernel(rng, m_t=m_t)
+        assert np.allclose(rx_gain_diag(kern, np.eye(m_t)), s.omega.sum(axis=1))
+        assert np.allclose(tx_gain_diag(kern, np.eye(kern.m_k)), s.omega.sum(axis=0))
 
 
 def test_operators_are_linear():
     rng = np.random.default_rng(5)
-    kern, _ = _kernel(rng)
-    a = rand_hermitian_psd(rng, kern.m_t)
-    b = rand_hermitian_psd(rng, kern.m_t)
-    lhs = mean_quadratic_rx(kern, 2.0 * a + 3.0 * b)
-    rhs = 2.0 * mean_quadratic_rx(kern, a) + 3.0 * mean_quadratic_rx(kern, b)
-    assert np.allclose(lhs, rhs, atol=1e-12)
+    for m_t in _SIZES:
+        kern, _ = _kernel(rng, m_t=m_t)
+        for op, m in ((mean_quadratic_rx, m_t), (mean_quadratic_tx, kern.m_k)):
+            a = rand_hermitian_psd(rng, m)
+            b = rand_hermitian_psd(rng, m)
+            lhs = op(kern, 2.0 * a + 3.0 * b)
+            rhs = 2.0 * op(kern, a) + 3.0 * op(kern, b)
+            assert np.allclose(lhs, rhs, atol=1e-12)
 
 
 def test_adjoint_trace_identity():
     # tr(A E[H C H^H]) == tr(E[H^H A H] C) for 100 random Hermitian pairs
     rng = np.random.default_rng(6)
-    kern, _ = _kernel(rng, m_k=3, m_t=8)
-    worst = 0.0
-    for _ in range(100):
-        a = rand_hermitian_psd(rng, kern.m_k)
-        c = rand_hermitian_psd(rng, kern.m_t)
-        lhs = np.trace(a @ mean_quadratic_rx(kern, c)).real
-        rhs = np.trace(mean_quadratic_tx(kern, a) @ c).real
-        worst = max(worst, abs(lhs - rhs) / max(abs(lhs), 1e-300))
-    assert worst < 1e-10
+    for m_t in _SIZES:
+        kern, _ = _kernel(rng, m_k=3, m_t=m_t)
+        worst = 0.0
+        for _ in range(100):
+            a = rand_hermitian_psd(rng, kern.m_k)
+            c = rand_hermitian_psd(rng, m_t)
+            lhs = np.trace(a @ mean_quadratic_rx(kern, c)).real
+            rhs = np.trace(mean_quadratic_tx(kern, a) @ c).real
+            worst = max(worst, abs(lhs - rhs) / max(abs(lhs), 1e-300))
+        assert worst < 1e-10
 
 
 def test_zero_profile_gives_zero_operator():
     rng = np.random.default_rng(7)
-    kern, _ = _kernel(rng)
-    kern0 = OperatorKernel(kern.u, np.zeros_like(kern.var_profile))
-    assert np.all(mean_quadratic_rx(kern0, rand_hermitian_psd(rng, kern.m_t)) == 0)
-    assert np.all(mean_quadratic_tx(kern0, rand_hermitian_psd(rng, kern.m_k)) == 0)
+    for m_t in _SIZES:
+        kern, _ = _kernel(rng, m_t=m_t)
+        kern0 = OperatorKernel(kern.u, np.zeros_like(kern.var_profile))
+        assert np.all(mean_quadratic_rx(kern0, rand_hermitian_psd(rng, m_t)) == 0)
+        assert np.all(mean_quadratic_tx(kern0, rand_hermitian_psd(rng, kern.m_k)) == 0)
 
 
 def test_expected_gram_and_outer_match_monte_carlo():
