@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import dft_matrix
-from .det_equiv import _damped_sweeps
+from .det_equiv import _damped_sweeps, _weighted_total
 from .mm_precoder import _mm_loop, mu_bisection
 
 
@@ -142,7 +142,8 @@ def beam_power_allocation(stats, cfg, iters=50, obj_tol=1e-8,
             states[k] = beam_fixed_point(omegas[k], q_full[k], r[k],
                                          init=states[k])
             rates.append(beam_rate(states[k], q_full[k], r[k]))
-        total = float(sum(w * rk for w, rk in zip(weights, rates)))
+        total = _weighted_total(weights, rates,
+                                "the beam-domain weighted sum rate")
         return total, states, (alloc, q_full, r)
 
     @np.errstate(over="ignore", invalid="ignore")  # a bisection error reports it

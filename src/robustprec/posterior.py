@@ -17,9 +17,8 @@ from .errors import ConfigError
 from .operators import OperatorKernel
 
 
-def _stack_matmul(a, b, out=None):
-    """a @ b for a C-contiguous (n, r, c) stack and one (c, d) matrix,
-    written into out (a C-contiguous (n, r, d) array) when given.
+def _stack_matmul(a, b):
+    """a @ b for a C-contiguous (n, r, c) stack and one (c, d) matrix.
 
     The stack is folded into n*r rows, so the product is a single GEMM
     rather than one BLAS call per slice; each row sees the same arithmetic,
@@ -29,9 +28,8 @@ def _stack_matmul(a, b, out=None):
     """
     n, r, c = a.shape
     if r == 1:
-        return np.matmul(a, b, out=out)
-    rows = None if out is None else out.reshape(n * r, -1)
-    return np.matmul(a.reshape(n * r, c), b, out=rows).reshape(n, r, -1)
+        return a @ b
+    return (a.reshape(n * r, c) @ b).reshape(n, r, -1)
 
 
 def _safe_ratio(num, den):
@@ -88,7 +86,6 @@ class PosteriorModel:
     sigma2_bs: float
     mean1: list
     _kernels: dict = field(default_factory=dict, repr=False)
-    _workspace: np.ndarray = field(default=None, repr=False)
 
     @property
     def n_users(self):
@@ -120,21 +117,11 @@ class PosteriorModel:
 
     def sample(self, k, n, rng, size):
         """A new (size, m_k, m_t) batch of posterior draws of user k's
-        block-n channel."""
+        block-n channel, mean + u ((amp o W) v^H) with iid CN(0,1) W."""
         amp = np.sqrt(self.kernel(k, n).var_profile)
-        w = crandn(rng, size, *amp.shape)
-        w *= amp
-        # mean + u ((amp o W) v^H), built in the draw buffer.  The beam
-        # products go to a buffer the model keeps between calls of one
-        # shape: a second batch-sized array per call would grow and trim
-        # the heap on every batch.
-        beams = self._workspace
-        if beams is None or beams.shape != w.shape:
-            beams = self._workspace = np.empty_like(w)
-        _stack_matmul(w, _dft_conj(self.stats[k].m_t).T, out=beams)
-        np.matmul(self.stats[k].u, beams, out=w)
-        w += self.mean(k, n)
-        return w
+        beams = _stack_matmul(amp * crandn(rng, size, *amp.shape),
+                              _dft_conj(self.stats[k].m_t).T)
+        return self.stats[k].u @ beams + self.mean(k, n)
 
 
 def build_posterior(y, pilots, stats, sigma2_bs):

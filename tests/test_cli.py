@@ -762,7 +762,9 @@ HEAVY_WEIGHTS = dict(
     experiment=dict(HOT_SNR["experiment"], algorithms=["rzf"]))
 # weights of 1e308 overflow the designs' own weighted totals: the DE sum
 # rate of alg1 and alg2 and wmmse's known-channel rate warned, or ended in
-# a traceback under error::RuntimeWarning
+# a traceback under error::RuntimeWarning; alg3's beam-domain total ran its
+# fixed point on NaN for 500 sweeps, or failed converge's power bisection,
+# and neither message named the overflow
 
 
 def _heaviest_weights(alg):
@@ -774,6 +776,9 @@ def _heaviest_weights(alg):
 _DE_OVERFLOW = ("error: every slot failed; no rates were produced; first "
                 "failure: NumericalError: the DE weighted sum rate at block 2 "
                 "is not finite (a weighted sum overflowed)\n")
+
+_BEAM_OVERFLOW = ("the beam-domain weighted sum rate is not finite (a "
+                  "weighted sum overflowed)")
 
 
 @pytest.mark.parametrize("data, code, err, files", [
@@ -796,8 +801,11 @@ _DE_OVERFLOW = ("error: every slot failed; no rates were produced; first "
                                     "the known-channel weighted sum rate is "
                                     "not finite (a weighted sum overflowed)\n",
      ["error.json"]),
+    (_heaviest_weights("alg3"), 3, "error: every slot failed; no rates were "
+                                   "produced; first failure: NumericalError: "
+                                   f"{_BEAM_OVERFLOW}\n", ["error.json"]),
 ], ids=["1e-160", "1e160", "300dB", "1e200-weights", "1e308-weights-alg1",
-        "1e308-weights-alg2", "1e308-weights-wmmse"])
+        "1e308-weights-alg2", "1e308-weights-wmmse", "1e308-weights-alg3"])
 def test_an_extreme_budget_prints_only_the_outcome(tmp_path, capsys, data,
                                                    code, err, files):
     out = tmp_path / "out"
@@ -805,6 +813,16 @@ def test_an_extreme_budget_prints_only_the_outcome(tmp_path, capsys, data,
                      "--out-dir", str(out)]) == code
     assert capsys.readouterr().err == err
     assert sorted(p.name for p in out.iterdir()) == files
+
+
+def test_converge_whose_beam_domain_total_overflows_exits_3(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert cli.main(["converge", "-c", _write_config(
+        tmp_path, _heaviest_weights("alg3")), "--out-dir", str(out)]) == 3
+    assert capsys.readouterr().err == f"error: {_BEAM_OVERFLOW}\n"
+    assert sorted(p.name for p in out.iterdir()) == ["error.json"]
+    assert json.loads((out / "error.json").read_text()) == {
+        "error": "NumericalError", "message": _BEAM_OVERFLOW}
 
 
 _ALPHAS = [0.0, 0.5, 0.99, 1.0]
