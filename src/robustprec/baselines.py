@@ -52,14 +52,15 @@ def rzf(channels, p_total, sigma2_z):
 def slnr(channels, p_total, sigma2_z):
     """Per-user leakage-ratio eigenbeams with a uniform power split.
 
-    User k transmits along the top generalized eigenvectors of its own
-    Gram matrix against noise plus everyone else's; columns are unit
+    User k transmits along the top generalized eigenvectors x of its own
+    Gram matrix A against noise plus everyone else's, B: A x = lambda B x,
+    reduced to a standard problem by the Cholesky factor B = L L^H, so
+    x = L^-H y for the eigenvectors y of L^-1 A L^-H.  Columns are unit
     vectors scaled so each user spends p_total / K.  Raises NumericalError
-    when that denominator is not numerically positive definite (noise far
-    below the Gram matrices' round-off).
+    when B is not numerically positive definite (noise far below the Gram
+    matrices' round-off): its Cholesky factor fails, or the reduction is
+    not finite.
     """
-    from scipy.linalg import eigh
-
     k_users = len(channels)
     grams = [h.conj().T @ h for h in channels]
     out = []
@@ -70,11 +71,19 @@ def slnr(channels, p_total, sigma2_z):
             if l != k:
                 den = den + grams[l]
         try:
-            _, vecs = eigh(hermitize(grams[k]), hermitize(den))
+            low = np.linalg.cholesky(hermitize(den))
         except np.linalg.LinAlgError as exc:
             raise NumericalError(f"slnr: user {k}'s leakage matrix is not "
                                  f"positive definite ({exc})") from exc
-        top = vecs[:, ::-1][:, :m_k]  # eigh is ascending
+        half = np.linalg.solve(low, grams[k])  # L^-1 A
+        reduced = np.linalg.solve(low, half.conj().T)  # L^-1 A^H L^-H
+        if not np.isfinite(reduced).all():
+            raise NumericalError(f"slnr: user {k}'s leakage matrix is not "
+                                 "positive definite (its reduction is not "
+                                 "finite)")
+        _, vecs = np.linalg.eigh(hermitize(reduced))
+        # eigh is ascending
+        top = np.linalg.solve(low.conj().T, vecs[:, ::-1][:, :m_k])
         top = top / np.linalg.norm(top, axis=0, keepdims=True)
         out.append(np.sqrt(p_total / (k_users * m_k)) * top)
     return out

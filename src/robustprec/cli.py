@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import importlib.metadata
 import json
 import os
 import sys
@@ -118,12 +117,9 @@ def _fmt(x):
 
 def _environment():
     """What the output bytes depend on beside the config: numpy, the BLAS
-    it was built with, the BLAS thread counts as set (None if unset), and
-    scipy (slnr's eigenvectors come from its own LAPACK), read from its
-    metadata so that a run that never needs scipy does not import it."""
+    it was built with, and the BLAS thread counts as set (None if unset)."""
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return {"numpy": np.__version__,
-            "scipy": importlib.metadata.version("scipy"),
             "blas": {"name": blas.get("name"), "version": blas.get("version")},
             "threads": {var: os.environ.get(var) for var in (
                 "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}}

@@ -6,8 +6,9 @@ requested algorithm, and posterior-sampled rate scores.  Scoring reuses the
 same stream seed for every algorithm at a given (slot, block), so designs
 are compared under common random numbers.  An algorithm whose design does
 not read the assumed aging coefficient is designed once per slot for all
-points of a mismatch study.  One key in _run_points groups designs into
-passes of draws; Slot.starts shares a point's MM cold start.
+points of a mismatch study.  Every design of a slot, at every point, is
+scored on one pass of draws per data block; Slot.starts shares a point's
+MM cold start.
 Seeds derive from the config seed through SeedSequence spawn keys, never
 from global state, which makes every run reproducible bit for bit.
 """
@@ -345,14 +346,13 @@ def _run_points(cfg, profile, plan, assumed_alphas):
 
     Per slot, the algorithms are designed in plan order, each point's
     design covering all its data blocks; one that does not read alpha is
-    designed once for every point.  Each design joins the pass of draws
-    its key names: its algorithm if it reads alpha, else the one pass of
-    all that do not.  Every pass is scored after the slot's last design.
-    Outcomes are then applied in plan order: a NumericalError, or a Monte
-    Carlo score that is not valid at any block of the slot, drops the
-    rates of that algorithm for the slot at the points its design serves,
-    lists the slot once in each such point's failed_slots, and is kept as
-    a point's first_error if it is the first.
+    designed once for every point.  After the slot's last design, every
+    design is scored on one pass of draws per data block.  Outcomes are
+    then applied in plan order: a NumericalError, or a Monte Carlo score
+    that is not valid at any block of the slot, drops the rates of that
+    algorithm for the slot at the points its design serves, lists the slot
+    once in each such point's failed_slots, and is kept as a point's
+    first_error if it is the first.
     """
     plan.check(cfg)
     stats = experiment_statistics(cfg, profile)
@@ -363,11 +363,11 @@ def _run_points(cfg, profile, plan, assumed_alphas):
                        else score_post.assuming(a), plan, {})
                   for a in assumed_alphas]
         outcomes = {alg: [] for alg in plan.algorithms}
-        passes = {}
+        designed = []
         for alg in plan.algorithms:
-            reads_alpha = ALGORITHM_TABLE[alg].reads_alpha
             # the points each design serves: its own, or all of them
-            groups = ([[i] for i in range(len(points))] if reads_alpha
+            groups = ([[i] for i in range(len(points))]
+                      if ALGORITHM_TABLE[alg].reads_alpha
                       else [range(len(points))])
             for group in groups:
                 try:
@@ -375,9 +375,8 @@ def _run_points(cfg, profile, plan, assumed_alphas):
                 except NumericalError as exc:
                     outcomes[alg].append((group, exc))
                 else:
-                    passes.setdefault(alg if reads_alpha else None, []).append(
-                        (alg, group, designs))
-        for designed in passes.values():
+                    designed.append((alg, group, designs))
+        if designed:
             _score(cfg, plan, score_post, slot, designed, outcomes)
         failed = [None] * len(points)
         for alg in plan.algorithms:

@@ -90,6 +90,35 @@ def test_slnr_without_a_positive_definite_leakage_is_a_numerical_error():
         slnr(_channels(4, k=2), 1.0, 1e-30)
 
 
+@pytest.mark.parametrize("snr_db", [10, 60])
+def test_slnr_columns_are_top_generalized_eigenvectors(snr_db):
+    # user k's columns x solve A x = lambda B x, A its own Gram matrix and
+    # B noise plus the others' Gram matrices, with lambda descending
+    chans, p_total = _channels(5, k=3, m_k=2, m_t=8), 2.0
+    sigma2_z = p_total * 10.0 ** (-snr_db / 10)
+    pre = slnr(chans, p_total, sigma2_z)
+    grams = [h.conj().T @ h for h in chans]
+    for k, x in enumerate(pre):
+        m_k = chans[k].shape[0]
+        b = (sigma2_z * m_k * len(chans) / p_total) * np.eye(8) + sum(
+            g for l, g in enumerate(grams) if l != k)
+        ax, bx = grams[k] @ x, b @ x
+        lam = np.real(np.sum(x.conj() * ax, axis=0)
+                      / np.sum(x.conj() * bx, axis=0))
+        # the normwise backward error |Ax - lambda Bx| / ((|A| + |lambda| |B|)
+        # |x|): about 1e-16 here, where |Ax - lambda Bx| / |Ax| is about
+        # 1e-10 at 60 dB for any solver, B's condition number being about 1e6
+        resid = np.linalg.norm(ax - lam * bx, axis=0) / (
+            (np.linalg.norm(grams[k], 2) + lam * np.linalg.norm(b, 2))
+            * np.linalg.norm(x, axis=0))
+        assert np.all(resid <= 1e-10)
+        assert np.all(np.diff(lam) < 0)
+        # unit columns before the uniform power split
+        scale = np.sqrt(p_total / (len(chans) * m_k))
+        assert np.allclose(np.linalg.norm(x, axis=0) / scale, 1.0,
+                           rtol=0, atol=1e-12)
+
+
 def test_wmmse_ascends_known_channel_rate_and_beats_inversion():
     chans = _channels(4)
     weights = [1.0, 1.5, 0.7]

@@ -7,6 +7,7 @@ from robustprec.channel import (
     BeamProfile,
     UserStatistics,
     _dft_conj,
+    _j0,
     crandn,
     dft_matrix,
     evolve_slot,
@@ -71,6 +72,28 @@ def test_jakes_against_series_oracle():
     assert jakes_correlation(v_zero, 1.0, 1.0) == 0.0
 
 
+# scipy.special.j0 at each x, computed once: the package has no scipy
+J0_REFERENCE = [
+    (0.0, 1.0),
+    (0.5, 0.938469807240813),
+    (2.404825557695773, -9.586882554916807e-17),
+    (5.0, -0.1775967713143383),
+    (12.3, 0.11079795030758527),
+    (29.9, -0.09781115006606259),
+    (30.0, -0.08636798358104031),
+    (30.1, -0.0741013723240187),
+    (75.5, 0.07109506027151384),
+    (1234.5, -0.013550379618034219),
+    (98765.4321, 0.0018694734249206722),
+]
+
+
+@pytest.mark.parametrize("x, want", J0_REFERENCE)
+def test_j0_matches_reference_values(x, want):
+    # both sides of the switch from the quadrature to Hankel's series at 30
+    assert abs(_j0(x) - want) <= 1e-14
+
+
 def test_jakes_rejects_bad_arguments():
     with pytest.raises(ConfigError):
         jakes_correlation(1.0, 0.0, 1.0)
@@ -81,6 +104,12 @@ def test_jakes_rejects_bad_arguments():
                  (30.0, 2e9, np.inf)]:
         with pytest.raises(ConfigError):
             jakes_correlation(*args)
+
+
+def test_jakes_with_an_overflowing_argument_is_a_config_error():
+    # finite arguments whose product 2 pi v f_c T / c is not finite
+    with pytest.raises(ConfigError, match="overflows"):
+        jakes_correlation(1e200, 1e200, 1.0)
 
 
 def test_user_statistics_validation():

@@ -1,5 +1,4 @@
 """CLI tests: config validation, file contracts, determinism, exit codes."""
-import importlib.metadata
 import json
 import math
 import os
@@ -325,6 +324,17 @@ def test_sweep_writes_per_algorithm_csvs_and_manifest(tmp_path):
     assert manifest["config"]["system"]["m_t"] == 8
 
 
+def _run_listing_scipy_modules(*argv):
+    """cli.main(argv) in a fresh interpreter that then prints the names of
+    the scipy modules it holds."""
+    src = str(Path(robustprec.__file__).resolve().parents[1])
+    code = ("import sys, robustprec.cli as c; c.main(sys.argv[1:]); print([m "
+            "for m in sys.modules if m.split('.')[0] == 'scipy'])")
+    return subprocess.run([sys.executable, "-c", code, *argv],
+                          capture_output=True, text=True, check=True,
+                          env=dict(os.environ, PYTHONPATH=src))
+
+
 def test_manifest_records_the_numeric_environment(tmp_path, monkeypatch):
     # the bytes depend on numpy, its BLAS and the BLAS thread count; no
     # wall-clock value goes into --out-dir
@@ -336,22 +346,16 @@ def test_manifest_records_the_numeric_environment(tmp_path, monkeypatch):
     env = json.loads((out / "run_manifest.json").read_text())["environment"]
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     assert env["numpy"] == np.__version__
-    assert env["scipy"] == importlib.metadata.version("scipy")
+    assert "scipy" not in env
     assert env["blas"] == {"name": blas["name"], "version": blas["version"]}
     assert env["threads"]["OMP_NUM_THREADS"] == "1"
     assert env["threads"]["MKL_NUM_THREADS"] is None
     assert env["threads"]["OPENBLAS_NUM_THREADS"] == os.environ.get(
         "OPENBLAS_NUM_THREADS")
-    # naming scipy does not load it: an rzf run needs neither module
-    src = str(Path(robustprec.__file__).resolve().parents[1])
-    code = ("import sys, robustprec.cli as c; c.main(sys.argv[1:]); print([m "
-            "for m in ('scipy.linalg', 'scipy.special') if m in sys.modules])")
-    run = subprocess.run(
-        [sys.executable, "-c", code, "sweep", "-c",
-         _write_config(tmp_path, BASE), "--algorithms", "rzf", "--out-dir",
-         str(tmp_path / "rzf")],
-        capture_output=True, text=True, check=True,
-        env=dict(os.environ, PYTHONPATH=src))
+    # the package runs on numpy alone: slnr's eigenvectors load no scipy
+    run = _run_listing_scipy_modules(
+        "sweep", "-c", _write_config(tmp_path, BASE),
+        "--algorithms", "slnr", "--out-dir", str(tmp_path / "slnr"))
     assert run.stdout.splitlines()[-1] == "[]"
 
 
@@ -593,16 +597,15 @@ def test_numerical_failure_exits_3_with_error_record(tmp_path, monkeypatch):
     assert "synthetic breakdown" in record["message"]
 
 
-def test_importing_the_cli_leaves_scipy_unloaded():
-    # scipy.linalg and scipy.special load only inside slnr and
-    # jakes_correlation, so a run that needs neither never pays for them
-    src = str(Path(robustprec.__file__).resolve().parents[1])
-    code = ("import sys, robustprec.cli; print([m for m in "
-            "('scipy.linalg', 'scipy.special') if m in sys.modules])")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True,
-                         env=dict(os.environ, PYTHONPATH=src))
-    assert out.stdout.strip() == "[]"
+def test_a_sweep_of_every_algorithm_leaves_scipy_unloaded(tmp_path):
+    # numpy is the only runtime dependency: no design, slnr included, and
+    # no score imports scipy
+    data = dict(BASE, experiment=dict(BASE["experiment"],
+                                      algorithms=list(ALGORITHMS)))
+    run = _run_listing_scipy_modules(
+        "sweep", "-c", _write_config(tmp_path, data), "--out-dir",
+        str(tmp_path / "out"))
+    assert run.stdout.splitlines()[-1] == "[]"
 
 
 # 150 dB with m_k > d_k: at p_total 38 an MM design meets a singular matrix

@@ -171,16 +171,16 @@ def test_scoring_streams_do_not_depend_on_algorithm_list():
     assert solo_rates == both_rates
 
 
-def test_alpha_free_designs_share_one_pass_of_draws(monkeypatch):
-    # per slot and block, alg2 is scored on its own pass and alg3, rzf, slnr
-    # and wmmse on one shared pass; each still gets the records it gets
-    # when it runs alone
+def test_every_design_of_a_slot_shares_one_pass_of_draws(monkeypatch):
+    # per slot and block, alg2's design at each point and the one design of
+    # each of alg3, rzf, slnr and wmmse are scored on one pass of draws;
+    # each still gets the records it gets when it runs alone
     cfg = SystemConfig(m_t=8, m_k=(2, 2), n_b=3, sigma2_z=0.1, seed=11)
     kw = dict(n_slots=2, n_mc=96, mc_batch=64, mm_iters=4,
               assumed_alphas=(1.0, 0.5))
-    free = ("alg3", "rzf", "slnr", "wmmse")
+    algs = ("alg2", "alg3", "rzf", "slnr", "wmmse")
     alone = {a: alpha_mismatch_study(cfg, _profile(), ExperimentPlan(
-        algorithms=(a,), **kw)) for a in free}
+        algorithms=(a,), **kw)) for a in algs}
     calls = []
     real = PosteriorModel.sample
 
@@ -190,12 +190,12 @@ def test_alpha_free_designs_share_one_pass_of_draws(monkeypatch):
 
     monkeypatch.setattr(PosteriorModel, "sample", counted)
     out = alpha_mismatch_study(cfg, _profile(), ExperimentPlan(
-        algorithms=("alg2",) + free, **kw))
-    # passes x slots x blocks x users x batches
-    assert len(calls) == 2 * 2 * 2 * 2 * 2
+        algorithms=algs, **kw))
+    # slots x blocks x users x batches
+    assert len(calls) == 2 * 2 * 2 * 2
     for i, (alpha, result) in enumerate(out):
         assert result.failed_slots == []
-        for a in free:
+        for a in algs:
             assert alone[a][i][0] == alpha
             assert [r for r in result.records
                     if r.algorithm == a] == alone[a][i][1].records
