@@ -59,14 +59,10 @@ def beam_rate(state, q_own, r):
 class BeamAllocation:
     """Beam selections and per-beam amplitudes for every user: orders[k]
     ranks user k's m_t beams, and its precoder puts gains[k] on the leading
-    ones, as columns of the shared basis v = dft_matrix(m_t)."""
+    ones, as columns of the shared basis dft_matrix(m_t)."""
 
     orders: list
     gains: list
-
-    @property
-    def v(self):
-        return dft_matrix(len(self.orders[0]))
 
     def active_beams(self, k):
         return self.orders[k][: len(self.gains[k])]
@@ -79,7 +75,8 @@ class BeamAllocation:
 
     @property
     def precoders(self):
-        return [self.v[:, self.active_beams(k)] * np.asarray(g)
+        v = dft_matrix(len(self.orders[0]))
+        return [v[:, self.active_beams(k)] * np.asarray(g)
                 for k, g in enumerate(self.gains)]
 
 

@@ -154,11 +154,6 @@ class UserStatistics:
     def m_t(self):
         return self.amp.shape[1]
 
-    @property
-    def v(self):
-        """Transmit (beam) basis: the shared read-only dft_matrix(m_t)."""
-        return dft_matrix(self.m_t)
-
 
 @dataclass(frozen=True)
 class BeamProfile:

@@ -4,10 +4,11 @@ The expected data rate E[logdet(I + R^-1 H P P^H H^H)] under the posterior
 channel law is approximated by a deterministic expression driven by a small
 coupled fixed point.  Per user the fixed point carries two gain matrices
 (transmit side m_t x m_t, receive side m_k x m_k) and their resolvent-type
-companions; the rate then has two algebraically equivalent forms that must
-agree at the solution, which doubles as a convergence diagnostic.
+companions.  The rate is scored in its transmit-side form (form 1); the
+receive-side form, which agrees with it at the solution, is kept only as
+the tests' cross-check.
 
-For a zero-variance posterior the operators vanish and both forms collapse
+For a zero-variance posterior the operators vanish and the rate collapses
 to the exact logdet, so the evaluation is exact under perfect CSI.
 """
 from __future__ import annotations
@@ -190,19 +191,6 @@ def de_rate_form1(state, posterior, p, k, n):
     term1 = _logdet(np.eye(d) + p.conj().T @ state.tx_gain @ p)
     term2 = _logdet(np.eye(kern.m_k) + l @ e_rx @ l)
     term3 = np.trace(e_rx @ t_rx).real
-    return max(term1 + term2 - term3, 0.0)
-
-
-def de_rate_form2(state, posterior, p, k, n):
-    """DE rate, receive-side form (nats); agrees with form 1 at the solution."""
-    kern = posterior.kernel(k, n)
-    l = state.whitener
-    d = p.shape[1]
-    e_tx = mean_quadratic_tx(kern, l @ state.rx_mse @ l)
-    pgp = hermitize(p @ state.stream_mse @ p.conj().T)
-    term1 = _logdet(np.eye(kern.m_k) + l @ state.rx_gain @ l)
-    term2 = _logdet(np.eye(d) + p.conj().T @ e_tx @ p)
-    term3 = np.trace(pgp @ e_tx).real
     return max(term1 + term2 - term3, 0.0)
 
 

@@ -10,8 +10,8 @@ builds a concave quadratic surrogate from three DE matrices per user
 and maximizes the surrogate in closed form up to a water-level style
 multiplier found by bisection on the sum power.  mm_full shapes the update
 per user; mm_shared replaces the per-user shaping with one shared matrix
-(plus a PSD gap correction), cutting the large-matrix work per iteration to
-a single eigendecomposition.
+(plus a gap correction on the numerator side), cutting the large-matrix
+work per iteration to a single eigendecomposition.
 
 Memory: the users' DE states hold their transmit gains as O(m_k m_t)
 factors (det_equiv.DEState), so an mm_full update holds K m_t x m_t
@@ -86,17 +86,6 @@ def leakage_penalty(posterior, state, r, k, n):
     return hermitize(expected_gram(posterior, k, n, diff))
 
 
-def penalty_gap(weight, self_pen, leak_pen):
-    """w * (leakage - self): moving this to the numerator side lets one
-    shared shaping matrix serve every user's update."""
-    return weight * (leak_pen - self_pen)
-
-
-def _spectral(shaping):
-    lam, q = np.linalg.eigh(shaping)
-    return np.maximum(lam, 0.0), q
-
-
 def _power_probe(data):
     """Total power as a function of mu, one array expression over every
     user's (spectrum, row weights): rows are padded with entries adding
@@ -133,7 +122,8 @@ def _eigenbases(rhs_list, shaping_list):
     for rhs, shaping in zip(rhs_list, shaping_list):
         if shaping is not last:
             last = shaping
-            lam, q = _spectral(shaping)
+            lam, q = np.linalg.eigh(shaping)
+            lam = np.maximum(lam, 0.0)
         basis.append((lam, q, q.conj().T @ rhs))
     return basis
 
@@ -305,9 +295,9 @@ def mm_shared(posterior, cfg, n, init, iters=30, obj_tol=1e-8, tol_power=1e-6,
     """MM ascent with one shared shaping matrix per iteration.
 
     The per-user shaping is replaced by the weighted sum of all leakage
-    penalties, compensated by a gap term on the numerator side, so a single
-    m_t x m_t eigendecomposition (and only d x d solves per user) serves the
-    whole update.  Arguments as in mm_full.
+    penalties, compensated by the gap w_k (leak_k - self_k) on user k's
+    numerator side, so a single m_t x m_t eigendecomposition (and only
+    d x d solves per user) serves the whole update.  Arguments as in mm_full.
     """
     weights = cfg.weights
     k_users = posterior.n_users
@@ -322,7 +312,7 @@ def mm_shared(posterior, cfg, n, init, iters=30, obj_tol=1e-8, tol_power=1e-6,
                 shared = weights[k] * leak
             else:
                 shared += weights[k] * leak
-            rhs.append((weights[k] * gain + penalty_gap(weights[k], self_pen, leak))
+            rhs.append((weights[k] * gain + weights[k] * (leak - self_pen))
                        @ precoders[k])
         del gain, self_pen, leak  # the search reads only shared and rhs
         return mu_bisection(rhs, [shared] * k_users, cfg.p_total,

@@ -55,7 +55,7 @@ class OperatorKernel:
     var_profile is the m_k x m_t matrix of beam-domain entry variances: the
     posterior profile for conditional moments, or the prior power profile for
     the statistical-CSI-only case.  The transmit basis is the one every user
-    shares, so the kernel does not carry it: v reads dft_matrix(m_t).
+    shares, dft_matrix(m_t), so the kernel does not carry it.
     """
 
     u: np.ndarray
@@ -68,10 +68,6 @@ class OperatorKernel:
     @property
     def m_t(self):
         return self.var_profile.shape[1]
-
-    @property
-    def v(self):
-        return dft_matrix(self.m_t)
 
 
 def _wrapped_sums(c):
@@ -101,7 +97,7 @@ def rx_gain_diag(kernel, c_tx):
         # diag(v^H C v) is ifft(s); the Hermitian part's is its real part
         d = np.fft.ifft(_wrapped_sums(c_tx))
     else:
-        d = np.einsum("ji,ji->i", _dft_conj(m_t), hermitize(c_tx) @ kernel.v)
+        d = np.einsum("ji,ji->i", _dft_conj(m_t), hermitize(c_tx) @ dft_matrix(m_t))
     return kernel.var_profile @ d.real
 
 
@@ -124,7 +120,7 @@ def mean_quadratic_tx(kernel, c_rx):
     m_t = kernel.m_t
     if m_t >= _FFT_FROM:
         return _circulant(np.fft.fft(g) / m_t)
-    return (kernel.v * g) @ _dft_conj(m_t).T
+    return (dft_matrix(m_t) * g) @ _dft_conj(m_t).T
 
 
 def expected_gram(posterior, k, n, c_rx):

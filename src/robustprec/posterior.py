@@ -12,7 +12,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .channel import _dft_conj, crandn
+from .channel import _dft_conj, crandn, dft_matrix
 from .errors import ConfigError
 from .operators import OperatorKernel
 
@@ -67,7 +67,7 @@ def mmse_estimate(y, pilot, stats, sigma2_bs):
     The estimate is formed beam-wise after despreading with the user's
     pilot; PosteriorModel.mean shrinks it by alpha^(n-1) for block n.
     """
-    despread = stats.u.conj().T @ pilot.conj() @ y.T @ stats.v
+    despread = stats.u.conj().T @ pilot.conj() @ y.T @ dft_matrix(stats.m_t)
     delta = delta_profile(stats.omega, sigma2_bs)
     return stats.u @ (delta * despread) @ _dft_conj(stats.m_t).T
 

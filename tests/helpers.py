@@ -10,6 +10,7 @@ from robustprec.baselines import perfect_csi_rate, rzf, wmmse_step
 from robustprec.channel import (
     BeamProfile,
     crandn,
+    dft_matrix,
     draw_slot,
     generate_synthetic_stats,
     orthogonal_pilots,
@@ -24,12 +25,16 @@ from robustprec.mm_precoder import (
     _de_ascent,
     leakage_penalty,
     mu_bisection,
-    penalty_gap,
     self_penalty,
     self_penalty_lowrank,
     signal_gain,
 )
-from robustprec.operators import interference_covariance, tx_gain_diag
+from robustprec.operators import (
+    hermitize,
+    interference_covariance,
+    mean_quadratic_tx,
+    tx_gain_diag,
+)
 from robustprec.posterior import PosteriorModel, build_posterior
 
 
@@ -59,15 +64,30 @@ def hermitize_oracle(c):
 
 def rx_gain_diag_oracle(kernel, c_tx):
     """operators.rx_gain_diag by the dense product diag(v^H herm(C) v)."""
-    v = kernel.v
+    v = dft_matrix(kernel.m_t)
     d = np.einsum("ji,ji->i", v.conj(), hermitize_oracle(c_tx) @ v)
     return kernel.var_profile @ d.real
 
 
 def mean_quadratic_tx_oracle(kernel, c_rx):
     """operators.mean_quadratic_tx by the dense product v diag(g) v^H."""
-    v = kernel.v
+    v = dft_matrix(kernel.m_t)
     return (v * tx_gain_diag(kernel, c_rx)) @ v.conj().T
+
+
+def de_rate_form2(state, posterior, p, k, n):
+    """The DE rate in its receive-side form (nats), clamped at 0: the
+    cross-check of det_equiv.de_rate_form1, which it equals at the
+    solution."""
+    kern = posterior.kernel(k, n)
+    l = state.whitener
+    d = p.shape[1]
+    e_tx = mean_quadratic_tx(kern, l @ state.rx_mse @ l)
+    pgp = hermitize(p @ state.stream_mse @ p.conj().T)
+    term1 = float(np.linalg.slogdet(np.eye(kern.m_k) + l @ state.rx_gain @ l)[1])
+    term2 = float(np.linalg.slogdet(np.eye(d) + p.conj().T @ e_tx @ p)[1])
+    term3 = np.trace(pgp @ e_tx).real
+    return max(term1 + term2 - term3, 0.0)
 
 
 def relerr(got, want):
@@ -169,7 +189,8 @@ def sample_oracle(post, k, n, rng, size):
     with numpy's stacked (one BLAS call per draw) products."""
     amp = np.sqrt(post.var_profile(k, n))
     w = crandn_oracle(rng, size, *amp.shape)
-    return post.mean(k, n) + post.stats[k].u @ ((amp * w) @ post.stats[k].v.conj().T)
+    v = dft_matrix(post.stats[k].m_t)
+    return post.mean(k, n) + post.stats[k].u @ ((amp * w) @ v.conj().T)
 
 
 def monte_carlo_rate_oracle(posterior, precoders, weights, sigma2_z, n, rng,
@@ -327,9 +348,8 @@ def mm_ascent_oracle(posterior, cfg, n, init, iters, shared, obj_tol=1e-8,
         total = weights[0] * leaks[0]
         for k in users[1:]:
             total = total + weights[k] * leaks[k]
-        rhs = [(weights[k] * gains[k] + penalty_gap(weights[k], selfs[k],
-                                                    leaks[k])) @ precoders[k]
-               for k in users]
+        rhs = [(weights[k] * gains[k] + weights[k] * (leaks[k] - selfs[k]))
+               @ precoders[k] for k in users]
         return mu_bisection(rhs, [total] * len(users), cfg.p_total,
                             tol_power=tol_power)
 

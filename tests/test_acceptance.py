@@ -92,7 +92,7 @@ def test_01_quadratic_operators_match_sampling_and_adjoint():
     n_draws = 100_000
     amp = np.sqrt(kern.var_profile)
     core = amp * crandn(rng, n_draws, kern.m_k, kern.m_t)
-    h = np.matmul(kern.u, core) @ kern.v.conj().T
+    h = np.matmul(kern.u, core) @ dft_matrix(kern.m_t).conj().T
 
     c_tx = crandn(rng, kern.m_t, kern.m_t)
     c_tx = c_tx @ c_tx.conj().T

@@ -19,6 +19,7 @@ from robustprec.channel import (
 )
 from robustprec.config import SystemConfig
 from robustprec.errors import ConfigError
+from robustprec.posterior import delta_profile, mmse_estimate
 
 from helpers import (
     crandn_oracle,
@@ -40,8 +41,18 @@ def test_dft_matrix_unitary_and_convention():
         assert abs(v[p, q] - want) < 1e-14
     with pytest.raises(ValueError):
         dft_matrix(8)[0, 0] = 0.0
-    stats = UserStatistics.from_profile(np.eye(2), np.ones((2, 8)), 1.0)
-    assert stats.v is dft_matrix(8)
+    # the MMSE estimate is its formula written with the shared basis, bit
+    # for bit
+    cfg = small_cfg(m_t=8, m_k=(2, 1))
+    rng = np.random.default_rng(5)
+    stats = generate_synthetic_stats(cfg, BeamProfile(band_width=4), rng)
+    y = crandn(rng, cfg.m_t, cfg.block_len)
+    v = dft_matrix(cfg.m_t)
+    for s, x in zip(stats, orthogonal_pilots(cfg.m_k, cfg.block_len)):
+        despread = s.u.conj().T @ x.conj() @ y.T @ v
+        delta = delta_profile(s.omega, cfg.uplink_noise)
+        assert same_bits(mmse_estimate(y, x, s, cfg.uplink_noise),
+                         s.u @ (delta * despread) @ v.conj().T)
 
 
 def test_the_transmit_basis_and_its_conjugate_are_kept_once_per_size():
@@ -49,11 +60,14 @@ def test_the_transmit_basis_and_its_conjugate_are_kept_once_per_size():
         conj = _dft_conj(m)
         assert conj is _dft_conj(m) and not conj.flags.writeable
         assert same_bits(conj, dft_matrix(m).conj())
-    # no model object carries its own copy: each reads the shared basis
+    # no model object carries its own copy: the beam-aligned precoders are
+    # columns of the shared basis, bit for bit
     cfg = small_cfg(m_t=8, m_k=(2, 1))
-    stats, _, _, post = make_instance(cfg, np.random.default_rng(3))
-    assert post.kernel(1, 2).v is dft_matrix(cfg.m_t)
-    assert canonical_allocation(stats, cfg).v is dft_matrix(cfg.m_t)
+    stats, _, _, _ = make_instance(cfg, np.random.default_rng(3))
+    alloc = canonical_allocation(stats, cfg)
+    for k, p in enumerate(alloc.precoders):
+        assert same_bits(p, dft_matrix(cfg.m_t)[:, alloc.active_beams(k)]
+                         * alloc.gains[k])
 
 
 def test_jakes_against_series_oracle():

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import robustprec
-from robustprec import cli, errors, evaluation, mm_precoder
+from robustprec import cli, det_equiv, errors, evaluation, mm_precoder
+from robustprec.beam_domain import canonical_allocation
 from robustprec.errors import ConfigError, NumericalError
 from robustprec.evaluation import (
     ALGORITHM_TABLE,
@@ -21,6 +23,7 @@ from robustprec.evaluation import (
     convergence_study,
 )
 from robustprec.matio import read_complex_csv
+from robustprec.operators import interference_covariance
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads"
 
@@ -681,6 +684,108 @@ def test_a_failed_mm_ascent_drops_both_designs_as_before(
     assert isinstance(result.first_error, errors.FixedPointError)
     assert str(result.first_error) == cause
     assert seen == colds
+
+
+# The failure paths that the 150 dB configs above reach only at the edge of
+# today's round-off, each reached here by construction on a well-conditioned
+# config, so that those tests can be re-pinned when the round-off moves
+# without losing what they cover.
+WELL_POSED = {
+    "system": {"m_t": 8, "m_k": [2, 2], "n_b": 2, "seed": 3,
+               "snr_db": [10.0]},
+    "profile": {"band_width": 4, "lognorm_sigma": 0.4, "alphas": 0.9},
+    "experiment": {"algorithms": ["alg1", "alg2"], "n_slots": 2, "n_mc": 16,
+                   "mm_iters": 3},
+}
+
+
+def _well_posed(tmp_path, *algorithms):
+    cfg, profile, plan = cli.parse_config(_write_config(tmp_path, WELL_POSED))
+    return cfg, profile, replace(plan, algorithms=algorithms)
+
+
+def _inject(monkeypatch, fails):
+    """Record each DE evaluation of the MM ascents in seen (True: cold), and
+    raise a FixedPointError from those where fails(seen) holds."""
+    real, seen = mm_precoder.de_weighted_sum_rate, []
+
+    def flaky(*args, init_states=None, **kwargs):
+        seen.append(init_states is None)
+        if fails(seen):
+            raise errors.FixedPointError(f"injected at evaluation {len(seen)}")
+        return real(*args, init_states=init_states, **kwargs)
+
+    monkeypatch.setattr(mm_precoder, "de_weighted_sum_rate", flaky)
+    return seen
+
+
+@pytest.mark.parametrize("sweep", [1, 4])
+def test_a_singular_matrix_in_a_de_sweep_is_a_typed_fixed_point_error(
+        tmp_path, monkeypatch, sweep):
+    # the singular-sweep pin's cause: a LinAlgError inside sweep N
+    real, calls = det_equiv.mean_quadratic_rx, []
+
+    def singular_at_sweep(*args):  # one call per sweep
+        calls.append(None)
+        if len(calls) == sweep:
+            raise np.linalg.LinAlgError("Singular matrix")
+        return real(*args)
+
+    cfg, profile, _ = _well_posed(tmp_path, "alg1")
+    stats = evaluation.experiment_statistics(cfg, profile)
+    post = evaluation.prepare_slot(cfg, stats, 0)[1]
+    precoders = canonical_allocation(stats, cfg).precoders
+    r = interference_covariance(post, precoders, 0, 2, cfg.sigma2_z)
+    monkeypatch.setattr(det_equiv, "mean_quadratic_rx", singular_at_sweep)
+    cause = f"DE fixed point: sweep {sweep} failed: Singular matrix"
+    with pytest.raises(errors.FixedPointError) as info:
+        det_equiv.solve_fixed_point(post, precoders[0], r, 0, 2)
+    assert str(info.value) == cause
+    # through the CLI, alg1's cold start meets it: exit 3 naming the cause
+    calls.clear()
+    data = dict(WELL_POSED, experiment=dict(WELL_POSED["experiment"],
+                                            algorithms=["alg1"], n_slots=1))
+    out = tmp_path / "out"
+    assert cli.main(["sweep", "-c", _write_config(tmp_path, data),
+                     "--out-dir", str(out)]) == 3
+    assert json.loads((out / "error.json").read_text())["message"] == (
+        f"every slot failed; no rates were produced; first failure: "
+        f"FixedPointError: {cause}")
+
+
+def test_a_cold_start_that_raises_is_not_held(tmp_path, monkeypatch):
+    # alg1's cold evaluation of the canonical start raises; alg2 makes its
+    # own, which raises too, so both drop every slot as when run apart
+    cold_fails = lambda seen: seen[-1]
+    alone = []
+    for alg in ("alg1", "alg2"):
+        seen = _inject(monkeypatch, cold_fails)
+        (_, res), = evaluation.sweep_snr(*_well_posed(tmp_path, alg))
+        assert seen == [True, True]
+        alone.append(res)
+    seen = _inject(monkeypatch, cold_fails)
+    (_, res), = evaluation.sweep_snr(*_well_posed(tmp_path, "alg1", "alg2"))
+    assert seen == [True, True] * 2
+    assert (res.records, res.failed_slots) == ([], [0, 1])
+    assert all(a.failed_slots == [0, 1] for a in alone)
+    first = alone[0].first_error
+    assert type(res.first_error) is type(first) is errors.FixedPointError
+    assert str(res.first_error) == str(first) == "injected at evaluation 1"
+
+
+def test_a_later_failure_of_alg1_leaves_alg2_on_the_held_start(
+        tmp_path, monkeypatch):
+    # alg1's first update is scored warm and raises; alg2 starts from the
+    # cold start alg1 made, with no second cold evaluation
+    (_, alone), = evaluation.sweep_snr(*_well_posed(tmp_path, "alg2"))
+    seen = _inject(monkeypatch,
+                   lambda seen: seen[-2:] == [True, False])
+    (_, res), = evaluation.sweep_snr(*_well_posed(tmp_path, "alg1", "alg2"))
+    # per slot: the cold start, alg1's failed update 1, alg2's updates 1, 2
+    assert seen == [True, False, False, False] * 2
+    assert (res.failed_slots, str(res.first_error)) == (
+        [0, 1], "injected at evaluation 2")
+    assert res.records == alone.records and alone.records
 
 
 # alg1's first update meets a singular matrix in its self penalty, outside

@@ -7,7 +7,6 @@ from robustprec.channel import BeamProfile, generate_synthetic_stats
 from robustprec.config import SystemConfig, at_noise, noise_from_snr
 from robustprec.det_equiv import (
     de_rate_form1,
-    de_rate_form2,
     de_weighted_sum_rate,
     inverse_sqrt_psd,
     solve_fixed_point,
@@ -23,6 +22,7 @@ from robustprec.operators import (
 from robustprec.posterior import build_posterior
 
 from helpers import (
+    de_rate_form2,
     make_instance,
     rand_hermitian_psd,
     random_precoder_set,

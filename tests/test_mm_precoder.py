@@ -45,7 +45,6 @@ from robustprec.mm_precoder import (
     mm_shared,
     mu_bisection,
     normalize_power,
-    penalty_gap,
     self_penalty,
     self_penalty_lowrank,
     signal_gain,
@@ -106,7 +105,7 @@ def test_penalty_matrices_are_psd_and_ordered():
             # gap itself is indefinite
             assert _min_eig(gains[k] - selfs[k]) > -1e-10 * scale
             assert _min_eig(gains[k] - leaks[k]) > -1e-10 * scale
-            gap = penalty_gap(w[k], selfs[k], leaks[k])
+            gap = w[k] * (leaks[k] - selfs[k])
             assert relerr(gap, gap.conj().T) < 1e-10
             assert _min_eig(w[k] * gains[k] + gap) > -1e-10 * scale
             shaping = w[k] * selfs[k] + sum(w[l] * leaks[l] for l in range(3)

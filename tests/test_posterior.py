@@ -131,7 +131,7 @@ def test_posterior_sample_covariance_matches_xi2_kronecker():
     draws = post.sample(0, 2, rng, size=n) - post.mean(0, 2)
     flat = draws.reshape(n, -1)
     emp = flat.T @ flat.conj() / n
-    kron = np.kron(s.u, s.v.conj())
+    kron = np.kron(s.u, dft_matrix(s.m_t).conj())
     want = (kron * post.var_profile(0, 2).ravel()) @ kron.conj().T
     assert relerr(emp, want) < 0.03
 
