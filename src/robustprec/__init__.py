@@ -26,7 +26,6 @@ from .channel import (
     dft_matrix,
     draw_slot,
     generate_synthetic_stats,
-    jakes_correlation,
     orthogonal_pilots,
     uplink_observation,
 )
@@ -78,7 +77,6 @@ __all__ = [
     "draw_slot",
     "experiment_statistics",
     "generate_synthetic_stats",
-    "jakes_correlation",
     "mm_full",
     "prepare_slot",
     "mm_shared",

@@ -11,7 +11,6 @@ process with per-user coefficient alpha; block 1 carries uplink pilots.
 """
 from __future__ import annotations
 
-import cmath
 import functools
 import math
 from dataclasses import dataclass
@@ -20,8 +19,6 @@ import numpy as np
 
 from .config import _cast, _values
 from .errors import ConfigError
-
-SPEED_OF_LIGHT = 299_792_458.0
 
 
 def _dft_rows(rows, m):
@@ -60,44 +57,6 @@ def crandn(rng, *shape):
     out.imag = rng.standard_normal(shape)
     out *= np.sqrt(0.5)
     return out
-
-
-# Hankel's asymptotic series of J0: sum_k i^k a_k / x^k through k = 11,
-# with a_0 = 1 and a_k = a_{k-1} * -(2k - 1)^2 / (8k)
-_HANKEL = [1j**k * math.prod(-(2 * j - 1) ** 2 / (8 * j)
-                             for j in range(1, k + 1)) for k in range(12)]
-
-
-def _j0(x):
-    """Bessel J0 of a finite x >= 0, to about 1e-15 absolute: up to 30, the
-    midpoint rule with 32 + ceil(x) nodes on (1/pi) int_0^pi cos(x sin t) dt
-    (a periodic integrand, so the error falls geometrically); above, the
-    real part of sqrt(2 / (pi x)) exp(i (x - pi/4)) times Hankel's series.
-    """
-    if x <= 30.0:
-        n = 32 + math.ceil(x)
-        return float(np.mean(np.cos(x * np.sin((np.arange(n) + 0.5)
-                                               * (np.pi / n)))))
-    series = sum(c / x**k for k, c in enumerate(_HANKEL))
-    return math.sqrt(2.0 / (math.pi * x)) * (
-        cmath.exp(1j * (x - math.pi / 4)) * series).real
-
-
-def jakes_correlation(speed_mps, carrier_hz, symbol_time_s):
-    """Block-to-block aging coefficient J0(2 pi v f_c T / c), clamped to [0, 1].
-
-    The clamp keeps the Gauss-Markov recursion well defined past the first
-    Bessel zero, where the raw correlation would turn negative.
-    """
-    args = (speed_mps, carrier_hz, symbol_time_s)
-    if (not all(map(np.isfinite, args)) or carrier_hz <= 0
-            or symbol_time_s <= 0 or speed_mps < 0):
-        raise ConfigError("jakes_correlation needs finite arguments with "
-                          "carrier_hz > 0, symbol_time_s > 0, speed_mps >= 0")
-    x = 2.0 * np.pi * speed_mps * carrier_hz * symbol_time_s / SPEED_OF_LIGHT
-    if not np.isfinite(x):
-        raise ConfigError("jakes_correlation: 2 pi v f_c T / c overflows")
-    return float(np.clip(_j0(x), 0.0, 1.0))
 
 
 @dataclass(frozen=True)

@@ -62,6 +62,10 @@ def _load_json(path):
         raise ConfigError(f"config file {path} is not UTF-8: {e}")
     except json.JSONDecodeError as e:
         raise ConfigError(f"config file {path} is not valid JSON: {e}")
+    except ConfigError:
+        raise
+    except (RecursionError, ValueError) as e:  # deep nesting, a huge int
+        raise ConfigError(f"config file {path} cannot be parsed: {e}")
 
 
 def _check_keys(section, data, allowed, required=()):

@@ -4,8 +4,8 @@ CSVs have a header row and LF line ends; JSON is indented, key-sorted and
 ends in LF; an OSError while writing a file is a ConfigError naming it.
 Complex matrices are a long CSV, one entry per line as name,row,col,re,im,
 with repr floats (shortest exact decimal) in row-major order — so writing
-the same data twice gives byte-identical files and reading recovers the
-exact values.
+the same data twice gives byte-identical files and reading recovers every
+bit (complex(re, im), not re + 1j * im, keeps -0.0 and infinite parts).
 """
 from __future__ import annotations
 
@@ -69,40 +69,41 @@ def read_complex_csv(path):
     fill its (1 + max row) x (1 + max col) grid is one naming the file and
     the matrix, raised before anything is allocated."""
     entries, first_line = {}, {}
-    with open(path, newline="") as f:
-        r = csv.reader(f)
-        header = next(r, None)
-        if header != _HEADER:
-            raise ConfigError(f"unexpected header {header!r} in {path}")
-        for line in r:
-            if not line:
-                continue
-            try:
-                name, i, j, re_part, im_part = line
-                entry = (int(i), int(j), float(re_part), float(im_part))
-            except ValueError as e:
-                raise ConfigError(f"{path} line {r.line_num}: bad row "
-                                  f"{line!r} ({e})") from None
-            if min(entry[:2]) < 0:  # would wrap onto another entry
-                raise ConfigError(f"{path} line {r.line_num}: bad row "
-                                  f"{line!r} (negative index)")
-            key = (name, *entry[:2])
-            if key in first_line:
-                raise ConfigError(f"{path} line {r.line_num}: repeated entry "
-                                  f"{line!r} (first on line "
-                                  f"{first_line[key]})")
-            first_line[key] = r.line_num
-            entries.setdefault(name, []).append(entry)
+    try:
+        with open(path, newline="", encoding="utf-8") as f:
+            r = csv.reader(f)
+            header = next(r, None)
+            if header != _HEADER:
+                raise ConfigError(f"unexpected header {header!r} in {path}")
+            for line in r:
+                if not line:
+                    continue
+                try:
+                    name, i, j, re_part, im_part = line
+                    entry = (int(i), int(j),
+                             complex(float(re_part), float(im_part)))
+                    if min(entry[:2]) < 0:  # would wrap onto another entry
+                        raise ValueError("negative index")
+                except ValueError as e:
+                    raise ConfigError(f"{path} line {r.line_num}: bad row "
+                                      f"{line!r} ({e})") from None
+                key = (name, *entry[:2])
+                if key in first_line:
+                    raise ConfigError(f"{path} line {r.line_num}: repeated "
+                                      f"entry {line!r} (first on line "
+                                      f"{first_line[key]})")
+                first_line[key] = r.line_num
+                entries.setdefault(name, []).append(entry)
+    except UnicodeDecodeError as e:
+        raise ConfigError(f"{path} is not UTF-8: {e}") from None
     out = {}
     for name, items in entries.items():
-        rows = 1 + max(i for i, _, _, _ in items)
-        cols = 1 + max(j for _, j, _, _ in items)
+        i, j, z = zip(*items)
+        rows, cols = 1 + max(i), 1 + max(j)
         if len(items) != rows * cols:
             raise ConfigError(f"{path}: matrix {name!r} fills {len(items)} "
                               f"of the {rows} x {cols} entries its indices "
                               f"span")
-        a = np.zeros((rows, cols), dtype=complex)
-        for i, j, re_part, im_part in items:
-            a[i, j] = re_part + 1j * im_part
-        out[name] = a
+        out[name] = np.zeros((rows, cols), dtype=complex)
+        out[name][i, j] = z
     return out

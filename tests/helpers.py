@@ -38,15 +38,6 @@ from robustprec.operators import (
 from robustprec.posterior import PosteriorModel, build_posterior
 
 
-def j0_series(x, terms=60):
-    """Independent Bessel J0 oracle: power series sum (-x^2/4)^k / (k!)^2."""
-    total, term = 0.0, 1.0
-    for k in range(terms):
-        total += term
-        term *= -(x * x) / 4.0 / ((k + 1) * (k + 1))
-    return total
-
-
 def rand_hermitian_psd(rng, m, scale=1.0):
     a = crandn(rng, m, m)
     return scale * (a @ a.conj().T) / m

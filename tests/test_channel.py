@@ -3,16 +3,13 @@ import pytest
 
 from robustprec.beam_domain import canonical_allocation
 from robustprec.channel import (
-    SPEED_OF_LIGHT,
     BeamProfile,
     UserStatistics,
     _dft_conj,
-    _j0,
     crandn,
     dft_matrix,
     evolve_slot,
     generate_synthetic_stats,
-    jakes_correlation,
     orthogonal_pilots,
     sample_channel,
     uplink_observation,
@@ -23,7 +20,6 @@ from robustprec.posterior import delta_profile, mmse_estimate
 
 from helpers import (
     crandn_oracle,
-    j0_series,
     make_instance,
     relerr,
     same_bits,
@@ -68,62 +64,6 @@ def test_the_transmit_basis_and_its_conjugate_are_kept_once_per_size():
     for k, p in enumerate(alloc.precoders):
         assert same_bits(p, dft_matrix(cfg.m_t)[:, alloc.active_beams(k)]
                          * alloc.gains[k])
-
-
-def test_jakes_against_series_oracle():
-    # frozen from the series oracle: v=30 m/s, f_c=2 GHz, T=0.5 ms
-    x = 2 * np.pi * 30.0 * 2e9 * 0.5e-3 / SPEED_OF_LIGHT
-    want = j0_series(x)
-    got = jakes_correlation(30.0, 2e9, 0.5e-3)
-    assert abs(got - want) < 1e-12
-    assert abs(got - 0.9035825833812838) < 1e-12
-
-    # static user: alpha = 1 exactly
-    assert jakes_correlation(0.0, 2e9, 0.5e-3) == 1.0
-
-    # argument at (rounded) first Bessel zero: raw J0 < 0, clamps to 0
-    v_zero = 2.404826 * SPEED_OF_LIGHT / (2 * np.pi * 1.0 * 1.0)
-    assert jakes_correlation(v_zero, 1.0, 1.0) == 0.0
-
-
-# scipy.special.j0 at each x, computed once: the package has no scipy
-J0_REFERENCE = [
-    (0.0, 1.0),
-    (0.5, 0.938469807240813),
-    (2.404825557695773, -9.586882554916807e-17),
-    (5.0, -0.1775967713143383),
-    (12.3, 0.11079795030758527),
-    (29.9, -0.09781115006606259),
-    (30.0, -0.08636798358104031),
-    (30.1, -0.0741013723240187),
-    (75.5, 0.07109506027151384),
-    (1234.5, -0.013550379618034219),
-    (98765.4321, 0.0018694734249206722),
-]
-
-
-@pytest.mark.parametrize("x, want", J0_REFERENCE)
-def test_j0_matches_reference_values(x, want):
-    # both sides of the switch from the quadrature to Hankel's series at 30
-    assert abs(_j0(x) - want) <= 1e-14
-
-
-def test_jakes_rejects_bad_arguments():
-    with pytest.raises(ConfigError):
-        jakes_correlation(1.0, 0.0, 1.0)
-    with pytest.raises(ConfigError):
-        jakes_correlation(-1.0, 1e9, 1e-3)
-    # a NaN passes every comparison guard and J0(inf) is NaN
-    for args in [(np.nan, 2e9, 0.5e-3), (30.0, np.nan, 0.5e-3),
-                 (30.0, 2e9, np.inf)]:
-        with pytest.raises(ConfigError):
-            jakes_correlation(*args)
-
-
-def test_jakes_with_an_overflowing_argument_is_a_config_error():
-    # finite arguments whose product 2 pi v f_c T / c is not finite
-    with pytest.raises(ConfigError, match="overflows"):
-        jakes_correlation(1e200, 1e200, 1.0)
 
 
 def test_user_statistics_validation():

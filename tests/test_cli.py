@@ -263,6 +263,21 @@ def test_config_that_is_not_utf8_is_a_config_error(tmp_path, capsys):
     assert "is not UTF-8" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", [
+    "[" * 100_000 + "]" * 100_000,  # past the decoder's recursion limit
+    '{"system": {"m_t": ' + "9" * 4301 + "}}",  # past int's 4300 digits
+], ids=["100000-deep", "4301-digit-int"])
+def test_config_the_json_decoder_cannot_parse_is_a_config_error(
+        tmp_path, capsys, text):
+    path = tmp_path / "config.json"
+    path.write_text(text)
+    out = tmp_path / "out"
+    assert cli.main(["sweep", "-c", str(path), "--out-dir", str(out)]) == 2
+    assert "cannot be parsed" in capsys.readouterr().err
+    record = json.loads((out / "error.json").read_text())
+    assert record["error"] == "ConfigError" and str(path) in record["message"]
+
+
 def test_out_dir_that_is_a_file_is_a_config_error(tmp_path, capsys):
     taken = tmp_path / "taken"
     taken.write_text("")

@@ -14,6 +14,8 @@ from robustprec.matio import (
     write_json,
 )
 
+from helpers import same_bits
+
 
 def test_round_trip_is_exact(tmp_path):
     rng = default_rng(0)
@@ -28,6 +30,24 @@ def test_round_trip_is_exact(tmp_path):
     for name in data:
         assert back[name].shape == data[name].shape
         assert np.array_equal(back[name], np.asarray(data[name], complex))
+
+
+def test_round_trip_keeps_signed_zeros_and_infinities_bit_for_bit(tmp_path):
+    # re + 1j * im would read -0.0 back as +0.0 and (1, inf) as nan + inf j
+    parts = [0.0, -0.0, 1.0, -2.5, np.inf, -np.inf, 5e-324]
+    data = {"p": np.array([[complex(re, im) for im in parts] for re in parts])}
+    path = tmp_path / "mats.csv"
+    write_complex_csv(path, data)
+    back = read_complex_csv(path)["p"]
+    assert same_bits(back, data["p"])
+
+
+def test_file_that_is_not_utf8_is_a_config_error_naming_it(tmp_path):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes("name,row,col,re,im\n\u00e9,0,0,1.0,2.0\n"
+                     .encode("latin-1"))
+    with pytest.raises(ConfigError, match=r"latin1\.csv is not UTF-8"):
+        read_complex_csv(path)
 
 
 def test_rewrite_is_byte_identical(tmp_path):

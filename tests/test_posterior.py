@@ -199,3 +199,20 @@ def test_assuming_matches_a_posterior_rebuilt_from_the_pilots():
                 assert same_bits(got.mean(k, n), want.mean(k, n))
                 assert same_bits(got.var_profile(k, n),
                                  want.var_profile(k, n))
+
+
+def test_the_kernel_of_each_user_and_block_is_kept_once_per_posterior():
+    # kept because it pays: rebuilding each kernel per call raises the
+    # benchmark's peak RSS (see ROADMAP, "Kept mechanisms")
+    cfg = small_cfg(m_t=8, m_k=(2, 3), n_b=3)
+    _, _, _, post = make_instance(cfg, np.random.default_rng(4))
+    for k in range(cfg.n_users):
+        for n in range(1, cfg.n_b + 1):
+            kern = post.kernel(k, n)
+            assert kern is post.kernel(k, n)
+            assert same_bits(kern.var_profile, post.var_profile(k, n))
+    # a posterior read under another alpha starts its own cache
+    other = post.assuming(0.5)
+    kern = other.kernel(0, 2)
+    assert kern is not post.kernel(0, 2) and kern is other.kernel(0, 2)
+    assert same_bits(kern.var_profile, other.var_profile(0, 2))
