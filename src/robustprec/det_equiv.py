@@ -10,6 +10,13 @@ the tests' cross-check.
 
 For a zero-variance posterior the operators vanish and the rate collapses
 to the exact logdet, so the evaluation is exact under perfect CSI.
+
+From m_t = _FFT_FROM (64) on, the solver and form 1 work in beam
+coordinates: with p~ = V^H p formed once per solve and the transmit-side
+remainder held as its beam diagonal g, a sweep's products are d x d and
+m_k x m_k and cost O(m_t (m_k + d)^2), and a solve holds no m_t x m_t
+matrix; its tx_gain is rebuilt from tx_factors on read.  Below 64 the dense
+sweep keeps its bits, the split the operators make.
 """
 from __future__ import annotations
 
@@ -18,12 +25,15 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .channel import _dft_conj
 from .errors import FixedPointError, NumericalError
 from .operators import (
+    _FFT_FROM,
     hermitize,
     interference_covariance,
     mean_quadratic_rx,
     mean_quadratic_tx,
+    tx_gain_diag,
 )
 
 
@@ -52,9 +62,12 @@ def _rel_change(new, old):
 class DEState:
     """Converged fixed-point quantities for one (user, block, precoder set).
 
-    The general solver fills it with matrices; the beam-domain solver, for
-    zero-mean posteriors, with the diagonals of the same quantities as
-    per-beam (transmit side) and per-receive-dimension vectors.
+    The general solver fills it with matrices, but from m_t = _FFT_FROM
+    (64) on holds no m_t x m_t one: its sweep runs in beam coordinates, so
+    held_tx_gain is None and tx_gain is rebuilt from tx_factors on each
+    read.  The beam-domain solver, for zero-mean posteriors, fills it with
+    the diagonals of the same quantities as per-beam (transmit side) and
+    per-receive-dimension vectors.
 
     tx_gain: m_t x m_t effective transmit-side gain; the DE rate reads
         logdet(I + tx_gain P P^H) + correction terms.  A property: it is
@@ -73,8 +86,8 @@ class DEState:
         tx_gain = hermitize(E[H~^H L G L H~] + (L M)^H F^-1 L M).  A held
         state (held_tx_gain None), as de_weighted_sum_rate returns, keeps
         these O(m_k m_t) factors alone, and each read of tx_gain rebuilds
-        the m_t x m_t matrix by the sweep's own operations, so every bit
-        matches.
+        the m_t x m_t matrix by the dense sweep's own operations, so below
+        m_t = 64 every bit matches the held matrix.
     """
 
     held_tx_gain: np.ndarray
@@ -100,19 +113,21 @@ def _tx_gain(e_tx, lm, sol):
     return hermitize(e_tx + lm.conj().T @ sol)
 
 
-def _damped_sweeps(sweep, cold, init, tol, max_iter, gains=None):
+def _damped_sweeps(sweep, cold, init, tol, max_iter, gains=None,
+                   tx_change=_rel_change):
     """The sweep loop and damping rule of both DE solvers.
 
     sweep(stream_mse, rx_mse) maps the carried resolvents to fresh
     (tx_gain, rx_gain, stream_mse, rx_mse).  Sweep 1 starts from the
     resolvents of the DEState init when given (a warm start), else from
     cold, a (stream_mse, rx_mse) pair.  The residual is the relative
-    Frobenius change of the gains between sweeps; sweep 1 is measured
-    against gains when given, else its residual is infinite.  The next
-    carry is the proposed one blended halfway with the current one (damping
-    0.5) when the residual grew, or when the proposed step reverses the last
-    one (negative real inner product) while the residual fell by less than
-    10%, which is how a slowly shrinking two-cycle shows.  Raises
+    Frobenius change of the gains between sweeps, the transmit gain's as
+    tx_change(new, old) reads it from what sweep returns; sweep 1 is
+    measured against gains when given, else its residual is infinite.  The
+    next carry is the proposed one blended halfway with the current one
+    (damping 0.5) when the residual grew, or when the proposed step reverses
+    the last one (negative real inner product) while the residual fell by
+    less than 10%, which is how a slowly shrinking two-cycle shows.  Raises
     FixedPointError if tol is not reached within max_iter sweeps, or if a
     sweep meets a singular matrix.
     """
@@ -126,7 +141,7 @@ def _damped_sweeps(sweep, cold, init, tol, max_iter, gains=None):
             raise FixedPointError(f"DE fixed point: sweep {it} failed: {e}") from None
         if gains is not None:
             with np.errstate(over="ignore", invalid="ignore"):  # FixedPointError reports it
-                res = max(_rel_change(tx_gain, gains[0]), _rel_change(rx_gain, gains[1]))
+                res = max(tx_change(tx_gain, gains[0]), _rel_change(rx_gain, gains[1]))
         gains = tx_gain, rx_gain
         if res <= tol:
             return DEState(tx_gain, rx_gain, *proposed, it, res)
@@ -142,12 +157,50 @@ def _damped_sweeps(sweep, cold, init, tol, max_iter, gains=None):
         f"DE fixed point: residual {res:.3e} > tol {tol:.1e} after {max_iter} sweeps")
 
 
+def _to_beams(x):
+    """V^H x, the rows of x in beam coordinates: V is symmetric, so V^H is
+    its conjugate, which channel keeps."""
+    return _dft_conj(x.shape[0]) @ x
+
+
+def _beam_rx_moment(kern, pt, g):
+    """mean_quadratic_rx(kern, p g p^H) from pt = V^H p: diag(V^H p g p^H V)
+    is the row sums of (pt g) o conj(pt), so no m_t x m_t matrix is formed."""
+    d = np.einsum("ij,ij->i", pt @ g, pt.conj()).real
+    return (kern.u * (kern.var_profile @ d)) @ kern.u.conj().T
+
+
+def _beam_tx_change(q):
+    """tx_change of the beam sweep, whose transmit gain is the pair (g, m)
+    with tx_gain = V diag(g) V^H + q m q^H, for q the orthonormal factor of
+    (L M)^H = q r, so that (L M)^H F^-1 L M = q (r F^-1 L M q) q^H.
+
+    V is unitary, so ||tx_gain||_F = ||diag(g) + w m w^H||_F with
+    w = V^H q, whose square is g.g + 2 g.Re diag(w m w^H) + ||m||_F^2 for
+    real g and any m: the relative change of the m_t x m_t gain in
+    O(m_t m_k^2).
+    """
+    w = _to_beams(q)
+
+    def sq_norm(g, m):
+        diag = np.einsum("ij,ij->i", w @ m, w.conj()).real
+        return g @ g + 2 * (g @ diag) + np.vdot(m, m).real
+
+    def change(new, old):
+        diff = sq_norm(new[0] - old[0], new[1] - old[1])
+        return np.sqrt(max(diff, 0.0)) / max(np.sqrt(sq_norm(*new)), 1e-300)
+
+    return change
+
+
 def solve_fixed_point(posterior, p, r, k, n, tol=1e-9, max_iter=500, init=None):
     """Solve the per-user DE fixed point by damped sweeps.
 
     One sweep maps the carried resolvents (stream_mse, rx_mse) through the
     correction factors to fresh gain matrices and back; the loop and its
-    damping are _damped_sweeps'.
+    damping are _damped_sweeps'.  From m_t = _FFT_FROM on the sweep runs in
+    beam coordinates and the state holds no m_t x m_t matrix (see DEState);
+    the residual is the same relative change, computed by _beam_tx_change.
 
     init: warm start from a previous DEState of the same shapes.  Raises
     FixedPointError if tol is not reached within max_iter sweeps, or if a
@@ -160,35 +213,64 @@ def solve_fixed_point(posterior, p, r, k, n, tol=1e-9, max_iter=500, init=None):
     l = inverse_sqrt_psd(r)
     lm = l @ mean
     mp = mean @ p
+    beams = kern.m_t >= _FFT_FROM
+    if beams:
+        pt = _to_beams(p)
+        lmp = lm @ p
+        q, upper = np.linalg.qr(lm.conj().T)
 
     factors = None  # the last sweep's, which built the returned tx_gain
 
     def sweep(g, gt):
         nonlocal factors
         c_rx = l @ gt @ l
-        e_tx = mean_quadratic_tx(kern, c_rx)
-        e_rx = mean_quadratic_rx(kern, p @ g @ p.conj().T)
-        stream_factor = eye_d + p.conj().T @ e_tx @ p
+        if beams:
+            gain = tx_gain_diag(kern, c_rx)
+            e_rx = _beam_rx_moment(kern, pt, g)
+            quad = (pt.conj().T * gain) @ pt  # p^H e_tx p
+        else:
+            e_tx = mean_quadratic_tx(kern, c_rx)
+            e_rx = mean_quadratic_rx(kern, p @ g @ p.conj().T)
+            quad = p.conj().T @ e_tx @ p
         rx_factor = eye_m + l @ e_rx @ l
         factors = kern, c_rx, lm, np.linalg.solve(rx_factor, lm)
-        tx_gain = _tx_gain(e_tx, lm, factors[3])
-        rx_gain = hermitize(e_rx + mp @ np.linalg.solve(stream_factor, mp.conj().T))
-        return (tx_gain, rx_gain, np.linalg.inv(eye_d + p.conj().T @ tx_gain @ p),
+        if beams:
+            tx_gain = gain, upper @ factors[3] @ q
+            tx_quad = quad + lmp.conj().T @ (factors[3] @ p)
+        else:
+            tx_gain = _tx_gain(e_tx, lm, factors[3])
+            tx_quad = p.conj().T @ tx_gain @ p
+        rx_gain = hermitize(e_rx + mp @ np.linalg.solve(eye_d + quad, mp.conj().T))
+        return (tx_gain, rx_gain, np.linalg.inv(eye_d + tx_quad),
                 np.linalg.inv(eye_m + l @ rx_gain @ l))
 
-    state = _damped_sweeps(sweep, (eye_d, eye_m), init, tol, max_iter)
+    state = _damped_sweeps(sweep, (eye_d, eye_m), init, tol, max_iter,
+                           tx_change=_beam_tx_change(q) if beams else _rel_change)
+    if beams:
+        state.held_tx_gain = None  # the pair (g, m); tx_factors rebuild it
     state.whitener, state.tx_factors = l, factors
     return state
 
 
 def de_rate_form1(state, posterior, p, k, n):
-    """DE rate, transmit-side form (nats); clamped at 0."""
+    """DE rate, transmit-side form (nats); clamped at 0.
+
+    From m_t = _FFT_FROM on it reads the transmit gain from tx_factors in
+    beam coordinates, as the sweep does, and forms no m_t x m_t matrix."""
     kern = posterior.kernel(k, n)
     l = state.whitener
     d = p.shape[1]
-    e_rx = mean_quadratic_rx(kern, p @ state.stream_mse @ p.conj().T)
+    if kern.m_t >= _FFT_FROM:
+        _, c_rx, lm, sol = state.tx_factors
+        pt = _to_beams(p)
+        e_rx = _beam_rx_moment(kern, pt, state.stream_mse)
+        tx_quad = ((pt.conj().T * tx_gain_diag(kern, c_rx)) @ pt
+                   + (lm @ p).conj().T @ (sol @ p))
+    else:
+        e_rx = mean_quadratic_rx(kern, p @ state.stream_mse @ p.conj().T)
+        tx_quad = p.conj().T @ state.tx_gain @ p
     t_rx = hermitize(l @ state.rx_mse @ l)
-    term1 = _logdet(np.eye(d) + p.conj().T @ state.tx_gain @ p)
+    term1 = _logdet(np.eye(d) + tx_quad)
     term2 = _logdet(np.eye(kern.m_k) + l @ e_rx @ l)
     term3 = np.trace(e_rx @ t_rx).real
     return max(term1 + term2 - term3, 0.0)
@@ -207,9 +289,9 @@ def de_weighted_sum_rate(posterior, precoders, weights, sigma2_z, n,
 
     Solves one fixed point per user (optionally warm-started from
     init_states) and sums the form-1 rates.  Also returns the per-user
-    states, held with their transmit gains as factors (form 1 is scored
-    first, from the matrix in hand), and interference covariances for reuse
-    by the optimizers.
+    states, held with their transmit gains as factors (below m_t = 64 form 1
+    is scored first, from the matrix in hand), and interference covariances
+    for reuse by the optimizers.
     """
     k_users = len(precoders)
     states, rates, covs = [], [], []

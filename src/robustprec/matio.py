@@ -64,10 +64,11 @@ def write_complex_csv(path, named):
 def read_complex_csv(path):
     """Read back {name: complex ndarray}; shapes come from the max indices.
 
-    A malformed row, a negative index or a repeated (name, row, col) entry
-    is a ConfigError naming the file and line; a matrix whose entries do not
-    fill its (1 + max row) x (1 + max col) grid is one naming the file and
-    the matrix, raised before anything is allocated."""
+    A malformed row (a field past the csv module's size limit included), a
+    negative index or a repeated (name, row, col) entry is a ConfigError
+    naming the file and line; a matrix whose entries do not fill its
+    (1 + max row) x (1 + max col) grid is one naming the file and the
+    matrix, raised before anything is allocated."""
     entries, first_line = {}, {}
     try:
         with open(path, newline="", encoding="utf-8") as f:
@@ -96,6 +97,8 @@ def read_complex_csv(path):
                 entries.setdefault(name, []).append(entry)
     except UnicodeDecodeError as e:
         raise ConfigError(f"{path} is not UTF-8: {e}") from None
+    except csv.Error as e:  # raised by the reader itself, e.g. a huge field
+        raise ConfigError(f"{path} line {r.line_num}: {e}") from None
     out = {}
     for name, items in entries.items():
         i, j, z = zip(*items)

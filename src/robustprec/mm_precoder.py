@@ -140,9 +140,13 @@ def mu_bisection(rhs_list, shaping_list, p_total, tol_power=1e-6):
     shaping_list may be an iterator, read once in user order: one that
     hands each shaping over lets it go right after its eigendecomposition.
     The returned power never exceeds the budget: bisection keeps the
-    feasible side of the bracket.
+    feasible side of the bracket.  A NaN in a shaping or right-hand side is
+    a BisectionError.
     """
     basis = _eigenbases(rhs_list, shaping_list)
+    if any(np.isnan(lam).any() or np.isnan(coef).any() for lam, _, coef in basis):
+        # the probe would skip such rows and hand back NaN precoders
+        raise BisectionError("power bisection: a shaping or right-hand side is NaN")
 
     def build(mu):
         out = []

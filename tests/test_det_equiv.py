@@ -2,8 +2,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
+from robustprec import det_equiv
 from robustprec.beam_domain import canonical_allocation
-from robustprec.channel import BeamProfile, generate_synthetic_stats
+from robustprec.channel import (
+    BeamProfile,
+    crandn,
+    dft_matrix,
+    generate_synthetic_stats,
+)
 from robustprec.config import SystemConfig, at_noise, noise_from_snr
 from robustprec.det_equiv import (
     de_rate_form1,
@@ -232,6 +238,50 @@ def test_a_held_state_rebuilds_the_tx_gain_of_a_fresh_solve_bit_for_bit():
             assert same_bits(state.tx_gain, fresh.tx_gain)
             assert same_bits(state.tx_gain, state.tx_gain)
             assert de_rate_form1(fresh, post, ps[k], k, 2) == res.rates[k]
+
+
+@pytest.mark.parametrize("m_t", [64, 65, 128])
+def test_the_beam_sweep_matches_the_dense_sweep(monkeypatch, m_t):
+    # from m_t = 64 a solve runs in beam coordinates and holds no m_t x m_t
+    # matrix; the dense sweep, forced at the same inputs, takes the same
+    # sweeps to the same state and form-1 rate up to round-off
+    rng = np.random.default_rng(m_t)
+    cfg, post, precoders = _instance(rng, m_t=m_t, m_k=(2, 1, 2))
+    for k, p in enumerate(precoders):
+        r = interference_covariance(post, precoders, k, 2, cfg.sigma2_z)
+        beam = solve_fixed_point(post, p, r, k, 2)
+        beam_rate = de_rate_form1(beam, post, p, k, 2)
+        with monkeypatch.context() as patch:
+            patch.setattr(det_equiv, "_FFT_FROM", m_t + 1)
+            dense = solve_fixed_point(post, p, r, k, 2)
+            dense_rate = de_rate_form1(dense, post, p, k, 2)
+        assert beam.held_tx_gain is None and dense.held_tx_gain is not None
+        arrays = [*vars(beam).values(), *beam.tx_factors]
+        assert not any(isinstance(a, np.ndarray) and a.shape == (m_t, m_t)
+                       for a in arrays)
+        assert beam.iterations == dense.iterations
+        for name in ("stream_mse", "rx_mse", "rx_gain", "tx_gain"):
+            assert relerr(getattr(beam, name), getattr(dense, name)) <= 1e-12
+        assert abs(beam_rate - dense_rate) <= 1e-12 * dense_rate
+
+
+@pytest.mark.parametrize("m_t", [64, 65])
+def test_the_beam_residual_is_the_relative_change_of_the_dense_gain(m_t):
+    # the beam sweep's transmit gain (g, m) stands for
+    # V diag(g) V^H + q m q^H, q orthonormal and m any square matrix, and
+    # its change is measured as that matrix's relative Frobenius change
+    rng = np.random.default_rng(m_t)
+    q = np.linalg.qr(crandn(rng, m_t, 3))[0]
+    v = dft_matrix(m_t)
+
+    def dense(g, m):
+        return (v * g) @ v.conj().T + q @ m @ q.conj().T
+
+    new = rng.random(m_t), crandn(rng, 3, 3)
+    old = rng.random(m_t), crandn(rng, 3, 3)
+    want = relerr(dense(*old), dense(*new))  # ||new - old|| / ||new||
+    got = det_equiv._beam_tx_change(q)(new, old)
+    assert abs(got - want) <= 1e-12 * want
 
 
 @pytest.mark.parametrize("snr_db", [40.0, 80.0])

@@ -50,6 +50,16 @@ def test_file_that_is_not_utf8_is_a_config_error_naming_it(tmp_path):
         read_complex_csv(path)
 
 
+def test_field_past_the_csv_size_limit_is_a_config_error_naming_file_and_line(
+        tmp_path):
+    path = tmp_path / "huge.csv"
+    path.write_text("name,row,col,re,im\np,0,0,1.0,2.0\np,0,1,"
+                    + "1" * 200_000 + ",0.0\n")
+    with pytest.raises(ConfigError,
+                       match=r"huge\.csv line 3: field larger than field limit"):
+        read_complex_csv(path)
+
+
 def test_rewrite_is_byte_identical(tmp_path):
     rng = default_rng(1)
     data = {"p": rng.standard_normal((4, 3)) * 1j + rng.standard_normal((4, 3))}

@@ -356,6 +356,17 @@ def test_mu_bisection_unbracketable_raises():
         mu_bisection(rhs, [np.zeros((1, 1))], 1.0)
 
 
+@pytest.mark.parametrize("where", ["shaping", "rhs"])
+def test_mu_bisection_with_a_nan_input_raises(where):
+    # a NaN shaping or right-hand side once left its user out of the power
+    # probe and came back as a NaN precoder
+    shapings = [np.eye(4, dtype=complex), np.eye(4, dtype=complex)]
+    rhs = [np.ones((4, 1), dtype=complex), np.ones((4, 1), dtype=complex)]
+    (shapings if where == "shaping" else rhs)[1][1, 0] = np.nan
+    with pytest.raises(BisectionError, match="NaN"):
+        mu_bisection(rhs, shapings, 1.0)
+
+
 # ---------------------------------------------------------------------------
 # the two MM algorithms
 
