@@ -11,12 +11,11 @@ the tests' cross-check.
 For a zero-variance posterior the operators vanish and the rate collapses
 to the exact logdet, so the evaluation is exact under perfect CSI.
 
-From m_t = _FFT_FROM (64) on, the solver and form 1 work in beam
-coordinates: with p~ = V^H p formed once per solve and the transmit-side
-remainder held as its beam diagonal g, a sweep's products are d x d and
-m_k x m_k and cost O(m_t (m_k + d)^2), and a solve holds no m_t x m_t
-matrix; its tx_gain is rebuilt from tx_factors on read.  Below 64 the dense
-sweep keeps its bits, the split the operators make.
+The solver and form 1 work in beam coordinates: with p~ = V^H p formed once
+per solve and the transmit-side remainder held as its beam diagonal g, a
+sweep's products are d x d and m_k x m_k and cost O(m_t (m_k + d)^2), and a
+solve holds no m_t x m_t matrix; its tx_gain is rebuilt from tx_factors on
+read.
 """
 from __future__ import annotations
 
@@ -28,10 +27,8 @@ import numpy as np
 from .channel import _dft_conj
 from .errors import FixedPointError, NumericalError
 from .operators import (
-    _FFT_FROM,
     hermitize,
     interference_covariance,
-    mean_quadratic_rx,
     mean_quadratic_tx,
     tx_gain_diag,
 )
@@ -62,16 +59,16 @@ def _rel_change(new, old):
 class DEState:
     """Converged fixed-point quantities for one (user, block, precoder set).
 
-    The general solver fills it with matrices, but from m_t = _FFT_FROM
-    (64) on holds no m_t x m_t one: its sweep runs in beam coordinates, so
-    held_tx_gain is None and tx_gain is rebuilt from tx_factors on each
-    read.  The beam-domain solver, for zero-mean posteriors, fills it with
-    the diagonals of the same quantities as per-beam (transmit side) and
-    per-receive-dimension vectors.
+    The general solver fills it with matrices but holds no m_t x m_t one:
+    its sweep runs in beam coordinates, so held_tx_gain is None and tx_gain
+    is rebuilt from tx_factors on each read.  The beam-domain solver, for
+    zero-mean posteriors, fills it with the diagonals of the same quantities
+    as per-beam (transmit side) and per-receive-dimension vectors, and holds
+    its tx_gain.
 
     tx_gain: m_t x m_t effective transmit-side gain; the DE rate reads
         logdet(I + tx_gain P P^H) + correction terms.  A property: it is
-        held_tx_gain while the state holds the matrix, else rebuilt.
+        held_tx_gain when the state holds one, else rebuilt.
     rx_gain: m_k x m_k effective receive-side signal covariance.
     stream_mse: (I + P^H tx_gain P)^-1, the DE of the per-stream MSE matrix
         (per beam, 1 off the active support, in the beam domain).
@@ -83,11 +80,9 @@ class DEState:
         (None in the beam domain): (kernel, L G L, L M, F^-1 L M) with L
         the whitener, G the receive-side resolvent that entered the sweep,
         M the posterior mean and F the sweep's receive-side factor, so
-        tx_gain = hermitize(E[H~^H L G L H~] + (L M)^H F^-1 L M).  A held
-        state (held_tx_gain None), as de_weighted_sum_rate returns, keeps
-        these O(m_k m_t) factors alone, and each read of tx_gain rebuilds
-        the m_t x m_t matrix by the dense sweep's own operations, so below
-        m_t = 64 every bit matches the held matrix.
+        tx_gain = hermitize(E[H~^H L G L H~] + (L M)^H F^-1 L M).  These
+        O(m_k m_t) factors are all the state keeps of it, and each read of
+        tx_gain rebuilds the m_t x m_t matrix from them, bit for bit alike.
     """
 
     held_tx_gain: np.ndarray
@@ -104,13 +99,7 @@ class DEState:
         if self.held_tx_gain is not None:
             return self.held_tx_gain
         kern, c_rx, lm, sol = self.tx_factors
-        return _tx_gain(mean_quadratic_tx(kern, c_rx), lm, sol)
-
-
-def _tx_gain(e_tx, lm, sol):
-    """The transmit-side gain from its remainder term e_tx and the factors
-    of its mean term."""
-    return hermitize(e_tx + lm.conj().T @ sol)
+        return hermitize(mean_quadratic_tx(kern, c_rx) + lm.conj().T @ sol)
 
 
 def _damped_sweeps(sweep, cold, init, tol, max_iter, gains=None,
@@ -178,7 +167,9 @@ def _beam_tx_change(q):
     V is unitary, so ||tx_gain||_F = ||diag(g) + w m w^H||_F with
     w = V^H q, whose square is g.g + 2 g.Re diag(w m w^H) + ||m||_F^2 for
     real g and any m: the relative change of the m_t x m_t gain in
-    O(m_t m_k^2).
+    O(m_t m_k^2).  A square that overflows is taken again with (g, m)
+    scaled by the exact power of two that brings their largest entry below
+    1, so the norm stays finite wherever the gain is.
     """
     w = _to_beams(q)
 
@@ -186,9 +177,16 @@ def _beam_tx_change(q):
         diag = np.einsum("ij,ij->i", w @ m, w.conj()).real
         return g @ g + 2 * (g @ diag) + np.vdot(m, m).real
 
+    def norm(g, m):
+        sq, scale = sq_norm(g, m), 1.0
+        if not np.isfinite(sq):
+            scale = np.ldexp(1.0, -np.frexp(max(np.abs(g).max(), np.abs(m).max()))[1])
+            sq = sq_norm(scale * g, scale * m)
+        return np.sqrt(max(sq, 0.0)) / scale
+
     def change(new, old):
-        diff = sq_norm(new[0] - old[0], new[1] - old[1])
-        return np.sqrt(max(diff, 0.0)) / max(np.sqrt(sq_norm(*new)), 1e-300)
+        diff = norm(new[0] - old[0], new[1] - old[1])
+        return diff / max(norm(*new), 1e-300)
 
     return change
 
@@ -197,10 +195,10 @@ def solve_fixed_point(posterior, p, r, k, n, tol=1e-9, max_iter=500, init=None):
     """Solve the per-user DE fixed point by damped sweeps.
 
     One sweep maps the carried resolvents (stream_mse, rx_mse) through the
-    correction factors to fresh gain matrices and back; the loop and its
-    damping are _damped_sweeps'.  From m_t = _FFT_FROM on the sweep runs in
-    beam coordinates and the state holds no m_t x m_t matrix (see DEState);
-    the residual is the same relative change, computed by _beam_tx_change.
+    correction factors to fresh gains and back; the loop and its damping
+    are _damped_sweeps'.  The sweep runs in beam coordinates and the state
+    holds no m_t x m_t matrix (see DEState); the residual is the relative
+    change of the transmit gain all the same, computed by _beam_tx_change.
 
     init: warm start from a previous DEState of the same shapes.  Raises
     FixedPointError if tol is not reached within max_iter sweeps, or if a
@@ -213,41 +211,29 @@ def solve_fixed_point(posterior, p, r, k, n, tol=1e-9, max_iter=500, init=None):
     l = inverse_sqrt_psd(r)
     lm = l @ mean
     mp = mean @ p
-    beams = kern.m_t >= _FFT_FROM
-    if beams:
-        pt = _to_beams(p)
-        lmp = lm @ p
-        q, upper = np.linalg.qr(lm.conj().T)
+    lmp = lm @ p
+    pt = _to_beams(p)
+    q, upper = np.linalg.qr(lm.conj().T)
 
     factors = None  # the last sweep's, which built the returned tx_gain
 
     def sweep(g, gt):
         nonlocal factors
         c_rx = l @ gt @ l
-        if beams:
-            gain = tx_gain_diag(kern, c_rx)
-            e_rx = _beam_rx_moment(kern, pt, g)
-            quad = (pt.conj().T * gain) @ pt  # p^H e_tx p
-        else:
-            e_tx = mean_quadratic_tx(kern, c_rx)
-            e_rx = mean_quadratic_rx(kern, p @ g @ p.conj().T)
-            quad = p.conj().T @ e_tx @ p
+        gain = tx_gain_diag(kern, c_rx)
+        e_rx = _beam_rx_moment(kern, pt, g)
+        quad = (pt.conj().T * gain) @ pt  # p^H e_tx p
         rx_factor = eye_m + l @ e_rx @ l
         factors = kern, c_rx, lm, np.linalg.solve(rx_factor, lm)
-        if beams:
-            tx_gain = gain, upper @ factors[3] @ q
-            tx_quad = quad + lmp.conj().T @ (factors[3] @ p)
-        else:
-            tx_gain = _tx_gain(e_tx, lm, factors[3])
-            tx_quad = p.conj().T @ tx_gain @ p
+        tx_quad = quad + lmp.conj().T @ (factors[3] @ p)
         rx_gain = hermitize(e_rx + mp @ np.linalg.solve(eye_d + quad, mp.conj().T))
-        return (tx_gain, rx_gain, np.linalg.inv(eye_d + tx_quad),
+        return ((gain, upper @ factors[3] @ q), rx_gain,
+                np.linalg.inv(eye_d + tx_quad),
                 np.linalg.inv(eye_m + l @ rx_gain @ l))
 
     state = _damped_sweeps(sweep, (eye_d, eye_m), init, tol, max_iter,
-                           tx_change=_beam_tx_change(q) if beams else _rel_change)
-    if beams:
-        state.held_tx_gain = None  # the pair (g, m); tx_factors rebuild it
+                           tx_change=_beam_tx_change(q))
+    state.held_tx_gain = None  # the pair (g, m); tx_factors rebuild it
     state.whitener, state.tx_factors = l, factors
     return state
 
@@ -255,22 +241,17 @@ def solve_fixed_point(posterior, p, r, k, n, tol=1e-9, max_iter=500, init=None):
 def de_rate_form1(state, posterior, p, k, n):
     """DE rate, transmit-side form (nats); clamped at 0.
 
-    From m_t = _FFT_FROM on it reads the transmit gain from tx_factors in
-    beam coordinates, as the sweep does, and forms no m_t x m_t matrix."""
+    It reads the transmit gain from tx_factors in beam coordinates, as the
+    sweep does, and forms no m_t x m_t matrix."""
     kern = posterior.kernel(k, n)
     l = state.whitener
-    d = p.shape[1]
-    if kern.m_t >= _FFT_FROM:
-        _, c_rx, lm, sol = state.tx_factors
-        pt = _to_beams(p)
-        e_rx = _beam_rx_moment(kern, pt, state.stream_mse)
-        tx_quad = ((pt.conj().T * tx_gain_diag(kern, c_rx)) @ pt
-                   + (lm @ p).conj().T @ (sol @ p))
-    else:
-        e_rx = mean_quadratic_rx(kern, p @ state.stream_mse @ p.conj().T)
-        tx_quad = p.conj().T @ state.tx_gain @ p
+    _, c_rx, lm, sol = state.tx_factors
+    pt = _to_beams(p)
+    e_rx = _beam_rx_moment(kern, pt, state.stream_mse)
+    tx_quad = ((pt.conj().T * tx_gain_diag(kern, c_rx)) @ pt
+               + (lm @ p).conj().T @ (sol @ p))
     t_rx = hermitize(l @ state.rx_mse @ l)
-    term1 = _logdet(np.eye(d) + tx_quad)
+    term1 = _logdet(np.eye(p.shape[1]) + tx_quad)
     term2 = _logdet(np.eye(kern.m_k) + l @ e_rx @ l)
     term3 = np.trace(e_rx @ t_rx).real
     return max(term1 + term2 - term3, 0.0)
@@ -289,9 +270,8 @@ def de_weighted_sum_rate(posterior, precoders, weights, sigma2_z, n,
 
     Solves one fixed point per user (optionally warm-started from
     init_states) and sums the form-1 rates.  Also returns the per-user
-    states, held with their transmit gains as factors (below m_t = 64 form 1
-    is scored first, from the matrix in hand), and interference covariances
-    for reuse by the optimizers.
+    states, which hold their transmit gains as factors, and interference
+    covariances for reuse by the optimizers.
     """
     k_users = len(precoders)
     states, rates, covs = [], [], []
@@ -299,10 +279,8 @@ def de_weighted_sum_rate(posterior, precoders, weights, sigma2_z, n,
         r = interference_covariance(posterior, precoders, k, n, sigma2_z)
         init = init_states[k] if init_states is not None else None
         state = solve_fixed_point(posterior, precoders[k], r, k, n, init=init)
-        rate = de_rate_form1(state, posterior, precoders[k], k, n)
-        state.held_tx_gain = None  # tx_factors rebuild it
         states.append(state)
-        rates.append(rate)
+        rates.append(de_rate_form1(state, posterior, precoders[k], k, n))
         covs.append(r)
     total = _weighted_total(weights, rates, f"the DE weighted sum rate at block {n}")
     return DESumRate(total, rates, states, covs)

@@ -60,20 +60,21 @@ def signal_gain(posterior, r, k, n):
 
 
 def self_penalty(gain, state, p):
-    """Own-rate curvature penalty: gain - (I + tx_gain P P^H)^-1 tx_gain."""
-    m_t = gain.shape[0]
-    tx_gain = state.tx_gain
-    lhs = np.eye(m_t, dtype=complex) + tx_gain @ (p @ p.conj().T)
-    return hermitize(gain - np.linalg.solve(lhs, tx_gain))
-
-
-def self_penalty_lowrank(gain, state, p):
-    """self_penalty via the inversion lemma: only a d x d system is solved."""
+    """Own-rate curvature penalty: gain - (I + tx_gain P P^H)^-1 tx_gain,
+    by the inversion lemma, so only a d x d system is solved."""
     d = p.shape[1]
     tx_gain = state.tx_gain
     gp = tx_gain @ p
     core = np.eye(d, dtype=complex) + p.conj().T @ gp
-    return hermitize(gain - tx_gain + gp @ np.linalg.solve(core, gp.conj().T))
+    out = gain - tx_gain
+    del tx_gain  # a rebuild only this call holds; let it go early
+    out += gp @ np.linalg.solve(core, gp.conj().T)
+    return hermitize(out)
+
+
+# the one function under its former second name too: perfbench's traced
+# runs look up a span of every public name they list, this one included
+self_penalty_lowrank = self_penalty
 
 
 def leakage_penalty(posterior, state, r, k, n):
@@ -279,12 +280,13 @@ def mm_full(posterior, cfg, n, init, iters=30, obj_tol=1e-8, tol_power=1e-6,
             gain = signal_gain(posterior, covs[k], k, n)
             shapings.append(weights[k] * self_penalty(gain, states[k], precoders[k]))
             rhs.append(weights[k] * gain @ precoders[k])
+        del gain  # the search reads it only through shapings and rhs
         for l in range(k_users):
             leak = weights[l] * leakage_penalty(posterior, states[l], covs[l], l, n)
             for k in range(k_users):
                 if k != l:
                     shapings[k] += leak
-        del gain, leak  # the search reads them only through shapings and rhs
+            del leak  # gone before the next one is formed
         # handed over one at a time: each shaping goes once the search has
         # its eigenvectors
         return mu_bisection(rhs, (shapings.pop(0) for _ in rhs), cfg.p_total,
@@ -310,7 +312,7 @@ def mm_shared(posterior, cfg, n, init, iters=30, obj_tol=1e-8, tol_power=1e-6,
         shared, rhs = None, []
         for k in range(k_users):
             gain = signal_gain(posterior, covs[k], k, n)
-            self_pen = self_penalty_lowrank(gain, states[k], precoders[k])
+            self_pen = self_penalty(gain, states[k], precoders[k])
             leak = leakage_penalty(posterior, states[k], covs[k], k, n)
             if shared is None:
                 shared = weights[k] * leak

@@ -17,6 +17,7 @@ from robustprec.channel import (
     uplink_observation,
 )
 from robustprec.config import SystemConfig, noise_from_snr
+from robustprec.det_equiv import _damped_sweeps, inverse_sqrt_psd
 from robustprec.errors import BisectionError
 from robustprec.evaluation import MCRate
 from robustprec.mm_precoder import (
@@ -26,12 +27,12 @@ from robustprec.mm_precoder import (
     leakage_penalty,
     mu_bisection,
     self_penalty,
-    self_penalty_lowrank,
     signal_gain,
 )
 from robustprec.operators import (
     hermitize,
     interference_covariance,
+    mean_quadratic_rx,
     mean_quadratic_tx,
     tx_gain_diag,
 )
@@ -79,6 +80,46 @@ def de_rate_form2(state, posterior, p, k, n):
     term2 = float(np.linalg.slogdet(np.eye(d) + p.conj().T @ e_tx @ p)[1])
     term3 = np.trace(pgp @ e_tx).real
     return max(term1 + term2 - term3, 0.0)
+
+
+def dense_fixed_point(posterior, p, r, k, n, tol=1e-9, max_iter=500):
+    """det_equiv.solve_fixed_point by the dense sweep, which forms and holds
+    the m_t x m_t transmit gain every sweep and measures its change as a
+    matrix, and the form-1 rate of its state scored densely as well.
+    Returns (state, rate); the state holds the matrix as held_tx_gain."""
+    kern = posterior.kernel(k, n)
+    mean = posterior.mean(k, n)
+    eye_d = np.eye(p.shape[1], dtype=complex)
+    eye_m = np.eye(kern.m_k, dtype=complex)
+    l = inverse_sqrt_psd(r)
+    lm = l @ mean
+    mp = mean @ p
+
+    def sweep(g, gt):
+        e_tx = mean_quadratic_tx(kern, l @ gt @ l)
+        e_rx = mean_quadratic_rx(kern, p @ g @ p.conj().T)
+        quad = p.conj().T @ e_tx @ p
+        tx_gain = hermitize(e_tx + lm.conj().T @ np.linalg.solve(
+            eye_m + l @ e_rx @ l, lm))
+        rx_gain = hermitize(e_rx + mp @ np.linalg.solve(eye_d + quad,
+                                                        mp.conj().T))
+        return (tx_gain, rx_gain, np.linalg.inv(eye_d + p.conj().T @ tx_gain @ p),
+                np.linalg.inv(eye_m + l @ rx_gain @ l))
+
+    state = _damped_sweeps(sweep, (eye_d, eye_m), None, tol, max_iter)
+    e_rx = mean_quadratic_rx(kern, p @ state.stream_mse @ p.conj().T)
+    rate = (float(np.linalg.slogdet(eye_d + p.conj().T @ state.tx_gain @ p)[1])
+            + float(np.linalg.slogdet(eye_m + l @ e_rx @ l)[1])
+            - np.trace(e_rx @ hermitize(l @ state.rx_mse @ l)).real)
+    return state, max(rate, 0.0)
+
+
+def self_penalty_oracle(gain, state, p):
+    """mm_precoder.self_penalty by the full m_t x m_t solve:
+    gain - (I + tx_gain P P^H)^-1 tx_gain."""
+    tx_gain = state.tx_gain
+    lhs = np.eye(gain.shape[0], dtype=complex) + tx_gain @ (p @ p.conj().T)
+    return hermitize(gain - np.linalg.solve(lhs, tx_gain))
 
 
 def relerr(got, want):
@@ -321,8 +362,7 @@ def mm_ascent_oracle(posterior, cfg, n, init, iters, shared, obj_tol=1e-8,
 
     def step(precoders, states, covs):
         gains = [signal_gain(posterior, covs[k], k, n) for k in users]
-        penalty = self_penalty_lowrank if shared else self_penalty
-        selfs = [penalty(gains[k], states[k], precoders[k]) for k in users]
+        selfs = [self_penalty(gains[k], states[k], precoders[k]) for k in users]
         leaks = [leakage_penalty(posterior, states[k], covs[k], k, n)
                  for k in users]
         if not shared:

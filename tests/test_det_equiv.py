@@ -29,6 +29,7 @@ from robustprec.posterior import build_posterior
 
 from helpers import (
     de_rate_form2,
+    dense_fixed_point,
     make_instance,
     rand_hermitian_psd,
     random_precoder_set,
@@ -234,28 +235,24 @@ def test_a_held_state_rebuilds_the_tx_gain_of_a_fresh_solve_bit_for_bit():
             fresh = solve_fixed_point(post, ps[k], res.covariances[k], k, 2,
                                       init=inits[k])
             assert state.held_tx_gain is None
-            assert fresh.held_tx_gain is not None
             assert same_bits(state.tx_gain, fresh.tx_gain)
             assert same_bits(state.tx_gain, state.tx_gain)
             assert de_rate_form1(fresh, post, ps[k], k, 2) == res.rates[k]
 
 
-@pytest.mark.parametrize("m_t", [64, 65, 128])
-def test_the_beam_sweep_matches_the_dense_sweep(monkeypatch, m_t):
-    # from m_t = 64 a solve runs in beam coordinates and holds no m_t x m_t
-    # matrix; the dense sweep, forced at the same inputs, takes the same
-    # sweeps to the same state and form-1 rate up to round-off
+@pytest.mark.parametrize("m_t", [8, 16, 32, 64, 65, 128])
+def test_the_beam_sweep_matches_the_dense_sweep(m_t):
+    # a solve runs in beam coordinates and holds no m_t x m_t matrix; the
+    # dense sweep at the same inputs takes the same sweeps to the same state
+    # and form-1 rate up to round-off
     rng = np.random.default_rng(m_t)
     cfg, post, precoders = _instance(rng, m_t=m_t, m_k=(2, 1, 2))
     for k, p in enumerate(precoders):
         r = interference_covariance(post, precoders, k, 2, cfg.sigma2_z)
         beam = solve_fixed_point(post, p, r, k, 2)
         beam_rate = de_rate_form1(beam, post, p, k, 2)
-        with monkeypatch.context() as patch:
-            patch.setattr(det_equiv, "_FFT_FROM", m_t + 1)
-            dense = solve_fixed_point(post, p, r, k, 2)
-            dense_rate = de_rate_form1(dense, post, p, k, 2)
-        assert beam.held_tx_gain is None and dense.held_tx_gain is not None
+        dense, dense_rate = dense_fixed_point(post, p, r, k, 2)
+        assert beam.held_tx_gain is None
         arrays = [*vars(beam).values(), *beam.tx_factors]
         assert not any(isinstance(a, np.ndarray) and a.shape == (m_t, m_t)
                        for a in arrays)
@@ -265,12 +262,9 @@ def test_the_beam_sweep_matches_the_dense_sweep(monkeypatch, m_t):
         assert abs(beam_rate - dense_rate) <= 1e-12 * dense_rate
 
 
-@pytest.mark.parametrize("m_t", [64, 65])
-def test_the_beam_residual_is_the_relative_change_of_the_dense_gain(m_t):
-    # the beam sweep's transmit gain (g, m) stands for
-    # V diag(g) V^H + q m q^H, q orthonormal and m any square matrix, and
-    # its change is measured as that matrix's relative Frobenius change
-    rng = np.random.default_rng(m_t)
+def _beam_and_dense_gains(rng, m_t):
+    """(change, new, old, dense): the beam residual of q, two (g, m) pairs,
+    and the m_t x m_t gain V diag(g) V^H + q m q^H each pair stands for."""
     q = np.linalg.qr(crandn(rng, m_t, 3))[0]
     v = dft_matrix(m_t)
 
@@ -279,8 +273,30 @@ def test_the_beam_residual_is_the_relative_change_of_the_dense_gain(m_t):
 
     new = rng.random(m_t), crandn(rng, 3, 3)
     old = rng.random(m_t), crandn(rng, 3, 3)
+    return det_equiv._beam_tx_change(q), new, old, dense
+
+
+@pytest.mark.parametrize("m_t", [64, 65])
+def test_the_beam_residual_is_the_relative_change_of_the_dense_gain(m_t):
+    # the beam sweep's transmit gain (g, m) stands for
+    # V diag(g) V^H + q m q^H, q orthonormal and m any square matrix, and
+    # its change is measured as that matrix's relative Frobenius change
+    change, new, old, dense = _beam_and_dense_gains(
+        np.random.default_rng(m_t), m_t)
     want = relerr(dense(*old), dense(*new))  # ||new - old|| / ||new||
-    got = det_equiv._beam_tx_change(q)(new, old)
+    assert abs(change(new, old) - want) <= 1e-12 * want
+
+
+@pytest.mark.parametrize("m_t", [8, 64])
+def test_the_beam_residual_stays_finite_where_its_square_overflows(m_t):
+    # gains near 1e200 square past the largest double; the residual is
+    # still the relative change, where it was inf / inf, a NaN
+    change, new, old, dense = _beam_and_dense_gains(
+        np.random.default_rng(m_t), m_t)
+    want = relerr(dense(*old), dense(*new))  # scale-free: taken at unit size
+    big = [(1e200 * g, 1e200 * m) for g, m in (new, old)]
+    with np.errstate(over="ignore", invalid="ignore"):  # as the sweeps call it
+        got = change(*big)
     assert abs(got - want) <= 1e-12 * want
 
 
