@@ -12,10 +12,11 @@ For a zero-variance posterior the operators vanish and the rate collapses
 to the exact logdet, so the evaluation is exact under perfect CSI.
 
 The solver and form 1 work in beam coordinates: with p~ = V^H p formed once
-per solve and the transmit-side remainder held as its beam diagonal g, a
-sweep's products are d x d and m_k x m_k and cost O(m_t (m_k + d)^2), and a
-solve holds no m_t x m_t matrix; its tx_gain is rebuilt from tx_factors on
-read.
+per solve, the receive-side remainder is read from p~ by
+operators._beam_rx_moment, as the interference covariances are, and the
+transmit-side one is held as its beam diagonal g.  A sweep's products are
+d x d and m_k x m_k and cost O(m_t (m_k + d)^2), and a solve holds no
+m_t x m_t matrix; its tx_gain is rebuilt from tx_factors on read.
 """
 from __future__ import annotations
 
@@ -24,9 +25,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channel import _dft_conj
 from .errors import FixedPointError, NumericalError
 from .operators import (
+    _beam_rx_moment,
+    _to_beams,
     hermitize,
     interference_covariance,
     mean_quadratic_tx,
@@ -144,19 +146,6 @@ def _damped_sweeps(sweep, cold, init, tol, max_iter, gains=None,
         step_prev, res_prev = step, res
     raise FixedPointError(
         f"DE fixed point: residual {res:.3e} > tol {tol:.1e} after {max_iter} sweeps")
-
-
-def _to_beams(x):
-    """V^H x, the rows of x in beam coordinates: V is symmetric, so V^H is
-    its conjugate, which channel keeps."""
-    return _dft_conj(x.shape[0]) @ x
-
-
-def _beam_rx_moment(kern, pt, g):
-    """mean_quadratic_rx(kern, p g p^H) from pt = V^H p: diag(V^H p g p^H V)
-    is the row sums of (pt g) o conj(pt), so no m_t x m_t matrix is formed."""
-    d = np.einsum("ij,ij->i", pt @ g, pt.conj()).real
-    return (kern.u * (kern.var_profile @ d)) @ kern.u.conj().T
 
 
 def _beam_tx_change(q):

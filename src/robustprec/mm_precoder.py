@@ -33,7 +33,6 @@ from .det_equiv import de_weighted_sum_rate
 from .errors import BisectionError, NumericalError
 from .operators import expected_gram, hermitize
 
-_MU_BRACKET_CAP = 2.0 ** 60
 _BISECT_CAP = 500
 
 
@@ -141,8 +140,11 @@ def mu_bisection(rhs_list, shaping_list, p_total, tol_power=1e-6):
     shaping_list may be an iterator, read once in user order: one that
     hands each shaping over lets it go right after its eigendecomposition.
     The returned power never exceeds the budget: bisection keeps the
-    feasible side of the bracket.  A NaN in a shaping or right-hand side is
-    a BisectionError.
+    feasible side of the bracket, which doubles mu from 1 up to the bound
+    the data give: the clipped spectra are >= 0, so the power at mu is at
+    most sum_k ||rhs_k||^2 / mu^2, and past 4 times the mu where that meets
+    p_total, or if that is not finite, the bracket is a BisectionError.  So
+    is a NaN in a shaping or right-hand side.
     """
     basis = _eigenbases(rhs_list, shaping_list)
     if any(np.isnan(lam).any() or np.isnan(coef).any() for lam, _, coef in basis):
@@ -159,15 +161,16 @@ def mu_bisection(rhs_list, shaping_list, p_total, tol_power=1e-6):
         return out
 
     with np.errstate(over="ignore"):  # a bisection error reports it
-        probe = _power_probe([(lam, np.sum(np.abs(coef) ** 2, axis=1))
-                              for lam, _, coef in basis])
+        data = [(lam, np.sum(np.abs(coef) ** 2, axis=1)) for lam, _, coef in basis]
+        probe = _power_probe(data)
+        limit = 4.0 * np.sqrt(sum(row.sum() for _, row in data)) / np.sqrt(p_total)
     if probe(0.0) <= p_total:
         return 0.0, build(0.0)
     lo, hi = 0.0, 1.0
     p_hi = probe(hi)
-    while p_hi > p_total:
+    while not p_hi <= p_total:  # a NaN power brackets nothing either
         lo, hi = hi, 2.0 * hi
-        if hi > _MU_BRACKET_CAP:
+        if not hi <= limit < np.inf:
             raise BisectionError("power bisection failed to bracket the multiplier")
         p_hi = probe(hi)
     for _ in range(_BISECT_CAP):

@@ -9,11 +9,15 @@ are diagonal in the u / v bases with diagonals that are linear images of the
 basis-domain diagonal of C through the variance profile.  These operators
 carry all statistical-CSI terms in the rate expressions and solvers.
 
-v is the unitary DFT, so v diag(g) v^H is circulant and diag(v^H C v) is
-the inverse FFT of C's wrapped-diagonal sums.  From m_t = _FFT_FROM (64)
-on, mean_quadratic_tx and rx_gain_diag use those forms, which cost
-O(m_t^2) where the dense products with v cost O(m_t^3).  Below it the
-dense products are faster, and results there keep their bits.
+E[H~ C H~^H] depends on C only through its beam powers diag(v^H C v), for
+C = p g p^H the row sums of (p~ g) o conj(p~) with p~ = v^H p.  Its one
+owner, _beam_rx_moment, reads them so for the DE sweep, form 1, the
+covariances (p the other users' precoders) and mean_quadratic_rx (p = I).
+
+v is the unitary DFT, so v diag(g) v^H is circulant.  From m_t = _FFT_FROM
+(64) on, mean_quadratic_tx builds it from fft(g) / m_t, which costs
+O(m_t^2) where the dense product with v costs O(m_t^3).  Below it the
+dense product is faster, and results there keep their bits.
 """
 from __future__ import annotations
 
@@ -70,16 +74,6 @@ class OperatorKernel:
         return self.var_profile.shape[1]
 
 
-def _wrapped_sums(c):
-    """s[δ] = sum of C[a, b] over a − b ≡ δ (mod m), for square m x m C."""
-    m = c.shape[0]
-    doubled = np.concatenate((c, c), axis=1)
-    row, col = doubled.strides
-    # row a of the view is C[a, a], C[a, a+1], ... wrapped: t[j] = s[−j]
-    t = as_strided(doubled, shape=(m, m), strides=(row + col, col)).sum(axis=0)
-    return np.concatenate((t[:1], t[:0:-1]))
-
-
 def _circulant(f):
     """The m x m matrix with entry (a, b) equal to f[(a − b) mod m]."""
     m = len(f)
@@ -89,16 +83,24 @@ def _circulant(f):
     return as_strided(doubled[m - 1:], shape=(m, m), strides=(-step, step)).copy()
 
 
+def _to_beams(x):
+    """v^H x, the rows of x in beam coordinates: v is symmetric, so v^H is
+    its conjugate, which channel keeps."""
+    return _dft_conj(x.shape[0]) @ x
+
+
+def _beam_rx_moment(kernel, pt, g=None):
+    """E[H~ C H~^H] for C = p g p^H (g = I when None) from pt = v^H p:
+    u diag(var_profile @ power) u^H with the beam powers the row sums of
+    (pt g) o conj(pt), which are >= 0 for PSD g, so the moment is PSD."""
+    power = np.einsum("ij,ij->i", pt if g is None else pt @ g, pt.conj()).real
+    return (kernel.u * (kernel.var_profile @ power)) @ kernel.u.conj().T
+
+
 def rx_gain_diag(kernel, c_tx):
     """Receive-basis diagonal of E[H~ C H~^H] for the Hermitian part of
-    m_t x m_t C."""
-    m_t = kernel.m_t
-    if m_t >= _FFT_FROM:
-        # diag(v^H C v) is ifft(s); the Hermitian part's is its real part
-        d = np.fft.ifft(_wrapped_sums(c_tx))
-    else:
-        d = np.einsum("ji,ji->i", _dft_conj(m_t), hermitize(c_tx) @ dft_matrix(m_t))
-    return kernel.var_profile @ d.real
+    m_t x m_t C (the real part of diag(v^H C v) is that part's)."""
+    return kernel.var_profile @ basis_diag(dft_matrix(kernel.m_t), c_tx).real
 
 
 def tx_gain_diag(kernel, c_rx):
@@ -109,9 +111,9 @@ def tx_gain_diag(kernel, c_rx):
 
 
 def mean_quadratic_rx(kernel, c_tx):
-    """E[H~ C H~^H]: m_k x m_k Hermitian PSD for Hermitian PSD C."""
-    g = rx_gain_diag(kernel, c_tx)
-    return (kernel.u * g) @ kernel.u.conj().T
+    """E[H~ C H~^H] for the Hermitian part of m_t x m_t C: m_k x m_k
+    Hermitian, PSD for PSD C."""
+    return _beam_rx_moment(kernel, _dft_conj(kernel.m_t), c_tx)
 
 
 def mean_quadratic_tx(kernel, c_rx):
@@ -129,26 +131,19 @@ def expected_gram(posterior, k, n, c_rx):
     return mean.conj().T @ c_rx @ mean + mean_quadratic_tx(posterior.kernel(k, n), c_rx)
 
 
-def expected_outer(posterior, k, n, c_tx):
-    """E[H C H^H] under the posterior: mean C mean^H plus the remainder term."""
-    mean = posterior.mean(k, n)
-    return mean @ c_tx @ mean.conj().T + mean_quadratic_rx(posterior.kernel(k, n), c_tx)
-
-
 def interference_covariance(posterior, precoders, k, n, sigma2_z):
     """Noise-plus-interference covariance seen by user k in block n.
 
-    sigma2_z I plus the posterior mean of H (sum_{l != k} P_l P_l^H) H^H;
-    linearity collapses the per-interferer terms into one operator call.
+    sigma2_z I plus E[H P P^H H^H] for P the other users' precoders side by
+    side: (M P)(M P)^H for the posterior mean M, and the remainder from the
+    beam powers of P.  Both terms are PSD by construction (the trace is at
+    least m_k sigma2_z), and no m_t x m_t matrix is formed.
     """
-    m_k = posterior.stats[k].m_k
-    cross = None
-    for l, p in enumerate(precoders):
-        if l == k:
-            continue
-        term = p @ p.conj().T
-        cross = term if cross is None else cross + term
-    r = sigma2_z * np.eye(m_k, dtype=complex)
-    if cross is not None:
-        r = r + expected_outer(posterior, k, n, cross)
+    kern = posterior.kernel(k, n)
+    r = sigma2_z * np.eye(kern.m_k, dtype=complex)
+    others = [p for l, p in enumerate(precoders) if l != k]
+    if others:
+        p = np.concatenate(others, axis=1)
+        mp = posterior.mean(k, n) @ p
+        r = r + mp @ mp.conj().T + _beam_rx_moment(kern, _to_beams(p))
     return hermitize(r)

@@ -22,7 +22,6 @@ from robustprec.errors import BisectionError
 from robustprec.evaluation import MCRate
 from robustprec.mm_precoder import (
     _BISECT_CAP,
-    _MU_BRACKET_CAP,
     _de_ascent,
     leakage_penalty,
     mu_bisection,
@@ -52,13 +51,6 @@ def rand_hermitian(rng, m):
 def hermitize_oracle(c):
     """operators.hermitize as one expression, (C + C^H)/2."""
     return 0.5 * (c + c.conj().T)
-
-
-def rx_gain_diag_oracle(kernel, c_tx):
-    """operators.rx_gain_diag by the dense product diag(v^H herm(C) v)."""
-    v = dft_matrix(kernel.m_t)
-    d = np.einsum("ji,ji->i", v.conj(), hermitize_oracle(c_tx) @ v)
-    return kernel.var_profile @ d.real
 
 
 def mean_quadratic_tx_oracle(kernel, c_rx):
@@ -303,6 +295,9 @@ def mu_bisection_oracle(rhs_list, shaping_list, p_total, tol_power=1e-6):
     def power(mu):
         return power_oracle(data, mu)
 
+    with np.errstate(over="ignore"):
+        limit = 4.0 * np.sqrt(sum(row.sum() for _, row in data)) / np.sqrt(p_total)
+
     def build(mu):
         out = []
         for lam, q, coef in basis:
@@ -316,9 +311,9 @@ def mu_bisection_oracle(rhs_list, shaping_list, p_total, tol_power=1e-6):
         return 0.0, build(0.0)
     lo, hi = 0.0, 1.0
     p_hi = power(hi)
-    while p_hi > p_total:
+    while not p_hi <= p_total:
         lo, hi = hi, 2.0 * hi
-        if hi > _MU_BRACKET_CAP:
+        if not (np.isfinite(limit) and hi <= limit):
             raise BisectionError("no bracket")
         p_hi = power(hi)
     for _ in range(_BISECT_CAP):

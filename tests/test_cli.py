@@ -627,9 +627,9 @@ def test_a_sweep_of_every_algorithm_leaves_scipy_unloaded(tmp_path):
 
 
 # 150 dB with m_k > d_k: at p_total 38 the Monte Carlo log-determinants
-# lose their precision (it wrote -inf and garbage rates at exit 0); at the
-# default p_total 1 an MM design meets a singular matrix in a DE sweep (it
-# was a LinAlgError traceback, exit 1)
+# lose their precision (it wrote -inf and garbage rates at exit 0); with
+# m_k [2, 2], seed 276 and the default p_total 1 an MM design meets a
+# singular matrix in a DE sweep (it was a LinAlgError traceback, exit 1)
 LOST_PRECISION = {
     "system": {"m_t": 6, "m_k": [3, 1], "d_k": [1, 1], "n_b": 3, "seed": 468,
                "snr_db": [150], "p_total": 38, "weights": [1, 3]},
@@ -637,8 +637,9 @@ LOST_PRECISION = {
     "experiment": {"algorithms": ["alg1", "alg2"], "n_slots": 1, "n_mc": 8,
                    "mm_iters": 3},
 }
-SINGULAR_SWEEP = dict(LOST_PRECISION, system={
-    k: v for k, v in LOST_PRECISION["system"].items() if k != "p_total"})
+SINGULAR_SWEEP = dict(LOST_PRECISION, system=dict(
+    {k: v for k, v in LOST_PRECISION["system"].items() if k != "p_total"},
+    m_k=[2, 2], seed=276))
 
 
 @pytest.mark.parametrize("data, cause", [
@@ -667,12 +668,11 @@ SINGULAR_START = dict(LOST_PRECISION, system=dict(LOST_PRECISION["system"],
 
 
 @pytest.mark.parametrize("data, cause, colds", [
-    # alg1: the start, updates 1 and 2 (update 3 is not scored), then block
-    # 3 from a cold evaluation of its block-2 design, whose update 2 fails;
-    # alg2: the held start, updates 1 and 2, then block 3 likewise, in full
-    (SINGULAR_SWEEP, "DE fixed point: sweep 60 failed: Singular matrix",
-     [True, False, False, True, False, False,
-      False, False, True, False, False]),
+    # alg1: the start and update 1 at block 2, then block 3's cold
+    # evaluation of its block-2 design fails; alg2: the held start and
+    # update 1, then block 3 likewise, in full
+    (SINGULAR_SWEEP, "DE fixed point: sweep 2 failed: Singular matrix",
+     [True, False, True, False, True, False]),
     # the start raises for alg1, is not held, and raises again for alg2
     (SINGULAR_START, "DE fixed point: residual 2.550e-07 > tol 1.0e-09 "
                      "after 500 sweeps", [True, True]),
@@ -700,6 +700,44 @@ def test_a_failed_mm_ascent_drops_both_designs_as_before(
     assert isinstance(result.first_error, errors.FixedPointError)
     assert str(result.first_error) == cause
     assert seen == colds
+
+
+# 300 dB at m_t = 64: the noise (1e-30) sits far below the interference.
+# The covariances are sums of PSD terms, so none has a negative eigenvalue
+# (with m_k 1 each is its one entry); an m_t x m_t interference sum read
+# back through the operators gave traces down to -1.8e-16 here, and alg1
+# then scored below its 150 dB rate
+def test_every_covariance_at_300_db_is_psd_and_the_rates_grow(tmp_path,
+                                                              monkeypatch):
+    data = {
+        "system": {"m_t": 64, "m_k": [1, 1], "d_k": [1, 1], "n_b": 2,
+                   "seed": 7, "snr_db": [150]},
+        "profile": {"band_width": 2, "lognorm_sigma": 0.4, "alphas": 0.9},
+        "experiment": {"algorithms": ["alg1", "alg2"], "n_slots": 1,
+                       "n_mc": 8, "mm_iters": 3},
+    }
+    low = []
+
+    def record(*args):
+        r = interference_covariance(*args)
+        low.append(np.linalg.eigvalsh(r).min())
+        return r
+
+    monkeypatch.setattr(det_equiv, "interference_covariance", record)
+    monkeypatch.setattr(evaluation, "interference_covariance", record)
+    rates = {}
+    for snr in (150, 300):
+        data["system"]["snr_db"] = [snr]
+        out = tmp_path / str(snr)
+        del low[:]
+        assert cli.main(["sweep", "-c", _write_config(tmp_path, data),
+                         "--out-dir", str(out)]) == 0
+        assert low and min(low) >= 0
+        for alg in ("alg1", "alg2"):
+            (row,) = _read_rows(out / f"sweep_{alg}.csv")[1]
+            rates[alg, snr] = float(row[4])
+    for alg in ("alg1", "alg2"):
+        assert rates[alg, 300] > rates[alg, 150]
 
 
 # The failure paths that the 150 dB configs above reach only at the edge of
@@ -868,7 +906,9 @@ def test_a_profile_that_overflows_exits_2_naming_lognorm_sigma(
 # a budget of 1e-160 or 1e160 overflows the DE residual and the power
 # probe of the multiplier search: numpy printed RuntimeWarnings before the
 # typed error, or before rzf's rows, and under -W error::RuntimeWarning
-# either run ended in a traceback (exit 1)
+# either run ended in a traceback (exit 1).  At 1e-160 the multiplier is
+# about 1e146, within the bracket's bound sqrt(sum ||rhs||^2 / p_total),
+# so alg1 and wmmse end in rates
 TINY_BUDGET = {
     "system": {"m_t": 4, "m_k": [1, 1], "n_b": 2, "snr_db": [10],
                "p_total": 1e-160},
@@ -879,10 +919,11 @@ TINY_BUDGET = {
 HUGE_BUDGET = dict(
     TINY_BUDGET, system=dict(TINY_BUDGET["system"], p_total=1e160),
     experiment=dict(TINY_BUDGET["experiment"], algorithms=["alg1", "rzf"]))
-# 300 dB overflows the row weights of alg2's multiplier search, and weights
+# 300 dB overflowed the row weights of alg2's multiplier search, and weights
 # of 1e200 overflow them too and the Monte Carlo score's weighted sums: a
 # warning came before the BisectionError, or rzf wrote an infinite stderr
-# at exit 0
+# at exit 0.  With PSD interference covariances and the bracket's bound
+# from the data, the 300 dB run ends in alg2's rates
 HOT_SNR = {
     "system": {"m_t": 8, "m_k": [2, 1], "d_k": [2, 1], "n_b": 2,
                "snr_db": [300]},
@@ -916,14 +957,12 @@ _BEAM_OVERFLOW = ("the beam-domain weighted sum rate is not finite (a "
 
 
 @pytest.mark.parametrize("data, code, err, files", [
-    (TINY_BUDGET, 3, "error: every slot failed; no rates were produced; "
-                     "first failure: BisectionError: power bisection failed "
-                     "to bracket the multiplier\n", ["error.json"]),
+    # alg3's bisection fails and leaves its CSV without rows
+    (TINY_BUDGET, 0, "", ["run_manifest.json", "sweep_alg1.csv",
+                          "sweep_alg3.csv", "sweep_wmmse.csv"]),
     (HUGE_BUDGET, 0, "", ["run_manifest.json", "sweep_alg1.csv",
                           "sweep_rzf.csv"]),
-    (HOT_SNR, 3, "error: every slot failed; no rates were produced; first "
-                 "failure: BisectionError: power bisection failed to bracket "
-                 "the multiplier\n", ["error.json"]),
+    (HOT_SNR, 0, "", ["run_manifest.json", "sweep_alg2.csv"]),
     (HEAVY_WEIGHTS, 3, "error: every slot failed; no rates were produced; "
                        "first failure: NumericalError: rzf: the Monte Carlo "
                        "score of slot 0 is not valid (a weighted sum "

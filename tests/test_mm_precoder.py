@@ -221,6 +221,20 @@ def test_mu_bisection_scalar_oracle():
         assert abs(total_power(ps) - p_total) < 1e-6 * p_total
 
 
+def test_mu_bisection_brackets_a_multiplier_above_2_to_the_60():
+    # a tiny budget against a large target puts the multiplier at |a| /
+    # sqrt(p_total), past the 2^60 that once capped the bracket; the bound
+    # the data give, sqrt(|a|^2 / p_total), lets the doubling go on
+    rhs, shaping = [np.array([[1e21]])], [np.zeros((1, 1))]
+    for p_total in (1.0, 1e-20):
+        mu, ps = mu_bisection(rhs, shaping, p_total)
+        assert mu > 2.0 ** 60
+        assert abs(mu - 1e21 / math.sqrt(p_total)) < 1e-5 * mu
+        assert abs(total_power(ps) - p_total) < 1e-6 * p_total
+        mu_want, ps_want = mu_bisection_oracle(rhs, shaping, p_total)
+        assert mu == mu_want and same_bits(ps[0], ps_want[0])
+
+
 def test_mu_bisection_inactive_constraint():
     rng = default_rng(0)
     d = np.eye(3)
@@ -354,6 +368,15 @@ def test_mu_bisection_unbracketable_raises():
     rhs = [np.full((1, 1), 1e200)]
     with np.errstate(over="ignore"), pytest.raises(BisectionError):
         mu_bisection(rhs, [np.zeros((1, 1))], 1.0)
+
+
+def test_an_overflowing_power_probe_fails_to_bracket():
+    # a 1e200 shaping over a 1e200 right-hand side makes the probe inf / inf
+    # at every mu; that NaN power ended the bracket at once and left the
+    # bisection 500 probes that could never meet the budget
+    with np.errstate(over="ignore"), pytest.raises(
+            BisectionError, match="failed to bracket"):
+        mu_bisection([np.full((1, 1), 1e200)], [np.full((1, 1), 1e200)], 1.0)
 
 
 @pytest.mark.parametrize("where", ["shaping", "rhs"])
