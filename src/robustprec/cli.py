@@ -164,6 +164,10 @@ def _run_study(cfg, profile, plan, out_dir, args):
         raise NumericalError("every slot failed; no rates were produced; "
                              f"first failure: {type(cause).__name__}: "
                              f"{cause}") from cause
+    for alg in plan.algorithms:
+        if not per_alg[alg]:
+            print(f"warning: {alg} produced no rates (every slot failed)",
+                  file=sys.stderr)
     header = [column, "algorithm", "slot", "block", "sum_rate", "stderr",
               "seed"]
     outputs = []

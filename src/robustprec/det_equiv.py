@@ -73,7 +73,8 @@ class DEState:
         held_tx_gain when the state holds one, else rebuilt.
     rx_gain: m_k x m_k effective receive-side signal covariance.
     stream_mse: (I + P^H tx_gain P)^-1, the DE of the per-stream MSE matrix
-        (per beam, 1 off the active support, in the beam domain).
+        (per beam, 1 off the active support, in the beam domain), which
+        form 1 and mm_shared's rate gradient tx_gain P stream_mse read.
     rx_mse: whitened receive-side counterpart of stream_mse.
     iterations, residual: sweeps taken and the final residual.
     whitener: R^-1/2 of the interference covariance the general solver
@@ -83,8 +84,8 @@ class DEState:
         the whitener, G the receive-side resolvent that entered the sweep,
         M the posterior mean and F the sweep's receive-side factor, so
         tx_gain = hermitize(E[H~^H L G L H~] + (L M)^H F^-1 L M).  These
-        O(m_k m_t) factors are all the state keeps of it, and each read of
-        tx_gain rebuilds the m_t x m_t matrix from them, bit for bit alike.
+        O(m_k m_t) factors are all the state keeps of it; tx_gain alone
+        reads them, rebuilding the matrix bit for bit alike on each read.
     """
 
     held_tx_gain: np.ndarray
@@ -230,17 +231,13 @@ def solve_fixed_point(posterior, p, r, k, n, tol=1e-9, max_iter=500, init=None):
 def de_rate_form1(state, posterior, p, k, n):
     """DE rate, transmit-side form (nats); clamped at 0.
 
-    It reads the transmit gain from tx_factors in beam coordinates, as the
-    sweep does, and forms no m_t x m_t matrix."""
+    Its first term, logdet(I + P^H tx_gain P), is read as -logdet(stream_mse),
+    so it forms no m_t x m_t matrix and reads no tx_factors."""
     kern = posterior.kernel(k, n)
     l = state.whitener
-    _, c_rx, lm, sol = state.tx_factors
-    pt = _to_beams(p)
-    e_rx = _beam_rx_moment(kern, pt, state.stream_mse)
-    tx_quad = ((pt.conj().T * tx_gain_diag(kern, c_rx)) @ pt
-               + (lm @ p).conj().T @ (sol @ p))
+    e_rx = _beam_rx_moment(kern, _to_beams(p), state.stream_mse)
     t_rx = hermitize(l @ state.rx_mse @ l)
-    term1 = _logdet(np.eye(p.shape[1]) + tx_quad)
+    term1 = -_logdet(state.stream_mse)
     term2 = _logdet(np.eye(kern.m_k) + l @ e_rx @ l)
     term3 = np.trace(e_rx @ t_rx).real
     return max(term1 + term2 - term3, 0.0)

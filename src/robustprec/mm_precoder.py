@@ -10,17 +10,17 @@ builds a concave quadratic surrogate from three DE matrices per user
 and maximizes the surrogate in closed form up to a water-level style
 multiplier found by bisection on the sum power.  mm_full shapes the update
 per user; mm_shared replaces the per-user shaping with one shared matrix
-(plus a gap correction on the numerator side), cutting the large-matrix
-work per iteration to a single eigendecomposition.
+and takes its numerator side from the gradient of each user's DE rate,
+cutting the large-matrix work per iteration to a single eigendecomposition.
 
 Memory: the users' DE states hold their transmit gains as O(m_k m_t)
 factors (det_equiv.DEState), so an mm_full update holds K m_t x m_t
 matrices, the shapings: each leakage penalty is added into the other
 users' shapings as soon as it is formed, and the shapings are handed to
 the multiplier search one at a time, each released right after its
-eigendecomposition.  An mm_shared update holds the one shared shaping.
-Signal gains, rebuilt transmit gains, self penalties and leakage penalties
-live one user at a time.
+eigendecomposition.  An mm_shared update holds the one shared shaping and
+forms no signal gain or self penalty.  Signal gains, rebuilt transmit
+gains, self penalties and leakage penalties live one user at a time.
 """
 from __future__ import annotations
 
@@ -304,9 +304,11 @@ def mm_shared(posterior, cfg, n, init, iters=30, obj_tol=1e-8, tol_power=1e-6,
     """MM ascent with one shared shaping matrix per iteration.
 
     The per-user shaping is replaced by the weighted sum of all leakage
-    penalties, compensated by the gap w_k (leak_k - self_k) on user k's
-    numerator side, so a single m_t x m_t eigendecomposition (and only
-    d x d solves per user) serves the whole update.  Arguments as in mm_full.
+    penalties; user k's right-hand side is w_k (leak_k P + T P Phi) with T
+    the DE state's tx_gain and Phi = (I + P^H T P)^-1 its stream_mse.  T P Phi,
+    the gradient of user k's DE rate, is (gain_k - self_k) P by the inversion
+    lemma, so one m_t x m_t eigendecomposition serves the whole update.
+    Arguments as in mm_full.
     """
     weights = cfg.weights
     k_users = posterior.n_users
@@ -314,16 +316,15 @@ def mm_shared(posterior, cfg, n, init, iters=30, obj_tol=1e-8, tol_power=1e-6,
     def step(precoders, states, covs):
         shared, rhs = None, []
         for k in range(k_users):
-            gain = signal_gain(posterior, covs[k], k, n)
-            self_pen = self_penalty(gain, states[k], precoders[k])
-            leak = leakage_penalty(posterior, states[k], covs[k], k, n)
+            p, state = precoders[k], states[k]
+            leak = leakage_penalty(posterior, state, covs[k], k, n)
             if shared is None:
                 shared = weights[k] * leak
             else:
                 shared += weights[k] * leak
-            rhs.append((weights[k] * gain + weights[k] * (leak - self_pen))
-                       @ precoders[k])
-        del gain, self_pen, leak  # the search reads only shared and rhs
+            rhs.append(weights[k] * (leak @ p
+                                     + (state.tx_gain @ p) @ state.stream_mse))
+        del leak  # the search reads only shared and rhs
         return mu_bisection(rhs, [shared] * k_users, cfg.p_total,
                             tol_power=tol_power)
 

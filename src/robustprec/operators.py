@@ -97,12 +97,6 @@ def _beam_rx_moment(kernel, pt, g=None):
     return (kernel.u * (kernel.var_profile @ power)) @ kernel.u.conj().T
 
 
-def rx_gain_diag(kernel, c_tx):
-    """Receive-basis diagonal of E[H~ C H~^H] for the Hermitian part of
-    m_t x m_t C (the real part of diag(v^H C v) is that part's)."""
-    return kernel.var_profile @ basis_diag(dft_matrix(kernel.m_t), c_tx).real
-
-
 def tx_gain_diag(kernel, c_rx):
     """Transmit(beam)-basis diagonal of E[H~^H C H~] for the Hermitian
     part of m_k x m_k C."""

@@ -349,18 +349,19 @@ def wmmse_oracle(channels, p_total, sigma2_z, weights, iters=100,
 def mm_ascent_oracle(posterior, cfg, n, init, iters, shared, obj_tol=1e-8,
                      tol_power=1e-6):
     """mm_full (shared=False) or mm_shared (shared=True) with an update that
-    lists all K signal gains, self penalties and leakage penalties at once,
-    then forms every shaping (or the one shared shaping) and right-hand
-    side from those lists."""
+    lists all K leakage penalties (and for mm_full all K signal gains and
+    self penalties) at once, then forms every shaping (or the one shared
+    shaping) and right-hand side from those lists."""
     weights = cfg.weights
     users = range(posterior.n_users)
 
     def step(precoders, states, covs):
-        gains = [signal_gain(posterior, covs[k], k, n) for k in users]
-        selfs = [self_penalty(gains[k], states[k], precoders[k]) for k in users]
         leaks = [leakage_penalty(posterior, states[k], covs[k], k, n)
                  for k in users]
         if not shared:
+            gains = [signal_gain(posterior, covs[k], k, n) for k in users]
+            selfs = [self_penalty(gains[k], states[k], precoders[k])
+                     for k in users]
             shapings = []
             for k in users:
                 d = weights[k] * selfs[k]
@@ -374,8 +375,11 @@ def mm_ascent_oracle(posterior, cfg, n, init, iters, shared, obj_tol=1e-8,
         total = weights[0] * leaks[0]
         for k in users[1:]:
             total = total + weights[k] * leaks[k]
-        rhs = [(weights[k] * gains[k] + weights[k] * (leaks[k] - selfs[k]))
-               @ precoders[k] for k in users]
+        # the gradient of user k's DE rate, T_k P_k Phi_k, stands for
+        # (gain_k - self_k) P_k
+        rhs = [weights[k] * (leaks[k] @ precoders[k]
+                             + (states[k].tx_gain @ precoders[k])
+                             @ states[k].stream_mse) for k in users]
         return mu_bisection(rhs, [total] * len(users), cfg.p_total,
                             tol_power=tol_power)
 

@@ -659,10 +659,10 @@ def test_150_db_with_fewer_streams_than_antennas_exits_3(tmp_path, data,
 
 # alg1 and alg2 begin from one shared cold DE evaluation of the canonical
 # start, which is held for alg2 only if it did not raise.  Whether a later
-# evaluation of alg1 fails (SINGULAR_SWEEP; alg2 then fails its Monte Carlo
-# score) or the start itself does (seed 20, after 500 sweeps), both designs
-# go, and the failed slots, the first error and the bytes of error.json are
-# those of two unshared ascents.
+# evaluation fails (SINGULAR_SWEEP, for alg1 and then alg2) or the start
+# itself does (seed 20, after 500 sweeps), both designs go, and the failed
+# slots, the first error and the bytes of error.json are those of two
+# unshared ascents.
 SINGULAR_START = dict(LOST_PRECISION, system=dict(LOST_PRECISION["system"],
                                                   seed=20, n_b=2))
 
@@ -670,9 +670,9 @@ SINGULAR_START = dict(LOST_PRECISION, system=dict(LOST_PRECISION["system"],
 @pytest.mark.parametrize("data, cause, colds", [
     # alg1: the start and update 1 at block 2, then block 3's cold
     # evaluation of its block-2 design fails; alg2: the held start and
-    # update 1, then block 3 likewise, in full
+    # update 1, then its own block-3 cold evaluation fails likewise
     (SINGULAR_SWEEP, "DE fixed point: sweep 2 failed: Singular matrix",
-     [True, False, True, False, True, False]),
+     [True, False, True, False, True]),
     # the start raises for alg1, is not held, and raises again for alg2
     (SINGULAR_START, "DE fixed point: residual 2.550e-07 > tol 1.0e-09 "
                      "after 500 sweeps", [True, True]),
@@ -955,13 +955,17 @@ _DE_OVERFLOW = ("error: every slot failed; no rates were produced; first "
 _BEAM_OVERFLOW = ("the beam-domain weighted sum rate is not finite (a "
                   "weighted sum overflowed)")
 
+_NO_RATES = "warning: {} produced no rates (every slot failed)\n"
+
 
 @pytest.mark.parametrize("data, code, err, files", [
-    # alg3's bisection fails and leaves its CSV without rows
-    (TINY_BUDGET, 0, "", ["run_manifest.json", "sweep_alg1.csv",
-                          "sweep_alg3.csv", "sweep_wmmse.csv"]),
-    (HUGE_BUDGET, 0, "", ["run_manifest.json", "sweep_alg1.csv",
-                          "sweep_rzf.csv"]),
+    # alg3's bisection fails (alg1's DE residual at 1e160) and leaves its
+    # CSV without rows, which a warning names
+    (TINY_BUDGET, 0, _NO_RATES.format("alg3"),
+     ["run_manifest.json", "sweep_alg1.csv", "sweep_alg3.csv",
+      "sweep_wmmse.csv"]),
+    (HUGE_BUDGET, 0, _NO_RATES.format("alg1"),
+     ["run_manifest.json", "sweep_alg1.csv", "sweep_rzf.csv"]),
     (HOT_SNR, 0, "", ["run_manifest.json", "sweep_alg2.csv"]),
     (HEAVY_WEIGHTS, 3, "error: every slot failed; no rates were produced; "
                        "first failure: NumericalError: rzf: the Monte Carlo "

@@ -262,6 +262,21 @@ def test_the_beam_sweep_matches_the_dense_sweep(m_t):
         assert abs(beam_rate - dense_rate) <= 1e-12 * dense_rate
 
 
+@pytest.mark.parametrize("m_t", [8, 64])
+def test_form_1_reads_its_transmit_term_from_the_stream_mse(m_t):
+    # -logdet(stream_mse) is logdet(I + P^H tx_gain P) with tx_gain rebuilt
+    # from its factors, on both branches of mean_quadratic_tx
+    rng = np.random.default_rng(m_t + 1)
+    cfg, post, precoders = _instance(rng, m_t=m_t, m_k=(2, 1, 2))
+    for k, p in enumerate(precoders):
+        r = interference_covariance(post, precoders, k, 2, cfg.sigma2_z)
+        state = solve_fixed_point(post, p, r, k, 2)
+        want = np.linalg.slogdet(np.eye(p.shape[1])
+                                 + p.conj().T @ state.tx_gain @ p)[1]
+        got = -np.linalg.slogdet(state.stream_mse)[1]
+        assert abs(got - want) <= 1e-12 * abs(want)
+
+
 def _beam_and_dense_gains(rng, m_t):
     """(change, new, old, dense): the beam residual of q, two (g, m) pairs,
     and the m_t x m_t gain V diag(g) V^H + q m q^H each pair stands for."""
