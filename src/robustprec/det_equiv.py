@@ -74,7 +74,7 @@ class DEState:
     rx_gain: m_k x m_k effective receive-side signal covariance.
     stream_mse: (I + P^H tx_gain P)^-1, the DE of the per-stream MSE matrix
         (per beam, 1 off the active support, in the beam domain), which
-        form 1 and mm_shared's rate gradient tx_gain P stream_mse read.
+        form 1 and both MM updates' rate gradient tx_gain P stream_mse read.
     rx_mse: whitened receive-side counterpart of stream_mse.
     iterations, residual: sweeps taken and the final residual.
     whitener: R^-1/2 of the interference covariance the general solver

@@ -1,26 +1,20 @@
 """Minorize-maximize precoder optimization of the DE weighted sum rate.
 
-Each iteration freezes per-user receive statistics at the current precoders,
-builds a concave quadratic surrogate from three DE matrices per user
+Each iteration maximizes a concave quadratic surrogate that touches the DE
+weighted sum rate at the current precoders, where its gradient is the
+rate's, G_k.  Both designs take the step P_k <- (D_k + mu I)^-1 (D_k P_k +
+G_k), with mu found by bisection on the sum power, and differ only in D_k.
+mm_shared gives every user S = sum_l w_l leak_l, the weighted leakage
+penalties (the damage each user's power does to the others' rates), so one
+m_t x m_t eigendecomposition serves the update; mm_full gives user k
+D_k = S + w_k X_k, X_k its own-rate curvature beyond its leakage penalty.
 
-  * a signal gain matrix (expected channel gram whitened by interference),
-  * a self penalty from the curvature of the user's own rate,
-  * a leakage penalty for the damage the user's power does to the others,
-
-and maximizes the surrogate in closed form up to a water-level style
-multiplier found by bisection on the sum power.  mm_full shapes the update
-per user; mm_shared replaces the per-user shaping with one shared matrix
-and takes its numerator side from the gradient of each user's DE rate,
-cutting the large-matrix work per iteration to a single eigendecomposition.
-
-Memory: the users' DE states hold their transmit gains as O(m_k m_t)
-factors (det_equiv.DEState), so an mm_full update holds K m_t x m_t
-matrices, the shapings: each leakage penalty is added into the other
-users' shapings as soon as it is formed, and the shapings are handed to
-the multiplier search one at a time, each released right after its
-eigendecomposition.  An mm_shared update holds the one shared shaping and
-forms no signal gain or self penalty.  Signal gains, rebuilt transmit
-gains, self penalties and leakage penalties live one user at a time.
+Memory: the DE states hold their transmit gains as O(m_k m_t) factors
+(det_equiv.DEState), each rebuilt once per update.  An mm_full update holds
+its K m_t x m_t shapings: each weighted leakage penalty is added into every
+shaping as soon as it is formed, and the multiplier search takes them one
+at a time, releasing each after its eigendecomposition.  An mm_shared
+update holds only S.
 """
 from __future__ import annotations
 
@@ -53,27 +47,23 @@ def normalize_power(precoders, p_total):
 
 
 def signal_gain(posterior, r, k, n):
-    """Expected whitened channel gram E[H^H R^-1 H] at block n."""
+    """Expected whitened channel gram E[H^H R^-1 H] at block n.  No design
+    calls it: tests read it as an oracle, and perfbench traces its name."""
     r_inv = hermitize(np.linalg.inv(r))
     return hermitize(expected_gram(posterior, k, n, r_inv))
 
 
 def self_penalty(gain, state, p):
     """Own-rate curvature penalty: gain - (I + tx_gain P P^H)^-1 tx_gain,
-    by the inversion lemma, so only a d x d system is solved."""
-    d = p.shape[1]
+    by the inversion lemma, so only a d x d system is solved.  No design
+    calls it: tests read it as an oracle, and perfbench traces its name."""
     tx_gain = state.tx_gain
     gp = tx_gain @ p
-    core = np.eye(d, dtype=complex) + p.conj().T @ gp
-    out = gain - tx_gain
-    del tx_gain  # a rebuild only this call holds; let it go early
-    out += gp @ np.linalg.solve(core, gp.conj().T)
-    return hermitize(out)
+    core = np.eye(p.shape[1], dtype=complex) + p.conj().T @ gp
+    return hermitize(gain - tx_gain + gp @ np.linalg.solve(core, gp.conj().T))
 
 
-# the one function under its former second name too: perfbench's traced
-# runs look up a span of every public name they list, this one included
-self_penalty_lowrank = self_penalty
+self_penalty_lowrank = self_penalty  # its former name, which perfbench traces
 
 
 def leakage_penalty(posterior, state, r, k, n):
@@ -84,6 +74,17 @@ def leakage_penalty(posterior, state, r, k, n):
     """
     diff = hermitize(np.linalg.inv(r) - np.linalg.inv(r + state.rx_gain))
     return hermitize(expected_gram(posterior, k, n, diff))
+
+
+def own_curvature(posterior, state, r, k, n, tx_gain, tp):
+    """User k's own-rate curvature beyond its leakage penalty, self_penalty
+    - leakage_penalty = E[H^H (R + rx_gain)^-1 H] - T + (T P) Phi (T P)^H for
+    T = tx_gain (the caller's rebuild of it), tp = T P and Phi = stream_mse."""
+    out = expected_gram(posterior, k, n,
+                        hermitize(np.linalg.inv(r + state.rx_gain)))
+    out -= tx_gain
+    out += (tp @ state.stream_mse) @ tp.conj().T
+    return hermitize(out)
 
 
 def _power_probe(data):
@@ -102,11 +103,15 @@ def _power_probe(data):
 
     @np.errstate(over="ignore", invalid="ignore")  # a bisection error reports it
     def power(mu):
-        den = (lams + mu) ** 2
-        live = den > 0
+        base = lams + mu
+        den = base ** 2
+        live = base > 0
         if (positive & ~live).any():
             return np.inf
-        terms = np.divide(rows, den, out=np.zeros_like(den), where=live)
+        terms = np.divide(rows, den, out=np.zeros_like(den), where=den > 0)
+        # a square that over- or underflows would read 0 or infinite power
+        edge = live & ((den == 0) | (den == np.inf))
+        terms[edge] = rows[edge] / base[edge] / base[edge]
         return float(np.add.accumulate(terms.sum(axis=1))[-1])
     return power
 
@@ -139,10 +144,11 @@ def mu_bisection(rhs_list, shaping_list, p_total, tol_power=1e-6):
     so each probe is one array expression of O(m_t d) per user.
     shaping_list may be an iterator, read once in user order: one that
     hands each shaping over lets it go right after its eigendecomposition.
-    The returned power never exceeds the budget: bisection keeps the
-    feasible side of the bracket, which doubles mu from 1 up to the bound
-    the data give: the clipped spectra are >= 0, so the power at mu is at
-    most sum_k ||rhs_k||^2 / mu^2, and past 4 times the mu where that meets
+    The returned power never exceeds the budget, also where the probe's
+    squares over- or underflow: bisection keeps the feasible side of the
+    bracket, which doubles mu from 1 up to the bound the data give: the
+    clipped spectra are >= 0, so the power at mu is at most
+    sum_k ||rhs_k||^2 / mu^2, and past 4 times the mu where that meets
     p_total, or if that is not finite, the bracket is a BisectionError.  So
     is a NaN in a shaping or right-hand side.
     """
@@ -259,9 +265,48 @@ def _de_ascent(posterior, cfg, n, init, iters, step_fn, obj_tol, start=None,
                     iters, obj_tol, start, score_last)
 
 
+def _mm_step(posterior, cfg, n, tol_power, per_user):
+    """The update of mm_full (per_user) and mm_shared.  User k's right-hand
+    side is w_k (leak_k P_k + T_k P_k Phi_k), which is S P_k + G_k, plus
+    w_k X_k P_k when per_user."""
+    weights, users = cfg.weights, range(posterior.n_users)
+
+    def step(precoders, states, covs):
+        # rhs[k]: T_k P_k Phi_k (+ X_k P_k), then w_k (leak_k P_k + that);
+        # owns: the w_k X_k of mm_full, which the leakage penalties join
+        rhs, owns = [], []
+        for k, (p, state) in enumerate(zip(precoders, states)):
+            t = state.tx_gain
+            tp = t @ p
+            rhs.append(tp @ state.stream_mse)
+            if per_user:
+                own = own_curvature(posterior, state, covs[k], k, n, t, tp)
+                rhs[k] += own @ p
+                own *= weights[k]
+                owns.append(own)
+            del t  # a rebuild only this user reads
+        for l in users:
+            leak = leakage_penalty(posterior, states[l], covs[l], l, n)
+            rhs[l] = weights[l] * (leak @ precoders[l] + rhs[l])
+            leak *= weights[l]
+            if owns:
+                for shaping in owns:
+                    shaping += leak
+            else:  # mm_shared's one shaping begins as user 0's penalty
+                owns.append(leak)
+            del leak  # gone before the next one is formed
+        # mm_full hands its shapings over one at a time: each goes once the
+        # search has its eigenvectors
+        shapings = ((owns.pop(0) for _ in rhs) if per_user
+                    else owns * len(rhs))
+        return mu_bisection(rhs, shapings, cfg.p_total, tol_power=tol_power)
+
+    return step
+
+
 def mm_full(posterior, cfg, n, init, iters=30, obj_tol=1e-8, tol_power=1e-6,
             start=None, score_last=True):
-    """MM ascent with per-user update shaping.
+    """MM ascent with per-user update shaping D_k = S + w_k X_k.
 
     init: starting precoder set (e.g. canonical_allocation's precoders or a
     previous block's solution).  Stops after iters updates or when the
@@ -272,61 +317,15 @@ def mm_full(posterior, cfg, n, init, iters=30, obj_tol=1e-8, tol_power=1e-6,
     start (which supplies init's first DE evaluation) and score_last (False:
     do not score the final iterate) are _mm_loop's.
     """
-    weights = cfg.weights
-    k_users = posterior.n_users
-
-    def step(precoders, states, covs):
-        # user k's shaping: w_k self_k, then + w_l leak_l for l != k in
-        # user order, each leakage penalty added as soon as it is formed
-        shapings, rhs = [], []
-        for k in range(k_users):
-            gain = signal_gain(posterior, covs[k], k, n)
-            shapings.append(weights[k] * self_penalty(gain, states[k], precoders[k]))
-            rhs.append(weights[k] * gain @ precoders[k])
-        del gain  # the search reads it only through shapings and rhs
-        for l in range(k_users):
-            leak = weights[l] * leakage_penalty(posterior, states[l], covs[l], l, n)
-            for k in range(k_users):
-                if k != l:
-                    shapings[k] += leak
-            del leak  # gone before the next one is formed
-        # handed over one at a time: each shaping goes once the search has
-        # its eigenvectors
-        return mu_bisection(rhs, (shapings.pop(0) for _ in rhs), cfg.p_total,
-                            tol_power=tol_power)
-
-    return _de_ascent(posterior, cfg, n, init, iters, step, obj_tol, start,
-                      score_last)
+    return _de_ascent(posterior, cfg, n, init, iters,
+                      _mm_step(posterior, cfg, n, tol_power, True), obj_tol,
+                      start, score_last)
 
 
 def mm_shared(posterior, cfg, n, init, iters=30, obj_tol=1e-8, tol_power=1e-6,
               start=None, score_last=True):
-    """MM ascent with one shared shaping matrix per iteration.
-
-    The per-user shaping is replaced by the weighted sum of all leakage
-    penalties; user k's right-hand side is w_k (leak_k P + T P Phi) with T
-    the DE state's tx_gain and Phi = (I + P^H T P)^-1 its stream_mse.  T P Phi,
-    the gradient of user k's DE rate, is (gain_k - self_k) P by the inversion
-    lemma, so one m_t x m_t eigendecomposition serves the whole update.
-    Arguments as in mm_full.
-    """
-    weights = cfg.weights
-    k_users = posterior.n_users
-
-    def step(precoders, states, covs):
-        shared, rhs = None, []
-        for k in range(k_users):
-            p, state = precoders[k], states[k]
-            leak = leakage_penalty(posterior, state, covs[k], k, n)
-            if shared is None:
-                shared = weights[k] * leak
-            else:
-                shared += weights[k] * leak
-            rhs.append(weights[k] * (leak @ p
-                                     + (state.tx_gain @ p) @ state.stream_mse))
-        del leak  # the search reads only shared and rhs
-        return mu_bisection(rhs, [shared] * k_users, cfg.p_total,
-                            tol_power=tol_power)
-
-    return _de_ascent(posterior, cfg, n, init, iters, step, obj_tol, start,
-                      score_last)
+    """MM ascent with one shared shaping S = sum_l w_l leak_l, so one m_t x
+    m_t eigendecomposition serves each update.  Arguments as in mm_full."""
+    return _de_ascent(posterior, cfg, n, init, iters,
+                      _mm_step(posterior, cfg, n, tol_power, False), obj_tol,
+                      start, score_last)

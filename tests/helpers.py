@@ -25,8 +25,7 @@ from robustprec.mm_precoder import (
     _de_ascent,
     leakage_penalty,
     mu_bisection,
-    self_penalty,
-    signal_gain,
+    own_curvature,
 )
 from robustprec.operators import (
     hermitize,
@@ -349,38 +348,39 @@ def wmmse_oracle(channels, p_total, sigma2_z, weights, iters=100,
 def mm_ascent_oracle(posterior, cfg, n, init, iters, shared, obj_tol=1e-8,
                      tol_power=1e-6):
     """mm_full (shared=False) or mm_shared (shared=True) with an update that
-    lists all K leakage penalties (and for mm_full all K signal gains and
-    self penalties) at once, then forms every shaping (or the one shared
-    shaping) and right-hand side from those lists."""
+    lists all K own curvatures and leakage penalties at once, then forms
+    every shaping (or the one shared shaping) and right-hand side from
+    those lists."""
     weights = cfg.weights
     users = range(posterior.n_users)
 
     def step(precoders, states, covs):
+        tx_gains = [states[k].tx_gain for k in users]
+        tps = [tx_gains[k] @ precoders[k] for k in users]
+        owns = [own_curvature(posterior, states[k], covs[k], k, n,
+                              tx_gains[k], tps[k]) for k in users]
         leaks = [leakage_penalty(posterior, states[k], covs[k], k, n)
                  for k in users]
+        # the gradient of user k's DE rate, T_k P_k Phi_k, and for mm_full
+        # the own curvature's step X_k P_k
+        grads = [tps[k] @ states[k].stream_mse for k in users]
         if not shared:
-            gains = [signal_gain(posterior, covs[k], k, n) for k in users]
-            selfs = [self_penalty(gains[k], states[k], precoders[k])
-                     for k in users]
+            grads = [grads[k] + owns[k] @ precoders[k] for k in users]
+        rhs = [weights[k] * (leaks[k] @ precoders[k] + grads[k])
+               for k in users]
+        weighted = [weights[l] * leaks[l] for l in users]
+        if shared:
+            total = weighted[0]
+            for term in weighted[1:]:
+                total = total + term
+            shapings = [total] * len(users)
+        else:
             shapings = []
             for k in users:
-                d = weights[k] * selfs[k]
-                for l in users:
-                    if l != k:
-                        d = d + weights[l] * leaks[l]
+                d = weights[k] * owns[k]
+                for term in weighted:
+                    d = d + term
                 shapings.append(d)
-            rhs = [weights[k] * gains[k] @ precoders[k] for k in users]
-            return mu_bisection(rhs, shapings, cfg.p_total,
-                                tol_power=tol_power)
-        total = weights[0] * leaks[0]
-        for k in users[1:]:
-            total = total + weights[k] * leaks[k]
-        # the gradient of user k's DE rate, T_k P_k Phi_k, stands for
-        # (gain_k - self_k) P_k
-        rhs = [weights[k] * (leaks[k] @ precoders[k]
-                             + (states[k].tx_gain @ precoders[k])
-                             @ states[k].stream_mse) for k in users]
-        return mu_bisection(rhs, [total] * len(users), cfg.p_total,
-                            tol_power=tol_power)
+        return mu_bisection(rhs, shapings, cfg.p_total, tol_power=tol_power)
 
     return _de_ascent(posterior, cfg, n, init, iters, step, obj_tol)

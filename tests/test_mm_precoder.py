@@ -46,6 +46,7 @@ from robustprec.mm_precoder import (
     mm_shared,
     mu_bisection,
     normalize_power,
+    own_curvature,
     self_penalty,
     signal_gain,
     total_power,
@@ -92,15 +93,20 @@ def test_self_penalty_routes_agree():
 
 @pytest.mark.parametrize("m_t", [8, 64])
 def test_the_gap_times_the_precoder_is_the_rate_gradient(m_t):
-    # mm_shared's right-hand side: (gain - self_penalty) P is
-    # tx_gain P stream_mse by the inversion lemma, on both branches of
-    # mean_quadratic_tx
+    # the MM updates' right-hand side: (gain - self_penalty) P is
+    # tx_gain P stream_mse by the inversion lemma, and mm_full's own term
+    # is self_penalty - leakage_penalty with no signal gain formed, on both
+    # branches of mean_quadratic_tx
     cfg, rng, post = _instance(m_t, m_t=m_t)
     p = random_precoder_set(rng, cfg.m_t, cfg.d_k, cfg.p_total)
-    _, states, gains, selfs, _ = _surrogate_pieces(cfg, post, p, 2)
+    covs, states, gains, selfs, leaks = _surrogate_pieces(cfg, post, p, 2)
     for k, state in enumerate(states):
-        want = (state.tx_gain @ p[k]) @ state.stream_mse
-        assert relerr((gains[k] - selfs[k]) @ p[k], want) <= 1e-12
+        tx_gain = state.tx_gain
+        tp = tx_gain @ p[k]
+        assert relerr((gains[k] - selfs[k]) @ p[k],
+                      tp @ state.stream_mse) <= 1e-12
+        own = own_curvature(post, state, covs[k], k, 2, tx_gain, tp)
+        assert relerr(own, selfs[k] - leaks[k]) <= 1e-12
 
 
 def test_penalty_matrices_are_psd_and_ordered():
@@ -246,6 +252,24 @@ def test_mu_bisection_brackets_a_multiplier_above_2_to_the_60():
         assert abs(total_power(ps) - p_total) < 1e-6 * p_total
         mu_want, ps_want = mu_bisection_oracle(rhs, shaping, p_total)
         assert mu == mu_want and same_bits(ps[0], ps_want[0])
+
+
+def test_mu_bisection_meets_a_tiny_budget_against_huge_shapings():
+    # eigenvalues near 1e162 square past the largest double: the probe read
+    # 0 power for their rows and handed back the mu = 0 precoders, which
+    # spend about 1400 times a 1e-160 budget
+    rng = default_rng(4)
+    shapings, rhs = [], []
+    for _ in range(3):
+        q = np.linalg.qr(crandn(rng, 6, 6))[0]
+        lam = rng.uniform(1.0, 3.0, 6) * 1e162
+        shapings.append((q * lam) @ q.conj().T)
+        rhs.append(1e83 * crandn(rng, 6, 2))
+    p_total = 1e-160
+    mu, ps = mu_bisection(rhs, shapings, p_total)
+    assert mu > 0
+    assert total_power(ps) <= p_total
+    assert abs(total_power(ps) - p_total) <= 1e-6 * p_total
 
 
 def test_mu_bisection_inactive_constraint():
@@ -493,15 +517,17 @@ def test_mm_update_holds_one_users_gain_and_self_penalty(algorithm, units):
     assert peak < units * post.n_users * cfg.m_t ** 2 * 16
 
 
-def test_mm_shared_forms_no_signal_gain_or_self_penalty(monkeypatch):
+@pytest.mark.parametrize("algorithm", [mm_full, mm_shared])
+def test_mm_forms_no_signal_gain_or_self_penalty(monkeypatch, algorithm):
     def forbidden(*args):
-        raise AssertionError("mm_shared formed a signal gain or self penalty")
+        raise AssertionError("an MM update formed a signal gain or self "
+                             "penalty")
 
     monkeypatch.setattr(mm_precoder, "signal_gain", forbidden)
     monkeypatch.setattr(mm_precoder, "self_penalty", forbidden)
     cfg, rng, post = _instance(4)
     init = random_precoder_set(rng, cfg.m_t, cfg.d_k, cfg.p_total)
-    assert mm_shared(post, cfg, 2, init, iters=3, obj_tol=0.0).updates == 3
+    assert algorithm(post, cfg, 2, init, iters=3, obj_tol=0.0).updates == 3
 
 
 def _update_memory_instance():
