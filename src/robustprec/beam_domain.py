@@ -96,7 +96,9 @@ def beam_surrogate_diagonals(omegas, weights, alloc, states, q_full, r):
         lam_a = omegas[k].T @ (1.0 / r[k])
         gamma = states[k].tx_gain
         leakage.append(lam_a - gamma)
-        own = gamma * gamma * q_full[k] / (1.0 + gamma * q_full[k])
+        g2, gq = gamma * gamma, gamma * q_full[k]  # g2 inf at tiny budgets
+        own = np.where(np.isfinite(g2), g2 * q_full[k] / (1.0 + gq),
+                       gamma * (gq / (1.0 + gq)))
         num = (w * lam_a - w * own)[alloc.active_beams(k)] * alloc.gains[k]
         rhs.append(num[:, None])
     shared = sum(w * c for w, c in zip(weights, leakage))

@@ -185,19 +185,6 @@ class MCRate(NamedTuple):
     stderr: float
 
 
-# slogdet's sign is exactly 1 for a Hermitian positive-definite matrix, and
-# its computed distance from 1 tracks the determinant's round-off: at most
-# 6e-4 where rates are sound (120 dB with d_k < m_k), 0.93 or more where
-# the log-determinant has lost all precision (150 dB with d_k < m_k).
-_SIGN_TOL = 1e-3
-
-
-def _sign_ok(signs):
-    """|sign - 1| <= _SIGN_TOL for every slogdet sign (of modulus 1, or 0),
-    read off the real part: no batch-sized temporaries."""
-    return bool(np.all(signs.real >= 1 - _SIGN_TOL**2 / 2))
-
-
 @dataclass(frozen=True)
 class RateRecord:
     algorithm: str
@@ -226,15 +213,17 @@ def monte_carlo_rate(posterior, designs, weights, sigma2_z, n, rng,
     by sampling, in nats; one MCRate per set.
 
     Interference is treated as Gaussian noise with its posterior-expected
-    covariance (the same matrix the deterministic evaluation uses), so only
-    the desired channel is drawn: each user's rate averages
-    logdet(R + (HP)(HP)^H) - logdet(R) over posterior samples of H.
-    Draws are batched; matrices stay (batch, m_k, m_k).  Each batch is
-    drawn once and scores every design, so all designs see the same draws,
-    and each design's result is the one it would get scored alone.
+    covariance R = L L^H (the same matrix the deterministic evaluation
+    uses), so only the desired channel is drawn: each user's rate averages
+    logdet(I_d + W^H W), W = L^-1 H P, over posterior samples of H.  That is
+    logdet(R + (HP)(HP)^H) - logdet(R) with a determinant >= 1, which keeps
+    its precision at any SNR.  Draws are batched; matrices stay
+    (batch, d, d).  Each batch is drawn once and scores every design, so
+    all designs see the same draws, and each design's result is the one it
+    would get scored alone.
 
-    A set whose base or draw log-determinant is not finite, or whose
-    determinant sign fails _sign_ok (the logdet has lost its precision),
+    A set with a covariance that is not numerically positive definite (its
+    Cholesky factorization fails) or a per-user total that is not finite
     scores MCRate(nan, nan).  A weighted total or stderr that overflows is
     returned as computed, not finite, and is not a valid score either.
     """
@@ -242,20 +231,22 @@ def monte_carlo_rate(posterior, designs, weights, sigma2_z, n, rng,
     acc, acc_sq = np.zeros((2, len(designs), posterior.n_users))
     valid = np.ones(len(designs), dtype=bool)
     for k in range(posterior.n_users):
-        covs = [interference_covariance(posterior, pre, k, n, sigma2_z)
-                for pre in designs]
-        bases = [np.linalg.slogdet(r) for r in covs]
-        valid &= [_sign_ok(b.sign) for b in bases]
+        whiten = [None] * len(designs)  # per set, L^-T
+        for i, pre in enumerate(designs):
+            try:
+                whiten[i] = np.linalg.inv(np.linalg.cholesky(
+                    interference_covariance(posterior, pre, k, n, sigma2_z))).T
+            except np.linalg.LinAlgError:
+                valid[i] = False
         for start in range(0, n_samples, batch):
             draws = posterior.sample(k, n, rng,
                                      size=min(batch, n_samples - start))
-            for i, pre in enumerate(designs):
-                hp = _stack_matmul(draws, pre[k])
-                full = hp @ hp.conj().transpose(0, 2, 1)
-                full += covs[i]
-                signs, vals = np.linalg.slogdet(full)
-                valid[i] &= _sign_ok(signs)
-                vals -= bases[i].logabsdet
+            for i in np.flatnonzero(valid):
+                # W^T, as one GEMM over the folded (batch * d) rows of (HP)^T
+                w = _stack_matmul(_stack_matmul(draws, designs[i][k])
+                                  .transpose(0, 2, 1), whiten[i])
+                gram = w @ w.conj().transpose(0, 2, 1)  # (W^H W)^T
+                vals = np.linalg.slogdet(np.eye(w.shape[1]) + gram)[1]
                 acc[i, k] += np.sum(vals)
                 acc_sq[i, k] += np.sum(vals * vals)
     valid &= np.isfinite(acc).all(axis=1)
@@ -330,8 +321,8 @@ def _score(cfg, plan, post, slot, designed, outcomes):
     for (alg, group, _), row in zip(designed, rows):
         if any(math.isnan(rec.rate) for rec in row):
             row = NumericalError(
-                f"{alg}: the Monte Carlo score of slot {slot} is not valid "
-                "(a log-determinant lost its precision)")
+                f"{alg}: the Monte Carlo score of slot {slot} is not valid (a "
+                "covariance is not positive definite or a rate is not finite)")
         elif not np.isfinite([(r.rate, r.stderr) for r in row]).all():
             row = NumericalError(
                 f"{alg}: the Monte Carlo score of slot {slot} is not valid "

@@ -216,22 +216,35 @@ def sample_oracle(post, k, n, rng, size):
     return post.mean(k, n) + post.stats[k].u @ ((amp * w) @ v.conj().T)
 
 
+def sylvester_logdets(hp, r):
+    """logdet(I_d + W^H W) per draw of hp = HP, with W = L^-1 HP and
+    R = L L^H: monte_carlo_rate's per-draw score, with stacked products and
+    fresh arrays (its Gram matrix is (W^H W)^T, of the same determinant)."""
+    w = hp.transpose(0, 2, 1) @ np.linalg.inv(np.linalg.cholesky(r)).T
+    gram = w @ w.conj().transpose(0, 2, 1)
+    return np.linalg.slogdet(np.eye(hp.shape[2]) + gram)[1]
+
+
+def two_logdets(hp, r):
+    """logdet(R + (HP)(HP)^H) - logdet(R) per draw of hp = HP: the same
+    rate, which loses its precision at high SNR with d_k < m_k."""
+    full = r + hp @ hp.conj().transpose(0, 2, 1)
+    return np.linalg.slogdet(full)[1] - float(np.linalg.slogdet(r)[1])
+
+
 def monte_carlo_rate_oracle(posterior, precoders, weights, sigma2_z, n, rng,
-                            n_samples, batch=256):
-    """monte_carlo_rate on sample_oracle draws, with stacked products and
-    fresh arrays for every intermediate; the same batches and summation
-    order."""
+                            n_samples, batch=256, logdets=sylvester_logdets):
+    """monte_carlo_rate on sample_oracle draws, each scored by logdets, with
+    stacked products and fresh arrays for every intermediate; the same
+    batches and summation order."""
     per_user, variances = [], []
     for k in range(posterior.n_users):
         r = interference_covariance(posterior, precoders, k, n, sigma2_z)
-        base = float(np.linalg.slogdet(r)[1])
         p = precoders[k]
         acc, acc_sq, left = 0.0, 0.0, n_samples
         while left > 0:
             b = min(batch, left)
-            hp = sample_oracle(posterior, k, n, rng, b) @ p
-            full = r + hp @ hp.conj().transpose(0, 2, 1)
-            vals = np.linalg.slogdet(full)[1] - base
+            vals = logdets(sample_oracle(posterior, k, n, rng, b) @ p, r)
             acc += float(np.sum(vals))
             acc_sq += float(np.sum(vals * vals))
             left -= b

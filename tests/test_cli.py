@@ -626,10 +626,11 @@ def test_a_sweep_of_every_algorithm_leaves_scipy_unloaded(tmp_path):
     assert run.stdout.splitlines()[-1] == "[]"
 
 
-# 150 dB with m_k > d_k: at p_total 38 the Monte Carlo log-determinants
-# lose their precision (it wrote -inf and garbage rates at exit 0); with
-# m_k [2, 2], seed 4877 and the default p_total 1 an MM design meets a
-# singular matrix in a DE sweep (it was a LinAlgError traceback, exit 1)
+# 150 dB with m_k > d_k: at p_total 38 the Monte Carlo score as a difference
+# of two log-determinants lost its precision (it wrote -inf and garbage
+# rates at exit 0, then exit 3 once the loss was detected); with m_k [2, 2],
+# seed 4877 and the default p_total 1 an MM design meets a singular matrix
+# in a DE sweep (it was a LinAlgError traceback, exit 1)
 LOST_PRECISION = {
     "system": {"m_t": 6, "m_k": [3, 1], "d_k": [1, 1], "n_b": 3, "seed": 468,
                "snr_db": [150], "p_total": 38, "weights": [1, 3]},
@@ -644,8 +645,7 @@ SINGULAR_SWEEP = dict(LOST_PRECISION, system=dict(
 
 @pytest.mark.parametrize("data, cause", [
     (SINGULAR_SWEEP, "FixedPointError: DE fixed point: sweep"),
-    (LOST_PRECISION, "alg1: the Monte Carlo score of slot 0 is not valid"),
-], ids=["singular-sweep", "lost-precision"])
+], ids=["singular-sweep"])
 def test_150_db_with_fewer_streams_than_antennas_exits_3(tmp_path, data,
                                                          cause):
     out = tmp_path / "out"
@@ -655,6 +655,22 @@ def test_150_db_with_fewer_streams_than_antennas_exits_3(tmp_path, data,
     assert record["error"] == "NumericalError"
     assert cause in record["message"]
     assert sorted(p.name for p in out.iterdir()) == ["error.json"]
+
+
+def test_150_db_with_fewer_streams_than_antennas_ends_in_rates(tmp_path,
+                                                               capsys):
+    # the Sylvester form logdet(I + W^H W) keeps its precision at 150 dB
+    out = tmp_path / "out"
+    assert cli.main(["sweep", "-c", _write_config(tmp_path, LOST_PRECISION),
+                     "--out-dir", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    assert sorted(p.name for p in out.iterdir()) == [
+        "run_manifest.json", "sweep_alg1.csv", "sweep_alg2.csv"]
+    for alg in ("alg1", "alg2"):
+        _, rows = _read_rows(out / f"sweep_{alg}.csv")
+        assert [(r[1], int(r[3])) for r in rows] == [(alg, 2), (alg, 3)]
+        assert all(math.isfinite(float(r[4])) and math.isfinite(float(r[5]))
+                   for r in rows)
 
 
 # alg1 and alg2 begin from one shared cold DE evaluation of the canonical
@@ -910,7 +926,9 @@ def test_a_profile_that_overflows_exits_2_naming_lognorm_sigma(
 # typed error, or before rzf's rows, and under -W error::RuntimeWarning
 # either run ended in a traceback (exit 1).  At 1e-160 the multiplier is
 # about 1e146, within the bracket's bound sqrt(sum ||rhs||^2 / p_total),
-# so alg1 and wmmse end in rates
+# so alg1 and wmmse end in rates.  alg3's beam-domain self term squared
+# its beam gains (about 1e161) past the largest double, and its CSV was
+# left without rows
 TINY_BUDGET = {
     "system": {"m_t": 4, "m_k": [1, 1], "n_b": 2, "snr_db": [10],
                "p_total": 1e-160},
@@ -968,9 +986,9 @@ _NO_RATES = "warning: {} produced no rates (every slot failed)\n"
 
 
 @pytest.mark.parametrize("data, code, err, files", [
-    # alg3's bisection fails (alg1's DE residual at 1e160) and leaves its
-    # CSV without rows, which a warning names
-    (TINY_BUDGET, 0, _NO_RATES.format("alg3"),
+    # every design ends in rates at 1e-160; at 1e160 alg1's DE residual
+    # fails and leaves its CSV without rows, which a warning names
+    (TINY_BUDGET, 0, "",
      ["run_manifest.json", "sweep_alg1.csv", "sweep_alg3.csv",
       "sweep_wmmse.csv"]),
     (HUGE_BUDGET, 0, _NO_RATES.format("alg1"),
@@ -999,6 +1017,26 @@ def test_an_extreme_budget_prints_only_the_outcome(tmp_path, capsys, data,
                      "--out-dir", str(out)]) == code
     assert capsys.readouterr().err == err
     assert sorted(p.name for p in out.iterdir()) == files
+
+
+def test_alg3_converges_at_a_tiny_budget_as_at_a_unit_budget(tmp_path,
+                                                             capsys):
+    # at 1e-160 alg3's squared beam gains overflowed and its multiplier
+    # search failed to bracket (exit 3); the allocation is now the
+    # unit-budget one scaled, to the bisection's tolerance
+    alloc = {}
+    for p_total in (1e-160, 1.0):
+        data = dict(TINY_CONVERGE, system=dict(
+            TINY_CONVERGE["system"], p_total=p_total, sigma2_z=p_total / 10),
+            experiment=dict(TINY_CONVERGE["experiment"], algorithms=["alg3"]))
+        out = tmp_path / str(p_total)
+        assert cli.main(["converge", "-c", _write_config(tmp_path, data),
+                         "--out-dir", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        _, rows = _read_rows(out / "allocation_alg3.csv")
+        alloc[p_total] = np.array([float(r[2]) for r in rows]) / p_total
+        assert alloc[p_total].sum() <= 1 + 1e-9
+    assert np.allclose(alloc[1e-160], alloc[1.0], rtol=1e-6, atol=0)
 
 
 def test_converge_whose_beam_domain_total_overflows_exits_3(tmp_path, capsys):

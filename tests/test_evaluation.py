@@ -12,11 +12,12 @@ from helpers import (
     random_precoder_set,
     same_bits,
     small_cfg,
+    two_logdets,
 )
 from robustprec.baselines import perfect_csi_rate
 from robustprec.beam_domain import canonical_allocation
 from robustprec.channel import BeamProfile
-from robustprec.config import SystemConfig, at_noise, noise_from_snr
+from robustprec.config import SystemConfig, noise_from_snr
 from robustprec.errors import ConfigError, NumericalError
 from robustprec.posterior import PosteriorModel
 from robustprec.det_equiv import de_weighted_sum_rate
@@ -73,20 +74,11 @@ def test_monte_carlo_keeps_the_per_draw_loops_bits(m_k, d, n_samples):
     assert got.total == want.total
     assert got.stderr == want.stderr
     assert n_samples > 1 or got.stderr == 0.0
-
-
-def test_the_sign_test_is_the_distance_from_one():
-    # slogdet's signs have modulus 1 (or are 0), where the real-part test
-    # is |sign - 1| <= _SIGN_TOL: its edge is at angle 2 asin(_SIGN_TOL / 2)
-    tol = evaluation._SIGN_TOL
-    edge = 2 * np.arcsin(tol / 2)
-    for sign, ok in [(0j, False), (0.0, False), (1.0, True), (-1.0, False),
-                     (np.exp(0.99j * edge), True),
-                     (np.exp(-0.99j * edge), True),
-                     (np.exp(1.01j * edge), False),
-                     (np.exp(-1.01j * edge), False)]:
-        assert evaluation._sign_ok(np.array([sign])) == (
-            abs(sign - 1) <= tol) == ok
+    # the two-log-determinant form of the same rate, at 10 dB
+    old = monte_carlo_rate_oracle(post, pre, *args, default_rng(5),
+                                  n_samples=n_samples, batch=256,
+                                  logdets=two_logdets)
+    assert abs(got.total - old.total) <= 1e-12 * abs(old.total)
 
 
 def test_designs_scored_together_keep_their_solo_bits():
@@ -108,28 +100,61 @@ def test_designs_scored_together_keep_their_solo_bits():
                                        n_samples=600, batch=256)
         assert got.total == solo.total == want.total
         assert got.stderr == solo.stderr == want.stderr
+        old = monte_carlo_rate_oracle(post, pre, *args, default_rng(7),
+                                      n_samples=600, batch=256,
+                                      logdets=two_logdets)
+        assert abs(got.total - old.total) <= 1e-12 * abs(old.total)
 
 
-def test_a_score_that_lost_its_precision_is_nan_beside_a_valid_one():
-    # 150 dB with m_k > d_k: the canonical start's log-determinants lose
-    # all precision (determinant signs far from 1; it scored a finite 147
-    # nats before the check), while a random set in the same call stays
-    # valid and keeps the bits it gets scored alone
+def test_a_covariance_not_positive_definite_scores_nan_beside_a_valid_one(
+        monkeypatch):
+    # one design's interference covariance is negated, so its Cholesky
+    # factorization fails: that design scores NaN, while a design beside it
+    # in the same call keeps the bits it gets scored alone
+    cfg = small_cfg(m_t=8, m_k=(2, 2), n_b=2, sigma2_z=0.1)
+    rng = default_rng(13)
+    _, _, _, post = make_instance(cfg, rng, alphas=0.8)
+    bad_set, kept = (random_precoder_set(rng, cfg.m_t, cfg.d_k, cfg.p_total)
+                     for _ in range(2))
+    real = evaluation.interference_covariance
+
+    def negated_for_bad_set(posterior, precoders, k, n, sigma2_z):
+        r = real(posterior, precoders, k, n, sigma2_z)
+        return -r if precoders is bad_set and k == 1 else r
+
+    monkeypatch.setattr(evaluation, "interference_covariance",
+                        negated_for_bad_set)
+    args = (cfg.weights, cfg.sigma2_z, 2)
+    bad, good = monte_carlo_rate(post, [bad_set, kept], *args,
+                                 default_rng(0), n_samples=40, batch=16)
+    assert np.isnan(bad.total) and np.isnan(bad.stderr)
+    solo, = monte_carlo_rate(post, [kept], *args, default_rng(0),
+                             n_samples=40, batch=16)
+    assert np.isfinite(good.total)
+    assert (good.total, good.stderr) == (solo.total, solo.stderr)
+
+
+# LOST_PRECISION's system (tests/test_cli.py) at sigma2_bs pinned to its
+# 150 dB noise, so the posterior does not move with sigma2_z.  R only
+# shrinks in PSD order as sigma2_z falls, so every draw's rate, and each
+# total on common draws, cannot fall with SNR.  The two-log-determinant
+# form scored NaN (its determinant signs far from 1) from 150 dB on
+def test_monte_carlo_rates_do_not_fall_with_snr_at_fewer_streams():
     cfg = SystemConfig(m_t=6, m_k=(3, 1), d_k=(1, 1), n_b=3, seed=468,
-                       weights=(1, 3))
-    cfg = at_noise(cfg, noise_from_snr(150, cfg.p_total))
+                       p_total=38, weights=(1, 3),
+                       sigma2_bs=noise_from_snr(150, 38))
     stats = experiment_statistics(cfg, BeamProfile(
         band_width=2, lognorm_sigma=3.0, alphas=0.99))
     _, post = prepare_slot(cfg, stats, 0)
-    lost = canonical_allocation(stats, cfg).precoders
-    kept = random_precoder_set(default_rng(3), cfg.m_t, cfg.d_k, cfg.p_total)
-    args = (cfg.weights, cfg.sigma2_z, 2)
-    bad, good = monte_carlo_rate(post, [lost, kept], *args, default_rng(0),
-                                 n_samples=8)
-    assert np.isnan(bad.total) and np.isnan(bad.stderr)
-    solo, = monte_carlo_rate(post, [kept], *args, default_rng(0), n_samples=8)
-    assert np.isfinite(good.total)
-    assert (good.total, good.stderr) == (solo.total, solo.stderr)
+    pre = canonical_allocation(stats, cfg).precoders
+    totals = []
+    for snr in (90, 120, 150, 180):
+        mc, = monte_carlo_rate(post, [pre], cfg.weights,
+                               noise_from_snr(snr, cfg.p_total), 2,
+                               default_rng(0), n_samples=64)
+        totals.append(mc.total)
+    assert np.isfinite(totals).all()
+    assert totals == sorted(totals), totals
 
 
 def test_monte_carlo_tracks_deterministic_equivalent():
@@ -222,9 +247,9 @@ def test_an_alpha_free_score_failure_stays_first_before_a_later_design(
         res = run_slot_experiment(cfg, _profile(), ExperimentPlan(
             algorithms=("rzf", "alg1", "alg2"), **kw))
     assert res.failed_slots == [0, 1]
-    assert str(res.first_error) == ("rzf: the Monte Carlo score of slot 0 is "
-                                    "not valid (a log-determinant lost its "
-                                    "precision)")
+    assert str(res.first_error) == (
+        "rzf: the Monte Carlo score of slot 0 is not valid (a covariance is "
+        "not positive definite or a rate is not finite)")
     assert res.records == solo.records
 
 
