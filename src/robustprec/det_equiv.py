@@ -16,7 +16,8 @@ per solve, the receive-side remainder is read from p~ by
 operators._beam_rx_moment, as the interference covariances are, and the
 transmit-side one is held as its beam diagonal g.  A sweep's products are
 d x d and m_k x m_k and cost O(m_t (m_k + d)^2), and a solve holds no
-m_t x m_t matrix; its tx_gain is rebuilt from tx_factors on read.
+m_t x m_t matrix: the transmit gain stays in the form the sweep computes,
+T = V diag(g) V^H + q m q^H, which tx_apply applies to a precoder.
 """
 from __future__ import annotations
 
@@ -25,13 +26,13 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .channel import dft_matrix
 from .errors import FixedPointError, NumericalError
 from .operators import (
     _beam_rx_moment,
     _to_beams,
     hermitize,
     interference_covariance,
-    mean_quadratic_tx,
     tx_gain_diag,
 )
 
@@ -61,48 +62,44 @@ def _rel_change(new, old):
 class DEState:
     """Converged fixed-point quantities for one (user, block, precoder set).
 
-    The general solver fills it with matrices but holds no m_t x m_t one:
-    its sweep runs in beam coordinates, so held_tx_gain is None and tx_gain
-    is rebuilt from tx_factors on each read.  The beam-domain solver, for
-    zero-mean posteriors, fills it with the diagonals of the same quantities
-    as per-beam (transmit side) and per-receive-dimension vectors, and holds
-    its tx_gain.
+    The general solver fills it with matrices but holds no m_t x m_t one.
+    The beam-domain solver, for zero-mean posteriors, fills it with the
+    diagonals of the same quantities as per-beam (transmit side) and
+    per-receive-dimension vectors.  Both keep the transmit-side gain T, on
+    which the DE rate reads logdet(I + P^H T P), as V diag(g) V^H + q m q^H.
 
-    tx_gain: m_t x m_t effective transmit-side gain; the DE rate reads
-        logdet(I + tx_gain P P^H) + correction terms.  A property: it is
-        held_tx_gain when the state holds one, else rebuilt.
+    tx_gain: g, T's beam diagonal, a real m_t-vector.
     rx_gain: m_k x m_k effective receive-side signal covariance.
-    stream_mse: (I + P^H tx_gain P)^-1, the DE of the per-stream MSE matrix
-        (per beam, 1 off the active support, in the beam domain), which
-        form 1 and both MM updates' rate gradient tx_gain P stream_mse read.
+    stream_mse: (I + P^H T P)^-1, the DE of the per-stream MSE matrix (per
+        beam, 1 off the active support, in the beam domain), which form 1
+        and both MM updates' rate gradient T P stream_mse read.
     rx_mse: whitened receive-side counterpart of stream_mse.
     iterations, residual: sweeps taken and the final residual.
     whitener: R^-1/2 of the interference covariance the general solver
         whitened with, read by the rate forms; None in the beam domain.
-    tx_factors: what the general solver's last sweep built tx_gain from
-        (None in the beam domain): (kernel, L G L, L M, F^-1 L M) with L
-        the whitener, G the receive-side resolvent that entered the sweep,
-        M the posterior mean and F the sweep's receive-side factor, so
-        tx_gain = hermitize(E[H~^H L G L H~] + (L M)^H F^-1 L M).  These
-        O(m_k m_t) factors are all the state keeps of it; tx_gain alone
-        reads them, rebuilding the matrix bit for bit alike on each read.
+    tx_mean: (q, m), T's term through the posterior mean M: q m q^H =
+        (L M)^H F^-1 L M for L the whitener and F the last sweep's
+        receive-side factor, q the m_t x m_k orthonormal factor of (L M)^H
+        and m Hermitian; None in the beam domain, where M is zero.
     """
 
-    held_tx_gain: np.ndarray
+    tx_gain: np.ndarray
     rx_gain: np.ndarray
     stream_mse: np.ndarray
     rx_mse: np.ndarray
     iterations: int
     residual: float
     whitener: np.ndarray = None
-    tx_factors: tuple = None
+    tx_mean: tuple = None
 
-    @property
-    def tx_gain(self):
-        if self.held_tx_gain is not None:
-            return self.held_tx_gain
-        kern, c_rx, lm, sol = self.tx_factors
-        return hermitize(mean_quadratic_tx(kern, c_rx) + lm.conj().T @ sol)
+
+def tx_apply(state, p):
+    """T p for the state's transmit gain T (DEState), forming no m_t x m_t."""
+    out = dft_matrix(p.shape[0]) @ (state.tx_gain[:, None] * _to_beams(p))
+    if state.tx_mean is not None:
+        q, m = state.tx_mean
+        out += q @ (m @ (q.conj().T @ p))
+    return out
 
 
 def _damped_sweeps(sweep, cold, init, tol, max_iter, gains=None,
@@ -151,10 +148,10 @@ def _damped_sweeps(sweep, cold, init, tol, max_iter, gains=None,
 
 def _beam_tx_change(q):
     """tx_change of the beam sweep, whose transmit gain is the pair (g, m)
-    with tx_gain = V diag(g) V^H + q m q^H, for q the orthonormal factor of
+    with T = V diag(g) V^H + q m q^H, for q the orthonormal factor of
     (L M)^H = q r, so that (L M)^H F^-1 L M = q (r F^-1 L M q) q^H.
 
-    V is unitary, so ||tx_gain||_F = ||diag(g) + w m w^H||_F with
+    V is unitary, so ||T||_F = ||diag(g) + w m w^H||_F with
     w = V^H q, whose square is g.g + 2 g.Re diag(w m w^H) + ||m||_F^2 for
     real g and any m: the relative change of the m_t x m_t gain in
     O(m_t m_k^2).  A square that overflows is taken again with (g, m)
@@ -205,26 +202,21 @@ def solve_fixed_point(posterior, p, r, k, n, tol=1e-9, max_iter=500, init=None):
     pt = _to_beams(p)
     q, upper = np.linalg.qr(lm.conj().T)
 
-    factors = None  # the last sweep's, which built the returned tx_gain
-
     def sweep(g, gt):
-        nonlocal factors
-        c_rx = l @ gt @ l
-        gain = tx_gain_diag(kern, c_rx)
+        gain = tx_gain_diag(kern, l @ gt @ l)
         e_rx = _beam_rx_moment(kern, pt, g)
         quad = (pt.conj().T * gain) @ pt  # p^H e_tx p
-        rx_factor = eye_m + l @ e_rx @ l
-        factors = kern, c_rx, lm, np.linalg.solve(rx_factor, lm)
-        tx_quad = quad + lmp.conj().T @ (factors[3] @ p)
+        sol = np.linalg.solve(eye_m + l @ e_rx @ l, lm)  # F^-1 L M
+        tx_quad = quad + lmp.conj().T @ (sol @ p)
         rx_gain = hermitize(e_rx + mp @ np.linalg.solve(eye_d + quad, mp.conj().T))
-        return ((gain, upper @ factors[3] @ q), rx_gain,
+        return ((gain, upper @ sol @ q), rx_gain,
                 np.linalg.inv(eye_d + tx_quad),
                 np.linalg.inv(eye_m + l @ rx_gain @ l))
 
     state = _damped_sweeps(sweep, (eye_d, eye_m), init, tol, max_iter,
                            tx_change=_beam_tx_change(q))
-    state.held_tx_gain = None  # the pair (g, m); tx_factors rebuild it
-    state.whitener, state.tx_factors = l, factors
+    state.tx_gain, m = state.tx_gain  # the sweep's pair (g, m)
+    state.whitener, state.tx_mean = l, (q, hermitize(m))
     return state
 
 
@@ -232,7 +224,7 @@ def de_rate_form1(state, posterior, p, k, n):
     """DE rate, transmit-side form (nats); clamped at 0.
 
     Its first term, logdet(I + P^H tx_gain P), is read as -logdet(stream_mse),
-    so it forms no m_t x m_t matrix and reads no tx_factors."""
+    so it forms no m_t x m_t matrix."""
     kern = posterior.kernel(k, n)
     l = state.whitener
     e_rx = _beam_rx_moment(kern, _to_beams(p), state.stream_mse)
@@ -256,8 +248,7 @@ def de_weighted_sum_rate(posterior, precoders, weights, sigma2_z, n,
 
     Solves one fixed point per user (optionally warm-started from
     init_states) and sums the form-1 rates.  Also returns the per-user
-    states, which hold their transmit gains as factors, and interference
-    covariances for reuse by the optimizers.
+    states and interference covariances for reuse by the optimizers.
     """
     k_users = len(precoders)
     states, rates, covs = [], [], []

@@ -31,7 +31,7 @@ from .channel import (
 )
 from .config import _cast, _values, at_noise, noise_from_snr
 from .errors import ConfigError, NumericalError
-from .mm_precoder import mm_full, mm_shared
+from .mm_precoder import mm_full, mm_shared, total_power
 from .operators import interference_covariance
 from .posterior import _stack_matmul, build_posterior
 
@@ -275,11 +275,15 @@ def _dispatch(alg, n, call, *args):
 
 def _algorithm_designs(alg, inputs):
     """One algorithm's precoders for every data block of a slot: one design
-    per block if it reads alpha, else one design for them all."""
-    entry, prev, out = ALGORITHM_TABLE[alg], None, []
+    per block if it reads alpha, else one design for them all.  A design
+    over p_total (1 + 1e-6) is a NumericalError."""
+    entry, prev, out, budget = ALGORITHM_TABLE[alg], None, [], inputs.cfg.p_total
     for n in range(2, inputs.cfg.n_b + 1):
         if prev is None or entry.reads_alpha:
             prev = _dispatch(alg, n, entry.design, inputs, n, prev)
+            if (spent := total_power(prev)) > budget * (1 + 1e-6):
+                raise NumericalError(f"{alg}, block {n}: the design spends "
+                                     f"{spent:.6e} over the budget {budget:.6e}")
         out.append(prev)
     return out
 

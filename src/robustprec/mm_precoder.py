@@ -9,8 +9,8 @@ penalties (the damage each user's power does to the others' rates), so one
 m_t x m_t eigendecomposition serves the update; mm_full gives user k
 D_k = S + w_k X_k, X_k its own-rate curvature beyond its leakage penalty.
 
-Memory: the DE states hold their transmit gains as O(m_k m_t) factors
-(det_equiv.DEState), each rebuilt once per update.  An mm_full update holds
+Memory: the DE states hold their transmit gains T as O(m_k m_t) factors
+(det_equiv.DEState), applied as T P with no T formed.  An mm_full update holds
 its K m_t x m_t shapings: each weighted leakage penalty is added into every
 shaping as soon as it is formed, and the multiplier search takes them one
 at a time, releasing each after its eigendecomposition.  An mm_shared
@@ -23,9 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .det_equiv import de_weighted_sum_rate
+from .det_equiv import de_weighted_sum_rate, tx_apply
 from .errors import BisectionError, NumericalError
-from .operators import expected_gram, hermitize
+from .operators import _beam_matrix, expected_gram, hermitize, tx_gain_diag
 
 _BISECT_CAP = 500
 
@@ -54,13 +54,12 @@ def signal_gain(posterior, r, k, n):
 
 
 def self_penalty(gain, state, p):
-    """Own-rate curvature penalty: gain - (I + tx_gain P P^H)^-1 tx_gain,
-    by the inversion lemma, so only a d x d system is solved.  No design
-    calls it: tests read it as an oracle, and perfbench traces its name."""
-    tx_gain = state.tx_gain
-    gp = tx_gain @ p
+    """Own-rate curvature penalty: gain - (I + T P P^H)^-1 T for T the
+    state's transmit gain, by the inversion lemma.  No design calls it:
+    tests read it as an oracle, and perfbench traces its name."""
+    gp, t = tx_apply(state, p), tx_apply(state, np.eye(p.shape[0]))
     core = np.eye(p.shape[1], dtype=complex) + p.conj().T @ gp
-    return hermitize(gain - tx_gain + gp @ np.linalg.solve(core, gp.conj().T))
+    return hermitize(gain - t + gp @ np.linalg.solve(core, gp.conj().T))
 
 
 self_penalty_lowrank = self_penalty  # its former name, which perfbench traces
@@ -76,13 +75,17 @@ def leakage_penalty(posterior, state, r, k, n):
     return hermitize(expected_gram(posterior, k, n, diff))
 
 
-def own_curvature(posterior, state, r, k, n, tx_gain, tp):
+def own_curvature(posterior, state, r, k, n, tp):
     """User k's own-rate curvature beyond its leakage penalty, self_penalty
-    - leakage_penalty = E[H^H (R + rx_gain)^-1 H] - T + (T P) Phi (T P)^H for
-    T = tx_gain (the caller's rebuild of it), tp = T P and Phi = stream_mse."""
-    out = expected_gram(posterior, k, n,
-                        hermitize(np.linalg.inv(r + state.rx_gain)))
-    out -= tx_gain
+    - leakage_penalty = E[H^H C H] - T + (T P) Phi (T P)^H, for C = (R +
+    rx_gain)^-1, tp = T P and Phi = stream_mse.  With T = V diag(g) V^H +
+    q m q^H, E[H^H C H] - T is the beam matrix of tx_gain_diag(C) - g plus
+    M^H C M - q m q^H."""
+    c = hermitize(np.linalg.inv(r + state.rx_gain))
+    mean, (q, m) = posterior.mean(k, n), state.tx_mean
+    out = _beam_matrix(tx_gain_diag(posterior.kernel(k, n), c) - state.tx_gain)
+    out += mean.conj().T @ c @ mean
+    out -= q @ m @ q.conj().T
     out += (tp @ state.stream_mse) @ tp.conj().T
     return hermitize(out)
 
@@ -276,15 +279,13 @@ def _mm_step(posterior, cfg, n, tol_power, per_user):
         # owns: the w_k X_k of mm_full, which the leakage penalties join
         rhs, owns = [], []
         for k, (p, state) in enumerate(zip(precoders, states)):
-            t = state.tx_gain
-            tp = t @ p
+            tp = tx_apply(state, p)
             rhs.append(tp @ state.stream_mse)
             if per_user:
-                own = own_curvature(posterior, state, covs[k], k, n, t, tp)
+                own = own_curvature(posterior, state, covs[k], k, n, tp)
                 rhs[k] += own @ p
                 own *= weights[k]
                 owns.append(own)
-            del t  # a rebuild only this user reads
         for l in users:
             leak = leakage_penalty(posterior, states[l], covs[l], l, n)
             rhs[l] = weights[l] * (leak @ precoders[l] + rhs[l])

@@ -15,9 +15,9 @@ owner, _beam_rx_moment, reads them so for the DE sweep, form 1, the
 covariances (p the other users' precoders) and mean_quadratic_rx (p = I).
 
 v is the unitary DFT, so v diag(g) v^H is circulant.  From m_t = _FFT_FROM
-(64) on, mean_quadratic_tx builds it from fft(g) / m_t, which costs
-O(m_t^2) where the dense product with v costs O(m_t^3).  Below it the
-dense product is faster, and results there keep their bits.
+(64) on, _beam_matrix builds it from fft(g) / m_t, which costs O(m_t^2)
+where the dense product with v costs O(m_t^3).  Below it the dense product
+is faster, and results there keep their bits.
 """
 from __future__ import annotations
 
@@ -110,13 +110,17 @@ def mean_quadratic_rx(kernel, c_tx):
     return _beam_rx_moment(kernel, _dft_conj(kernel.m_t), c_tx)
 
 
-def mean_quadratic_tx(kernel, c_rx):
-    """E[H~^H C H~]: m_t x m_t Hermitian PSD for Hermitian PSD C."""
-    g = tx_gain_diag(kernel, c_rx)
-    m_t = kernel.m_t
+def _beam_matrix(g):
+    """v diag(g) v^H for real g, a fresh array (by FFT from _FFT_FROM on)."""
+    m_t = len(g)
     if m_t >= _FFT_FROM:
         return _circulant(np.fft.fft(g) / m_t)
     return (dft_matrix(m_t) * g) @ _dft_conj(m_t).T
+
+
+def mean_quadratic_tx(kernel, c_rx):
+    """E[H~^H C H~]: m_t x m_t Hermitian PSD for Hermitian PSD C."""
+    return _beam_matrix(tx_gain_diag(kernel, c_rx))
 
 
 def expected_gram(posterior, k, n, c_rx):

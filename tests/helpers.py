@@ -17,7 +17,7 @@ from robustprec.channel import (
     uplink_observation,
 )
 from robustprec.config import SystemConfig, noise_from_snr
-from robustprec.det_equiv import _damped_sweeps, inverse_sqrt_psd
+from robustprec.det_equiv import _damped_sweeps, inverse_sqrt_psd, tx_apply
 from robustprec.errors import BisectionError
 from robustprec.evaluation import MCRate
 from robustprec.mm_precoder import (
@@ -28,6 +28,7 @@ from robustprec.mm_precoder import (
     own_curvature,
 )
 from robustprec.operators import (
+    expected_gram,
     hermitize,
     interference_covariance,
     mean_quadratic_rx,
@@ -77,7 +78,7 @@ def dense_fixed_point(posterior, p, r, k, n, tol=1e-9, max_iter=500):
     """det_equiv.solve_fixed_point by the dense sweep, which forms and holds
     the m_t x m_t transmit gain every sweep and measures its change as a
     matrix, and the form-1 rate of its state scored densely as well.
-    Returns (state, rate); the state holds the matrix as held_tx_gain."""
+    Returns (state, rate); the state holds the matrix as its tx_gain."""
     kern = posterior.kernel(k, n)
     mean = posterior.mean(k, n)
     eye_d = np.eye(p.shape[1], dtype=complex)
@@ -105,12 +106,33 @@ def dense_fixed_point(posterior, p, r, k, n, tol=1e-9, max_iter=500):
     return state, max(rate, 0.0)
 
 
+def tx_gain_matrix(state):
+    """The m_t x m_t transmit gain T = V diag(g) V^H + q m q^H of a DE
+    state, formed by dense products."""
+    v = dft_matrix(len(state.tx_gain))
+    t = (v * state.tx_gain) @ v.conj().T
+    if state.tx_mean is not None:
+        q, m = state.tx_mean
+        t = t + q @ m @ q.conj().T
+    return t
+
+
 def self_penalty_oracle(gain, state, p):
     """mm_precoder.self_penalty by the full m_t x m_t solve:
-    gain - (I + tx_gain P P^H)^-1 tx_gain."""
-    tx_gain = state.tx_gain
-    lhs = np.eye(gain.shape[0], dtype=complex) + tx_gain @ (p @ p.conj().T)
-    return hermitize(gain - np.linalg.solve(lhs, tx_gain))
+    gain - (I + T P P^H)^-1 T."""
+    t = tx_gain_matrix(state)
+    lhs = np.eye(gain.shape[0], dtype=complex) + t @ (p @ p.conj().T)
+    return hermitize(gain - np.linalg.solve(lhs, t))
+
+
+def own_curvature_oracle(posterior, state, r, k, n, p):
+    """mm_precoder.own_curvature with T formed:
+    E[H^H (R + rx_gain)^-1 H] - T + (T P) Phi (T P)^H."""
+    t = tx_gain_matrix(state)
+    tp = t @ p
+    out = expected_gram(posterior, k, n,
+                        hermitize(np.linalg.inv(r + state.rx_gain)))
+    return hermitize(out - t + (tp @ state.stream_mse) @ tp.conj().T)
 
 
 def relerr(got, want):
@@ -368,10 +390,9 @@ def mm_ascent_oracle(posterior, cfg, n, init, iters, shared, obj_tol=1e-8,
     users = range(posterior.n_users)
 
     def step(precoders, states, covs):
-        tx_gains = [states[k].tx_gain for k in users]
-        tps = [tx_gains[k] @ precoders[k] for k in users]
-        owns = [own_curvature(posterior, states[k], covs[k], k, n,
-                              tx_gains[k], tps[k]) for k in users]
+        tps = [tx_apply(states[k], precoders[k]) for k in users]
+        owns = [own_curvature(posterior, states[k], covs[k], k, n, tps[k])
+                for k in users]
         leaks = [leakage_penalty(posterior, states[k], covs[k], k, n)
                  for k in users]
         # the gradient of user k's DE rate, T_k P_k Phi_k, and for mm_full

@@ -16,6 +16,7 @@ from robustprec.det_equiv import (
     de_weighted_sum_rate,
     inverse_sqrt_psd,
     solve_fixed_point,
+    tx_apply,
 )
 from robustprec.errors import FixedPointError, NumericalError
 from robustprec.evaluation import experiment_statistics, prepare_slot
@@ -34,10 +35,10 @@ from helpers import (
     rand_hermitian_psd,
     random_precoder_set,
     relerr,
-    same_bits,
     scenario_instance,
     small_cfg,
     small_scenarios,
+    tx_gain_matrix,
     zero_mean_posterior,
 )
 
@@ -108,7 +109,7 @@ def test_fixed_point_agrees_with_independent_picard():
     r = interference_covariance(post, precoders, k, n, cfg.sigma2_z)
     state = solve_fixed_point(post, precoders[k], r, k, n, tol=1e-12)
     tx_ref, rx_ref = picard_reference(post, precoders[k], r, k, n)
-    assert np.linalg.norm(state.tx_gain - tx_ref) < 1e-6 * max(np.linalg.norm(tx_ref), 1e-300)
+    assert relerr(tx_gain_matrix(state), tx_ref) < 1e-6
     assert np.linalg.norm(state.rx_gain - rx_ref) < 1e-6 * max(np.linalg.norm(rx_ref), 1e-300)
 
 
@@ -216,28 +217,23 @@ def test_warm_start_cuts_sweeps():
     warm = solve_fixed_point(post, precoders[0], r, 0, 2, tol=1e-10, init=cold)
     assert warm.iterations <= 3
     assert warm.iterations <= cold.iterations
-    assert relerr(warm.tx_gain, cold.tx_gain) < 1e-8
+    assert relerr(tx_gain_matrix(warm), tx_gain_matrix(cold)) < 1e-8
 
 
-def test_a_held_state_rebuilds_the_tx_gain_of_a_fresh_solve_bit_for_bit():
-    # de_weighted_sum_rate's states keep the transmit gain as factors; each
-    # read rebuilds the bits a fresh solve at the same inputs returns, cold
-    # and warm-started
-    rng = np.random.default_rng(11)
-    cfg, post, precoders = _instance(rng)
-    moved = random_precoder_set(rng, cfg.m_t, cfg.d_k, cfg.p_total)
-    cold = de_weighted_sum_rate(post, precoders, cfg.weights, cfg.sigma2_z, 2)
-    warm = de_weighted_sum_rate(post, moved, cfg.weights, cfg.sigma2_z, 2,
-                                init_states=cold.states)
-    for res, ps, inits in ((cold, precoders, [None] * len(precoders)),
-                           (warm, moved, cold.states)):
-        for k, state in enumerate(res.states):
-            fresh = solve_fixed_point(post, ps[k], res.covariances[k], k, 2,
-                                      init=inits[k])
-            assert state.held_tx_gain is None
-            assert same_bits(state.tx_gain, fresh.tx_gain)
-            assert same_bits(state.tx_gain, state.tx_gain)
-            assert de_rate_form1(fresh, post, ps[k], k, 2) == res.rates[k]
+@pytest.mark.parametrize("m_t", [8, 64, 65])
+def test_tx_apply_is_the_dense_transmit_gain_times_p(m_t):
+    # a state holds T = V diag(g) V^H + q m q^H as g and (q, m); tx_apply's
+    # T p is the dense sweep's m_t x m_t T times p, on both branches of its
+    # beam matrix, for the user's precoder and for any m_t x 3 matrix
+    rng = np.random.default_rng(m_t + 11)
+    cfg, post, precoders = _instance(rng, m_t=m_t, m_k=(2, 1, 2))
+    other = crandn(rng, m_t, 3)
+    for k, p in enumerate(precoders):
+        r = interference_covariance(post, precoders, k, 2, cfg.sigma2_z)
+        state = solve_fixed_point(post, p, r, k, 2)
+        dense = dense_fixed_point(post, p, r, k, 2)[0].tx_gain
+        for x in (p, other):
+            assert relerr(tx_apply(state, x), dense @ x) <= 1e-10
 
 
 @pytest.mark.parametrize("m_t", [8, 16, 32, 64, 65, 128])
@@ -252,27 +248,27 @@ def test_the_beam_sweep_matches_the_dense_sweep(m_t):
         beam = solve_fixed_point(post, p, r, k, 2)
         beam_rate = de_rate_form1(beam, post, p, k, 2)
         dense, dense_rate = dense_fixed_point(post, p, r, k, 2)
-        assert beam.held_tx_gain is None
-        arrays = [*vars(beam).values(), *beam.tx_factors]
+        arrays = [*vars(beam).values(), *beam.tx_mean]
         assert not any(isinstance(a, np.ndarray) and a.shape == (m_t, m_t)
                        for a in arrays)
         assert beam.iterations == dense.iterations
-        for name in ("stream_mse", "rx_mse", "rx_gain", "tx_gain"):
+        for name in ("stream_mse", "rx_mse", "rx_gain"):
             assert relerr(getattr(beam, name), getattr(dense, name)) <= 1e-12
+        assert relerr(tx_gain_matrix(beam), dense.tx_gain) <= 1e-12
         assert abs(beam_rate - dense_rate) <= 1e-12 * dense_rate
 
 
 @pytest.mark.parametrize("m_t", [8, 64])
 def test_form_1_reads_its_transmit_term_from_the_stream_mse(m_t):
-    # -logdet(stream_mse) is logdet(I + P^H tx_gain P) with tx_gain rebuilt
-    # from its factors, on both branches of mean_quadratic_tx
+    # -logdet(stream_mse) is logdet(I + P^H T P) for the state's transmit
+    # gain T, below and from the FFT size
     rng = np.random.default_rng(m_t + 1)
     cfg, post, precoders = _instance(rng, m_t=m_t, m_k=(2, 1, 2))
     for k, p in enumerate(precoders):
         r = interference_covariance(post, precoders, k, 2, cfg.sigma2_z)
         state = solve_fixed_point(post, p, r, k, 2)
         want = np.linalg.slogdet(np.eye(p.shape[1])
-                                 + p.conj().T @ state.tx_gain @ p)[1]
+                                 + p.conj().T @ tx_apply(state, p))[1]
         got = -np.linalg.slogdet(state.stream_mse)[1]
         assert abs(got - want) <= 1e-12 * abs(want)
 

@@ -555,6 +555,36 @@ def test_a_linalg_error_in_a_design_is_a_numerical_error_naming_it(
             algorithms=("alg1",), **kw))
 
 
+def test_a_design_over_the_budget_drops_its_slot_naming_it(monkeypatch):
+    # rzf's precoders doubled spend 4 times p_total: the harness drops the
+    # slot with a NumericalError naming the design and the block, where it
+    # would score them; the other design keeps its solo rates, and a design
+    # within p_total (1 + 1e-6) is scored
+    cfg = SystemConfig(m_t=8, m_k=(2, 2), n_b=3, sigma2_z=0.1, seed=9)
+    kw = dict(n_slots=1, n_mc=50, mm_iters=3)
+    solo = run_slot_experiment(cfg, _profile(), ExperimentPlan(
+        algorithms=("slnr",), **kw))
+    entry = ALGORITHM_TABLE["rzf"]
+
+    def scaled(factor):
+        return entry._replace(design=lambda s, n, warm: [
+            factor * p for p in entry.design(s, n, warm)])
+
+    monkeypatch.setitem(ALGORITHM_TABLE, "rzf", scaled(2.0))
+    res = run_slot_experiment(cfg, _profile(), ExperimentPlan(
+        algorithms=("rzf", "slnr"), **kw))
+    assert res.failed_slots == [0]
+    assert type(res.first_error) is NumericalError
+    assert str(res.first_error) == ("rzf, block 2: the design spends "
+                                    "4.000000e+00 over the budget "
+                                    "1.000000e+00")
+    assert res.records == solo.records
+    monkeypatch.setitem(ALGORITHM_TABLE, "rzf", scaled(np.sqrt(1 + 5e-7)))
+    res = run_slot_experiment(cfg, _profile(), ExperimentPlan(
+        algorithms=("rzf",), **kw))
+    assert res.failed_slots == [] and len(res.records) == 2
+
+
 # 80 dB with alpha = 1: round-off asymmetry of ill-conditioned covariances
 # once escaped as an untyped ValueError from a Hermitian check
 @pytest.mark.parametrize("m_k, band_width, sigma2_bs, alg", [

@@ -18,6 +18,7 @@ from helpers import (
     make_instance,
     mm_ascent_oracle,
     mu_bisection_oracle,
+    own_curvature_oracle,
     power_oracle,
     random_precoder_set,
     relerr,
@@ -28,7 +29,7 @@ from helpers import (
     small_scenarios,
     traced_heap,
 )
-from robustprec import baselines, beam_domain, mm_precoder
+from robustprec import baselines, beam_domain, mm_precoder, operators
 from robustprec.beam_domain import beam_power_allocation, canonical_allocation
 from robustprec.channel import (
     BeamProfile,
@@ -38,7 +39,7 @@ from robustprec.channel import (
     orthogonal_pilots,
     uplink_observation,
 )
-from robustprec.det_equiv import solve_fixed_point
+from robustprec.det_equiv import solve_fixed_point, tx_apply
 from robustprec.errors import BisectionError, NumericalError
 from robustprec.mm_precoder import (
     leakage_penalty,
@@ -94,19 +95,54 @@ def test_self_penalty_routes_agree():
 @pytest.mark.parametrize("m_t", [8, 64])
 def test_the_gap_times_the_precoder_is_the_rate_gradient(m_t):
     # the MM updates' right-hand side: (gain - self_penalty) P is
-    # tx_gain P stream_mse by the inversion lemma, and mm_full's own term
-    # is self_penalty - leakage_penalty with no signal gain formed, on both
-    # branches of mean_quadratic_tx
+    # T P stream_mse by the inversion lemma, and mm_full's own term is
+    # self_penalty - leakage_penalty with no signal gain formed, on both
+    # branches of the beam matrix
     cfg, rng, post = _instance(m_t, m_t=m_t)
     p = random_precoder_set(rng, cfg.m_t, cfg.d_k, cfg.p_total)
     covs, states, gains, selfs, leaks = _surrogate_pieces(cfg, post, p, 2)
     for k, state in enumerate(states):
-        tx_gain = state.tx_gain
-        tp = tx_gain @ p[k]
+        tp = tx_apply(state, p[k])
         assert relerr((gains[k] - selfs[k]) @ p[k],
                       tp @ state.stream_mse) <= 1e-12
-        own = own_curvature(post, state, covs[k], k, 2, tx_gain, tp)
+        own = own_curvature(post, state, covs[k], k, 2, tp)
         assert relerr(own, selfs[k] - leaks[k]) <= 1e-12
+
+
+@pytest.mark.parametrize("m_t", [8, 64])
+def test_own_curvature_matches_the_form_with_a_dense_transmit_gain(m_t):
+    # one beam matrix of tx_gain_diag(C) - g plus the mean terms is
+    # E[H^H C H] - T + (T P) Phi (T P)^H with T formed, below and from the
+    # FFT size
+    cfg, rng, post = _instance(m_t + 5, m_t=m_t)
+    p = random_precoder_set(rng, cfg.m_t, cfg.d_k, cfg.p_total)
+    for k in range(post.n_users):
+        r = interference_covariance(post, p, k, 2, cfg.sigma2_z)
+        state = solve_fixed_point(post, p[k], r, k, 2)
+        own = own_curvature(post, state, r, k, 2, tx_apply(state, p[k]))
+        assert relerr(own, own_curvature_oracle(post, state, r, k, 2,
+                                                p[k])) <= 1e-12
+
+
+@pytest.mark.parametrize("algorithm, per_user", [(mm_shared, 1), (mm_full, 2)])
+def test_an_update_builds_one_beam_matrix_per_user_and_term(
+        monkeypatch, algorithm, per_user):
+    # at K = 4, one update builds each leakage penalty's V diag(g) V^H, and
+    # mm_full each own curvature's too: K and 2K (2K and 3K when each
+    # update rebuilt the transmit gains); the DE evaluation builds none
+    cfg, rng, post = _instance(6, m_k=(2, 1, 2, 1))
+    init = random_precoder_set(rng, cfg.m_t, cfg.d_k, cfg.p_total)
+    real, calls = operators._beam_matrix, []
+
+    def counted(g):
+        calls.append(len(g))
+        return real(g)
+
+    for module in (operators, mm_precoder):
+        monkeypatch.setattr(module, "_beam_matrix", counted)
+    report = algorithm(post, cfg, 2, init, iters=1, score_last=False)
+    assert report.updates == 1
+    assert calls == [cfg.m_t] * (per_user * post.n_users)
 
 
 def test_penalty_matrices_are_psd_and_ordered():
@@ -588,7 +624,7 @@ def test_mm_ascent_holds_its_de_states_without_m_t_square_matrices(
     assert max(held) < 0.2 * unit
     square = (cfg.m_t, cfg.m_t)
     for state in states:
-        arrays = [*vars(state).values(), *state.tx_factors]
+        arrays = [*vars(state).values(), *state.tx_mean]
         assert not any(isinstance(a, np.ndarray) and a.shape == square
                        for a in arrays)
 
