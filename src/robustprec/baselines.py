@@ -12,7 +12,7 @@ import numpy as np
 from .det_equiv import _weighted_total
 from .errors import NumericalError
 from .mm_precoder import _mm_loop, mu_bisection, normalize_power
-from .operators import hermitize, mean_quadratic_tx
+from .operators import _beam_matrix, hermitize, tx_gain_diag
 
 
 def perfect_csi_rate(channels, precoders, weights, sigma2_z):
@@ -153,11 +153,9 @@ def robust_rzf(posterior, n, p_total, sigma2_z, load_scale=1.0):
     m_t = means[0].shape[1]
     h = np.vstack(means)
     reg = k_users * sigma2_z / p_total
-    gram = h.conj().T @ h + reg * np.eye(m_t)
-    for k in range(k_users):
-        m_k = means[k].shape[0]
-        gram = gram + load_scale * mean_quadratic_tx(
-            posterior.kernel(k, n), np.eye(m_k, dtype=complex))
+    load = sum(tx_gain_diag(posterior.kernel(k, n), np.eye(len(means[k])))
+               for k in range(k_users))
+    gram = h.conj().T @ h + reg * np.eye(m_t) + load_scale * _beam_matrix(load)
     g = np.linalg.solve(hermitize(gram), h.conj().T)
     sizes = [m.shape[0] for m in means]
     return normalize_power(np.split(g, np.cumsum(sizes)[:-1], axis=1), p_total)

@@ -17,7 +17,7 @@ operators._beam_rx_moment, as the interference covariances are, and the
 transmit-side one is held as its beam diagonal g.  A sweep's products are
 d x d and m_k x m_k and cost O(m_t (m_k + d)^2), and a solve holds no
 m_t x m_t matrix: the transmit gain stays in the form the sweep computes,
-T = V diag(g) V^H + q m q^H, which tx_apply applies to a precoder.
+V^H T V = diag(g) + w m w^H, which tx_apply applies in beam coordinates.
 """
 from __future__ import annotations
 
@@ -26,7 +26,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channel import dft_matrix
 from .errors import FixedPointError, NumericalError
 from .operators import (
     _beam_rx_moment,
@@ -65,8 +64,8 @@ class DEState:
     The general solver fills it with matrices but holds no m_t x m_t one.
     The beam-domain solver, for zero-mean posteriors, fills it with the
     diagonals of the same quantities as per-beam (transmit side) and
-    per-receive-dimension vectors.  Both keep the transmit-side gain T, on
-    which the DE rate reads logdet(I + P^H T P), as V diag(g) V^H + q m q^H.
+    per-receive-dimension vectors.  Both keep the transmit-side gain T of
+    the DE rate logdet(I + P^H T P) as V^H T V = diag(g) + w m w^H.
 
     tx_gain: g, T's beam diagonal, a real m_t-vector.
     rx_gain: m_k x m_k effective receive-side signal covariance.
@@ -77,10 +76,10 @@ class DEState:
     iterations, residual: sweeps taken and the final residual.
     whitener: R^-1/2 of the interference covariance the general solver
         whitened with, read by the rate forms; None in the beam domain.
-    tx_mean: (q, m), T's term through the posterior mean M: q m q^H =
-        (L M)^H F^-1 L M for L the whitener and F the last sweep's
-        receive-side factor, q the m_t x m_k orthonormal factor of (L M)^H
-        and m Hermitian; None in the beam domain, where M is zero.
+    tx_mean: (w, m), T's term through the posterior mean M: V w m w^H V^H
+        = (L M)^H F^-1 L M for L the whitener and F the last sweep's
+        receive-side factor, w = V^H q for q the orthonormal factor of
+        (L M)^H, and m Hermitian; None in the beam domain, where M is zero.
     """
 
     tx_gain: np.ndarray
@@ -94,11 +93,12 @@ class DEState:
 
 
 def tx_apply(state, p):
-    """T p for the state's transmit gain T (DEState), forming no m_t x m_t."""
-    out = dft_matrix(p.shape[0]) @ (state.tx_gain[:, None] * _to_beams(p))
+    """V^H T V p for the state's transmit gain T (DEState): p and the
+    result in beam coordinates, and no m_t x m_t matrix formed."""
+    out = state.tx_gain[:, None] * p
     if state.tx_mean is not None:
-        q, m = state.tx_mean
-        out += q @ (m @ (q.conj().T @ p))
+        w, m = state.tx_mean
+        out = out + w @ (m @ (w.conj().T @ p))
     return out
 
 
@@ -146,20 +146,18 @@ def _damped_sweeps(sweep, cold, init, tol, max_iter, gains=None,
         f"DE fixed point: residual {res:.3e} > tol {tol:.1e} after {max_iter} sweeps")
 
 
-def _beam_tx_change(q):
+def _beam_tx_change(w):
     """tx_change of the beam sweep, whose transmit gain is the pair (g, m)
-    with T = V diag(g) V^H + q m q^H, for q the orthonormal factor of
-    (L M)^H = q r, so that (L M)^H F^-1 L M = q (r F^-1 L M q) q^H.
+    with V^H T V = diag(g) + w m w^H, for w = V^H q and q the orthonormal
+    factor of (L M)^H = q r, so that (L M)^H F^-1 L M = q (r F^-1 L M q) q^H.
 
-    V is unitary, so ||T||_F = ||diag(g) + w m w^H||_F with
-    w = V^H q, whose square is g.g + 2 g.Re diag(w m w^H) + ||m||_F^2 for
-    real g and any m: the relative change of the m_t x m_t gain in
-    O(m_t m_k^2).  A square that overflows is taken again with (g, m)
-    scaled by the exact power of two that brings their largest entry below
-    1, so the norm stays finite wherever the gain is.
+    V is unitary, so ||T||_F = ||diag(g) + w m w^H||_F, whose square is
+    g.g + 2 g.Re diag(w m w^H) + ||m||_F^2 for real g and any m: the
+    relative change of the m_t x m_t gain in O(m_t m_k^2).  A square that
+    overflows is taken again with (g, m) scaled by the exact power of two
+    that brings their largest entry below 1, so the norm stays finite
+    wherever the gain is.
     """
-    w = _to_beams(q)
-
     def sq_norm(g, m):
         diag = np.einsum("ij,ij->i", w @ m, w.conj()).real
         return g @ g + 2 * (g @ diag) + np.vdot(m, m).real
@@ -201,6 +199,7 @@ def solve_fixed_point(posterior, p, r, k, n, tol=1e-9, max_iter=500, init=None):
     lmp = lm @ p
     pt = _to_beams(p)
     q, upper = np.linalg.qr(lm.conj().T)
+    w = _to_beams(q)
 
     def sweep(g, gt):
         gain = tx_gain_diag(kern, l @ gt @ l)
@@ -214,9 +213,9 @@ def solve_fixed_point(posterior, p, r, k, n, tol=1e-9, max_iter=500, init=None):
                 np.linalg.inv(eye_m + l @ rx_gain @ l))
 
     state = _damped_sweeps(sweep, (eye_d, eye_m), init, tol, max_iter,
-                           tx_change=_beam_tx_change(q))
+                           tx_change=_beam_tx_change(w))
     state.tx_gain, m = state.tx_gain  # the sweep's pair (g, m)
-    state.whitener, state.tx_mean = l, (q, hermitize(m))
+    state.whitener, state.tx_mean = l, (w, hermitize(m))
     return state
 
 

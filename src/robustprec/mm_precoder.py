@@ -8,6 +8,8 @@ mm_shared gives every user S = sum_l w_l leak_l, the weighted leakage
 penalties (the damage each user's power does to the others' rates), so one
 m_t x m_t eigendecomposition serves the update; mm_full gives user k
 D_k = S + w_k X_k, X_k its own-rate curvature beyond its leakage penalty.
+An update works on P~ = V^H P and rotates its result back once: there
+each penalty and curvature is a beam diagonal plus terms through the mean.
 
 Memory: the DE states hold their transmit gains T as O(m_k m_t) factors
 (det_equiv.DEState), applied as T P with no T formed.  An mm_full update holds
@@ -23,9 +25,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .channel import dft_matrix
 from .det_equiv import de_weighted_sum_rate, tx_apply
 from .errors import BisectionError, NumericalError
-from .operators import _beam_matrix, expected_gram, hermitize, tx_gain_diag
+from .operators import _beam_gram, _to_beams, expected_gram, hermitize
 
 _BISECT_CAP = 500
 
@@ -55,8 +58,9 @@ def signal_gain(posterior, r, k, n):
 
 def self_penalty(gain, state, p):
     """Own-rate curvature penalty: gain - (I + T P P^H)^-1 T for T the
-    state's transmit gain, by the inversion lemma.  No design calls it:
-    tests read it as an oracle, and perfbench traces its name."""
+    state's transmit gain, by the inversion lemma, with gain, p and the
+    result in beam coordinates.  No design calls it: tests read it as an
+    oracle, and perfbench traces its name."""
     gp, t = tx_apply(state, p), tx_apply(state, np.eye(p.shape[0]))
     core = np.eye(p.shape[1], dtype=complex) + p.conj().T @ gp
     return hermitize(gain - t + gp @ np.linalg.solve(core, gp.conj().T))
@@ -68,24 +72,24 @@ self_penalty_lowrank = self_penalty  # its former name, which perfbench traces
 def leakage_penalty(posterior, state, r, k, n):
     """Penalty this user's transmit power inflicts on the others' rates.
 
-    E[H^H (R^-1 - (R + rx_gain)^-1) H]; PSD since the bracket is a
-    difference of inverses ordered by rx_gain >= 0.
+    V^H E[H^H A H] V for A = R^-1 - (R + rx_gain)^-1 (beam coordinates);
+    PSD since A is a difference of inverses ordered by rx_gain >= 0.
     """
     diff = hermitize(np.linalg.inv(r) - np.linalg.inv(r + state.rx_gain))
-    return hermitize(expected_gram(posterior, k, n, diff))
+    return hermitize(_beam_gram(posterior, k, n, diff))
 
 
 def own_curvature(posterior, state, r, k, n, tp):
     """User k's own-rate curvature beyond its leakage penalty, self_penalty
     - leakage_penalty = E[H^H C H] - T + (T P) Phi (T P)^H, for C = (R +
-    rx_gain)^-1, tp = T P and Phi = stream_mse.  With T = V diag(g) V^H +
-    q m q^H, E[H^H C H] - T is the beam matrix of tx_gain_diag(C) - g plus
-    M^H C M - q m q^H."""
+    rx_gain)^-1 and Phi = stream_mse, in beam coordinates: tp is V^H T P.
+    With V^H T V = diag(g) + w m w^H, it is V^H E[H^H C H] V with g taken
+    off its diagonal, less w m w^H, plus tp Phi tp^H."""
     c = hermitize(np.linalg.inv(r + state.rx_gain))
-    mean, (q, m) = posterior.mean(k, n), state.tx_mean
-    out = _beam_matrix(tx_gain_diag(posterior.kernel(k, n), c) - state.tx_gain)
-    out += mean.conj().T @ c @ mean
-    out -= q @ m @ q.conj().T
+    w, m = state.tx_mean
+    out = _beam_gram(posterior, k, n, c)
+    out[np.diag_indices(len(out))] -= state.tx_gain
+    out -= w @ m @ w.conj().T
     out += (tp @ state.stream_mse) @ tp.conj().T
     return hermitize(out)
 
@@ -271,24 +275,25 @@ def _de_ascent(posterior, cfg, n, init, iters, step_fn, obj_tol, start=None,
 def _mm_step(posterior, cfg, n, tol_power, per_user):
     """The update of mm_full (per_user) and mm_shared.  User k's right-hand
     side is w_k (leak_k P_k + T_k P_k Phi_k), which is S P_k + G_k, plus
-    w_k X_k P_k when per_user."""
+    w_k X_k P_k when per_user, all in beam coordinates."""
     weights, users = cfg.weights, range(posterior.n_users)
 
     def step(precoders, states, covs):
         # rhs[k]: T_k P_k Phi_k (+ X_k P_k), then w_k (leak_k P_k + that);
         # owns: the w_k X_k of mm_full, which the leakage penalties join
+        beams = [_to_beams(p) for p in precoders]
         rhs, owns = [], []
-        for k, (p, state) in enumerate(zip(precoders, states)):
-            tp = tx_apply(state, p)
+        for k, (pt, state) in enumerate(zip(beams, states)):
+            tp = tx_apply(state, pt)
             rhs.append(tp @ state.stream_mse)
             if per_user:
                 own = own_curvature(posterior, state, covs[k], k, n, tp)
-                rhs[k] += own @ p
+                rhs[k] += own @ pt
                 own *= weights[k]
                 owns.append(own)
         for l in users:
             leak = leakage_penalty(posterior, states[l], covs[l], l, n)
-            rhs[l] = weights[l] * (leak @ precoders[l] + rhs[l])
+            rhs[l] = weights[l] * (leak @ beams[l] + rhs[l])
             leak *= weights[l]
             if owns:
                 for shaping in owns:
@@ -300,7 +305,8 @@ def _mm_step(posterior, cfg, n, tol_power, per_user):
         # search has its eigenvectors
         shapings = ((owns.pop(0) for _ in rhs) if per_user
                     else owns * len(rhs))
-        return mu_bisection(rhs, shapings, cfg.p_total, tol_power=tol_power)
+        mu, out = mu_bisection(rhs, shapings, cfg.p_total, tol_power=tol_power)
+        return mu, [dft_matrix(len(x)) @ x for x in out]
 
     return step
 

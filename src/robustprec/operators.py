@@ -14,21 +14,17 @@ C = p g p^H the row sums of (p~ g) o conj(p~) with p~ = v^H p.  Its one
 owner, _beam_rx_moment, reads them so for the DE sweep, form 1, the
 covariances (p the other users' precoders) and mean_quadratic_rx (p = I).
 
-v is the unitary DFT, so v diag(g) v^H is circulant.  From m_t = _FFT_FROM
-(64) on, _beam_matrix builds it from fft(g) / m_t, which costs O(m_t^2)
-where the dense product with v costs O(m_t^3).  Below it the dense product
-is faster, and results there keep their bits.
+In beam coordinates E[H~^H C H~] is the diagonal tx_gain_diag, which the
+MM step reads as it is; _beam_matrix forms v diag(g) v^H by the dense
+product for mean_quadratic_tx and robust_rzf's load term.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .channel import _dft_conj, dft_matrix
-
-_FFT_FROM = 64  # the smallest m_t whose v products run by FFT
 
 
 def hermitize(c):
@@ -74,15 +70,6 @@ class OperatorKernel:
         return self.var_profile.shape[1]
 
 
-def _circulant(f):
-    """The m x m matrix with entry (a, b) equal to f[(a − b) mod m]."""
-    m = len(f)
-    rev = f[::-1]
-    doubled = np.concatenate((rev, rev))  # doubled[j] = f[(−1 − j) mod m]
-    step = doubled.strides[0]
-    return as_strided(doubled[m - 1:], shape=(m, m), strides=(-step, step)).copy()
-
-
 def _to_beams(x):
     """v^H x, the rows of x in beam coordinates: v is symmetric, so v^H is
     its conjugate, which channel keeps."""
@@ -111,10 +98,8 @@ def mean_quadratic_rx(kernel, c_tx):
 
 
 def _beam_matrix(g):
-    """v diag(g) v^H for real g, a fresh array (by FFT from _FFT_FROM on)."""
+    """v diag(g) v^H for real g, a fresh array."""
     m_t = len(g)
-    if m_t >= _FFT_FROM:
-        return _circulant(np.fft.fft(g) / m_t)
     return (dft_matrix(m_t) * g) @ _dft_conj(m_t).T
 
 
@@ -127,6 +112,15 @@ def expected_gram(posterior, k, n, c_rx):
     """E[H^H C H] under the posterior: mean^H C mean plus the remainder term."""
     mean = posterior.mean(k, n)
     return mean.conj().T @ c_rx @ mean + mean_quadratic_tx(posterior.kernel(k, n), c_rx)
+
+
+def _beam_gram(posterior, k, n, c_rx):
+    """V^H E[H^H C H] V, expected_gram in beam coordinates: (M V)^H C (M V)
+    for the posterior mean M, with tx_gain_diag(C) on the diagonal."""
+    mh = _to_beams(posterior.mean(k, n).conj().T)  # (M V)^H, v symmetric
+    out = mh @ c_rx @ mh.conj().T
+    out[np.diag_indices(len(out))] += tx_gain_diag(posterior.kernel(k, n), c_rx)
+    return out
 
 
 def interference_covariance(posterior, precoders, k, n, sigma2_z):

@@ -107,14 +107,21 @@ def dense_fixed_point(posterior, p, r, k, n, tol=1e-9, max_iter=500):
 
 
 def tx_gain_matrix(state):
-    """The m_t x m_t transmit gain T = V diag(g) V^H + q m q^H of a DE
+    """The m_t x m_t transmit gain T = V (diag(g) + w m w^H) V^H of a DE
     state, formed by dense products."""
     v = dft_matrix(len(state.tx_gain))
     t = (v * state.tx_gain) @ v.conj().T
     if state.tx_mean is not None:
-        q, m = state.tx_mean
+        w, m = state.tx_mean
+        q = v @ w
         t = t + q @ m @ q.conj().T
     return t
+
+
+def to_antennas(x):
+    """V x V^H: a beam-coordinate m_t x m_t matrix in antenna coordinates."""
+    v = dft_matrix(len(x))
+    return v @ x @ v.conj().T
 
 
 def self_penalty_oracle(gain, state, p):
@@ -385,11 +392,14 @@ def mm_ascent_oracle(posterior, cfg, n, init, iters, shared, obj_tol=1e-8,
     """mm_full (shared=False) or mm_shared (shared=True) with an update that
     lists all K own curvatures and leakage penalties at once, then forms
     every shaping (or the one shared shaping) and right-hand side from
-    those lists."""
+    those lists, all in beam coordinates: the precoders go in as V^H P and
+    come back as V times the search's result."""
     weights = cfg.weights
     users = range(posterior.n_users)
+    v = dft_matrix(cfg.m_t)
 
-    def step(precoders, states, covs):
+    def step(antenna, states, covs):
+        precoders = [v.conj() @ p for p in antenna]  # v is symmetric
         tps = [tx_apply(states[k], precoders[k]) for k in users]
         owns = [own_curvature(posterior, states[k], covs[k], k, n, tps[k])
                 for k in users]
@@ -415,6 +425,7 @@ def mm_ascent_oracle(posterior, cfg, n, init, iters, shared, obj_tol=1e-8,
                 for term in weighted:
                     d = d + term
                 shapings.append(d)
-        return mu_bisection(rhs, shapings, cfg.p_total, tol_power=tol_power)
+        mu, out = mu_bisection(rhs, shapings, cfg.p_total, tol_power=tol_power)
+        return mu, [v @ x for x in out]
 
     return _de_ascent(posterior, cfg, n, init, iters, step, obj_tol)

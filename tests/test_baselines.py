@@ -12,11 +12,13 @@ from numpy.random import default_rng
 from helpers import (
     make_instance,
     random_precoder_set,
+    relerr,
     same_bits,
     small_cfg,
     wmmse_oracle,
     zero_mean_posterior,
 )
+from robustprec import baselines
 from robustprec.baselines import (
     perfect_csi_rate,
     robust_rzf,
@@ -29,6 +31,7 @@ from robustprec.channel import crandn
 from robustprec.config import SystemConfig
 from robustprec.errors import NumericalError
 from robustprec.mm_precoder import mm_full, total_power
+from robustprec.operators import mean_quadratic_tx
 
 
 def _channels(seed, k=3, m_k=2, m_t=8):
@@ -180,6 +183,27 @@ def test_robust_rzf_loading_reacts_to_uncertainty():
     assert abs(total_power(aware) - cfg.p_total) <= 1e-12
     gap = max(np.abs(a - b).max() for a, b in zip(aware, naive))
     assert gap > 1e-3  # the loading path is live
+
+
+@pytest.mark.parametrize("m_t", [8, 64])
+def test_robust_rzf_loads_one_beam_matrix_of_the_summed_diagonals(
+        monkeypatch, m_t):
+    # the users' error Grams E[err_k^H err_k] enter as one V diag(g) V^H of
+    # their summed beam diagonals, where each was its own mean_quadratic_tx
+    cfg = small_cfg(m_t=m_t, m_k=(2, 1, 2), n_b=2, sigma2_z=0.1)
+    _, _, _, post = make_instance(cfg, default_rng(14), alphas=0.7)
+    real, loads = baselines._beam_matrix, []
+
+    def record(g):
+        loads.append(real(g))
+        return loads[-1]
+
+    monkeypatch.setattr(baselines, "_beam_matrix", record)
+    robust_rzf(post, 2, cfg.p_total, cfg.sigma2_z)
+    want = sum(mean_quadratic_tx(post.kernel(k, 2), np.eye(m, dtype=complex))
+               for k, m in enumerate(cfg.m_k))
+    (load,) = loads
+    assert relerr(load, want) <= 1e-12
 
 
 def test_robust_rzf_on_zero_mean_posterior_raises_numerical_error():

@@ -342,13 +342,14 @@ def test_sweep_writes_per_algorithm_csvs_and_manifest(tmp_path):
     assert manifest["config"]["system"]["m_t"] == 8
 
 
-def _run_listing_scipy_modules(*argv):
+def _run_listing_modules(package, *argv):
     """cli.main(argv) in a fresh interpreter that then prints the names of
-    the scipy modules it holds."""
+    the modules of package (dotted, e.g. numpy.fft) it holds."""
     src = str(Path(robustprec.__file__).resolve().parents[1])
-    code = ("import sys, robustprec.cli as c; c.main(sys.argv[1:]); print([m "
-            "for m in sys.modules if m.split('.')[0] == 'scipy'])")
-    return subprocess.run([sys.executable, "-c", code, *argv],
+    code = ("import sys, robustprec.cli as c; p = sys.argv[1]; "
+            "c.main(sys.argv[2:]); print([m for m in sys.modules "
+            "if m == p or m.startswith(p + '.')])")
+    return subprocess.run([sys.executable, "-c", code, package, *argv],
                           capture_output=True, text=True, check=True,
                           env=dict(os.environ, PYTHONPATH=src))
 
@@ -371,8 +372,8 @@ def test_manifest_records_the_numeric_environment(tmp_path, monkeypatch):
     assert env["threads"]["OPENBLAS_NUM_THREADS"] == os.environ.get(
         "OPENBLAS_NUM_THREADS")
     # the package runs on numpy alone: slnr's eigenvectors load no scipy
-    run = _run_listing_scipy_modules(
-        "sweep", "-c", _write_config(tmp_path, BASE),
+    run = _run_listing_modules(
+        "scipy", "sweep", "-c", _write_config(tmp_path, BASE),
         "--algorithms", "slnr", "--out-dir", str(tmp_path / "slnr"))
     assert run.stdout.splitlines()[-1] == "[]"
 
@@ -620,10 +621,26 @@ def test_a_sweep_of_every_algorithm_leaves_scipy_unloaded(tmp_path):
     # no score imports scipy
     data = dict(BASE, experiment=dict(BASE["experiment"],
                                       algorithms=list(ALGORITHMS)))
-    run = _run_listing_scipy_modules(
-        "sweep", "-c", _write_config(tmp_path, data), "--out-dir",
+    run = _run_listing_modules(
+        "scipy", "sweep", "-c", _write_config(tmp_path, data), "--out-dir",
         str(tmp_path / "out"))
     assert run.stdout.splitlines()[-1] == "[]"
+
+
+def test_an_mm_sweep_at_64_antennas_leaves_numpy_fft_unloaded(tmp_path):
+    # alg1 and alg2 update in beam coordinates and form no V diag(g) V^H,
+    # which from m_t = 64 on was built by FFT: numpy.fft is never imported
+    data = {"system": {"m_t": 64, "m_k": [2, 2], "n_b": 2, "snr_db": [10]},
+            "profile": {"band_width": 8},
+            "experiment": {"algorithms": ["alg1", "alg2"], "n_slots": 1,
+                           "n_mc": 4, "mm_iters": 1}}
+    out = tmp_path / "out"
+    run = _run_listing_modules("numpy.fft", "sweep", "-c",
+                               _write_config(tmp_path, data), "--out-dir",
+                               str(out))
+    assert run.stdout.splitlines()[-1] == "[]"
+    assert sorted(p.name for p in out.iterdir()) == [
+        "run_manifest.json", "sweep_alg1.csv", "sweep_alg2.csv"]
 
 
 # 150 dB with m_k > d_k: at p_total 38 the Monte Carlo score as a difference
@@ -1019,24 +1036,39 @@ def test_an_extreme_budget_prints_only_the_outcome(tmp_path, capsys, data,
     assert sorted(p.name for p in out.iterdir()) == files
 
 
-def test_alg3_converges_at_a_tiny_budget_as_at_a_unit_budget(tmp_path,
-                                                             capsys):
+@pytest.mark.parametrize("alg", ["alg1", "alg2", "alg3"])
+def test_converge_at_a_tiny_budget_is_the_unit_budget_design_scaled(
+        tmp_path, capsys, alg):
     # at 1e-160 alg3's squared beam gains overflowed and its multiplier
-    # search failed to bracket (exit 3); the allocation is now the
-    # unit-budget one scaled, to the bisection's tolerance
-    alloc = {}
+    # search failed to bracket (exit 3), and alg1 and alg2 spent more than
+    # the budget; each design is now the unit-budget one scaled, to the
+    # bisection's tolerance (alg1 1.4e-7, alg2 2.0e-7), within the budget.
+    # The uplink noise is pinned: tracking sigma2_z, it would change the
+    # posteriors, and the objectives were 13.8% apart
+    designs, alloc = {}, {}
     for p_total in (1e-160, 1.0):
         data = dict(TINY_CONVERGE, system=dict(
-            TINY_CONVERGE["system"], p_total=p_total, sigma2_z=p_total / 10),
-            experiment=dict(TINY_CONVERGE["experiment"], algorithms=["alg3"]))
+            TINY_CONVERGE["system"], p_total=p_total, sigma2_z=p_total / 10,
+            sigma2_bs=0.1),
+            experiment=dict(TINY_CONVERGE["experiment"], algorithms=[alg]))
         out = tmp_path / str(p_total)
         assert cli.main(["converge", "-c", _write_config(tmp_path, data),
                          "--out-dir", str(out)]) == 0
         assert capsys.readouterr().err == ""
-        _, rows = _read_rows(out / "allocation_alg3.csv")
-        alloc[p_total] = np.array([float(r[2]) for r in rows]) / p_total
-        assert alloc[p_total].sum() <= 1 + 1e-9
-    assert np.allclose(alloc[1e-160], alloc[1.0], rtol=1e-6, atol=0)
+        if alg == "alg3":
+            _, rows = _read_rows(out / "allocation_alg3.csv")
+            alloc[p_total] = np.array([float(r[2]) for r in rows]) / p_total
+            assert alloc[p_total].sum() <= 1 + 1e-9
+        else:
+            pre = read_complex_csv(out / f"precoders_{alg}.csv")
+            assert sum(np.sum(np.abs(p) ** 2) for p in pre.values()) <= p_total
+            designs[p_total] = np.concatenate(
+                [pre[u].ravel() for u in sorted(pre)]) / math.sqrt(p_total)
+    if alg == "alg3":
+        assert np.allclose(alloc[1e-160], alloc[1.0], rtol=1e-6, atol=0)
+    else:
+        gap = designs[1e-160] - designs[1.0]
+        assert np.linalg.norm(gap) <= 1e-6 * np.linalg.norm(designs[1.0])
 
 
 def test_converge_whose_beam_domain_total_overflows_exits_3(tmp_path, capsys):

@@ -222,18 +222,21 @@ def test_warm_start_cuts_sweeps():
 
 @pytest.mark.parametrize("m_t", [8, 64, 65])
 def test_tx_apply_is_the_dense_transmit_gain_times_p(m_t):
-    # a state holds T = V diag(g) V^H + q m q^H as g and (q, m); tx_apply's
-    # T p is the dense sweep's m_t x m_t T times p, on both branches of its
-    # beam matrix, for the user's precoder and for any m_t x 3 matrix
+    # a state holds V^H T V = diag(g) + w m w^H as g and (w, m); tx_apply
+    # maps beam coordinates to beam coordinates, so V tx_apply(V^H x) is
+    # the dense sweep's m_t x m_t T times x, for the user's precoder and
+    # for any m_t x 3 matrix
     rng = np.random.default_rng(m_t + 11)
     cfg, post, precoders = _instance(rng, m_t=m_t, m_k=(2, 1, 2))
     other = crandn(rng, m_t, 3)
+    v = dft_matrix(m_t)
     for k, p in enumerate(precoders):
         r = interference_covariance(post, precoders, k, 2, cfg.sigma2_z)
         state = solve_fixed_point(post, p, r, k, 2)
         dense = dense_fixed_point(post, p, r, k, 2)[0].tx_gain
         for x in (p, other):
-            assert relerr(tx_apply(state, x), dense @ x) <= 1e-10
+            assert relerr(v @ tx_apply(state, v.conj().T @ x),
+                          dense @ x) <= 1e-10
 
 
 @pytest.mark.parametrize("m_t", [8, 16, 32, 64, 65, 128])
@@ -261,21 +264,23 @@ def test_the_beam_sweep_matches_the_dense_sweep(m_t):
 @pytest.mark.parametrize("m_t", [8, 64])
 def test_form_1_reads_its_transmit_term_from_the_stream_mse(m_t):
     # -logdet(stream_mse) is logdet(I + P^H T P) for the state's transmit
-    # gain T, below and from the FFT size
+    # gain T, read in beam coordinates as logdet(I + P~^H (V^H T V) P~)
     rng = np.random.default_rng(m_t + 1)
     cfg, post, precoders = _instance(rng, m_t=m_t, m_k=(2, 1, 2))
     for k, p in enumerate(precoders):
         r = interference_covariance(post, precoders, k, 2, cfg.sigma2_z)
         state = solve_fixed_point(post, p, r, k, 2)
+        pt = dft_matrix(m_t).conj().T @ p
         want = np.linalg.slogdet(np.eye(p.shape[1])
-                                 + p.conj().T @ tx_apply(state, p))[1]
+                                 + pt.conj().T @ tx_apply(state, pt))[1]
         got = -np.linalg.slogdet(state.stream_mse)[1]
         assert abs(got - want) <= 1e-12 * abs(want)
 
 
 def _beam_and_dense_gains(rng, m_t):
-    """(change, new, old, dense): the beam residual of q, two (g, m) pairs,
-    and the m_t x m_t gain V diag(g) V^H + q m q^H each pair stands for."""
+    """(change, new, old, dense): the beam residual of w = V^H q, two
+    (g, m) pairs, and the m_t x m_t gain V diag(g) V^H + q m q^H each pair
+    stands for."""
     q = np.linalg.qr(crandn(rng, m_t, 3))[0]
     v = dft_matrix(m_t)
 
@@ -284,7 +289,7 @@ def _beam_and_dense_gains(rng, m_t):
 
     new = rng.random(m_t), crandn(rng, 3, 3)
     old = rng.random(m_t), crandn(rng, 3, 3)
-    return det_equiv._beam_tx_change(q), new, old, dense
+    return det_equiv._beam_tx_change(v.conj().T @ q), new, old, dense
 
 
 @pytest.mark.parametrize("m_t", [64, 65])

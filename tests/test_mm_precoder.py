@@ -27,6 +27,7 @@ from helpers import (
     self_penalty_oracle,
     small_cfg,
     small_scenarios,
+    to_antennas,
     traced_heap,
 )
 from robustprec import baselines, beam_domain, mm_precoder, operators
@@ -34,6 +35,7 @@ from robustprec.beam_domain import beam_power_allocation, canonical_allocation
 from robustprec.channel import (
     BeamProfile,
     crandn,
+    dft_matrix,
     draw_slot,
     generate_synthetic_stats,
     orthogonal_pilots,
@@ -63,15 +65,26 @@ def _instance(seed, m_t=8, m_k=(2, 2, 2), alphas=0.9, sigma2_z=0.1, n_b=3):
     return cfg, rng, post
 
 
+def _beams(p):
+    """V^H p, a precoder in beam coordinates."""
+    return dft_matrix(len(p)).conj().T @ p
+
+
 def _surrogate_pieces(cfg, post, precoders, n):
+    """(covs, states, gains, selfs, leaks) at the precoders, the penalties
+    taken in beam coordinates and handed back in antenna coordinates."""
     k_users = post.n_users
     covs = [interference_covariance(post, precoders, k, n, cfg.sigma2_z)
             for k in range(k_users)]
     states = [solve_fixed_point(post, precoders[k], covs[k], k, n)
               for k in range(k_users)]
     gains = [signal_gain(post, covs[k], k, n) for k in range(k_users)]
-    selfs = [self_penalty(gains[k], states[k], precoders[k]) for k in range(k_users)]
-    leaks = [leakage_penalty(post, states[k], covs[k], k, n) for k in range(k_users)]
+    v = dft_matrix(cfg.m_t)
+    selfs = [to_antennas(self_penalty(v.conj().T @ gains[k] @ v, states[k],
+                                      _beams(precoders[k])))
+             for k in range(k_users)]
+    leaks = [to_antennas(leakage_penalty(post, states[k], covs[k], k, n))
+             for k in range(k_users)]
     return covs, states, gains, selfs, leaks
 
 
@@ -96,40 +109,41 @@ def test_self_penalty_routes_agree():
 def test_the_gap_times_the_precoder_is_the_rate_gradient(m_t):
     # the MM updates' right-hand side: (gain - self_penalty) P is
     # T P stream_mse by the inversion lemma, and mm_full's own term is
-    # self_penalty - leakage_penalty with no signal gain formed, on both
-    # branches of the beam matrix
+    # self_penalty - leakage_penalty with no signal gain formed; the
+    # update takes T P and the own term in beam coordinates
     cfg, rng, post = _instance(m_t, m_t=m_t)
     p = random_precoder_set(rng, cfg.m_t, cfg.d_k, cfg.p_total)
     covs, states, gains, selfs, leaks = _surrogate_pieces(cfg, post, p, 2)
+    v = dft_matrix(m_t)
     for k, state in enumerate(states):
-        tp = tx_apply(state, p[k])
+        tp = tx_apply(state, _beams(p[k]))
         assert relerr((gains[k] - selfs[k]) @ p[k],
-                      tp @ state.stream_mse) <= 1e-12
+                      v @ tp @ state.stream_mse) <= 1e-12
         own = own_curvature(post, state, covs[k], k, 2, tp)
-        assert relerr(own, selfs[k] - leaks[k]) <= 1e-12
+        assert relerr(to_antennas(own), selfs[k] - leaks[k]) <= 1e-12
 
 
 @pytest.mark.parametrize("m_t", [8, 64])
 def test_own_curvature_matches_the_form_with_a_dense_transmit_gain(m_t):
-    # one beam matrix of tx_gain_diag(C) - g plus the mean terms is
-    # E[H^H C H] - T + (T P) Phi (T P)^H with T formed, below and from the
-    # FFT size
+    # the beam diagonal tx_gain_diag(C) - g plus the mean terms is, through
+    # V, E[H^H C H] - T + (T P) Phi (T P)^H with T formed
     cfg, rng, post = _instance(m_t + 5, m_t=m_t)
     p = random_precoder_set(rng, cfg.m_t, cfg.d_k, cfg.p_total)
     for k in range(post.n_users):
         r = interference_covariance(post, p, k, 2, cfg.sigma2_z)
         state = solve_fixed_point(post, p[k], r, k, 2)
-        own = own_curvature(post, state, r, k, 2, tx_apply(state, p[k]))
-        assert relerr(own, own_curvature_oracle(post, state, r, k, 2,
-                                                p[k])) <= 1e-12
+        own = own_curvature(post, state, r, k, 2,
+                            tx_apply(state, _beams(p[k])))
+        assert relerr(to_antennas(own), own_curvature_oracle(
+            post, state, r, k, 2, p[k])) <= 1e-12
 
 
-@pytest.mark.parametrize("algorithm, per_user", [(mm_shared, 1), (mm_full, 2)])
-def test_an_update_builds_one_beam_matrix_per_user_and_term(
-        monkeypatch, algorithm, per_user):
-    # at K = 4, one update builds each leakage penalty's V diag(g) V^H, and
-    # mm_full each own curvature's too: K and 2K (2K and 3K when each
-    # update rebuilt the transmit gains); the DE evaluation builds none
+@pytest.mark.parametrize("algorithm", [mm_shared, mm_full])
+def test_an_update_builds_no_beam_matrix(monkeypatch, algorithm):
+    # in beam coordinates each leakage penalty and own curvature is a beam
+    # diagonal plus mean terms: at K = 4 an update built K (mm_shared) and
+    # 2K (mm_full) V diag(g) V^H, and 2K and 3K when each update rebuilt
+    # the transmit gains; the DE evaluation builds none
     cfg, rng, post = _instance(6, m_k=(2, 1, 2, 1))
     init = random_precoder_set(rng, cfg.m_t, cfg.d_k, cfg.p_total)
     real, calls = operators._beam_matrix, []
@@ -138,11 +152,11 @@ def test_an_update_builds_one_beam_matrix_per_user_and_term(
         calls.append(len(g))
         return real(g)
 
-    for module in (operators, mm_precoder):
+    for module in (operators, baselines):
         monkeypatch.setattr(module, "_beam_matrix", counted)
     report = algorithm(post, cfg, 2, init, iters=1, score_last=False)
     assert report.updates == 1
-    assert calls == [cfg.m_t] * (per_user * post.n_users)
+    assert calls == []
 
 
 def test_penalty_matrices_are_psd_and_ordered():

@@ -111,22 +111,19 @@ def test_operator_outputs_diagonal_in_their_bases():
     assert np.max(np.abs(back - np.diag(np.diag(back)))) < 1e-12
 
 
-# below 64 antennas mean_quadratic_tx runs the dense product, with the
-# oracle's bits; from 64 on its FFT form, odd sizes included, agrees with it
-# to round-off
+# mean_quadratic_tx runs the dense product at every size, odd ones
+# included, with the oracle's bits
 @pytest.mark.parametrize("m_t", [8, 63, 64, 65, 128])
 def test_operators_match_the_dense_products(m_t):
     rng = np.random.default_rng(m_t)
     kern, _ = _kernel(rng, m_k=3, m_t=m_t, band=min(16, m_t))
-    agree = same_bits if m_t < 64 else lambda a, b: relerr(a, b) < 1e-13
     c_rx = rand_hermitian_psd(rng, kern.m_k)
     mq = mean_quadratic_tx(kern, c_rx)
-    assert agree(mq, mean_quadratic_tx_oracle(kern, c_rx))
+    assert same_bits(mq, mean_quadratic_tx_oracle(kern, c_rx))
     assert np.max(np.abs(mq - mq.conj().T)) <= 1e-14 * np.max(np.abs(mq))
 
 
-# the identities below hold below and from _FFT_FROM: for mean_quadratic_tx's
-# dense product (m_t 8) and for its FFT form (m_t 65, an odd size)
+# the identities below hold at a small size and at an odd one past 64
 _SIZES = (8, 65)
 
 
